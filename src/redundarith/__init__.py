@@ -8,13 +8,10 @@ re-spreading the totals diagonally.  On top of that primitive sit a
 parallel multiplier, a fused multiply-accumulate, a serial accumulator
 with an overflow counter, a high-radix divider driven by a table of
 divisor multiples, and a matrix unit combining a product with six
-addends in one reduction.
-
-Hot kernels run under numba when available; set REDUNDARITH_BACKEND to
-"numpy" (or call use_backend) to force the pure-numpy path.
+addends in one reduction.  The hot kernels are plain numpy, in
+`_kernels`.
 """
 
-from ._kernels import BACKEND_ENV, HAS_NUMBA, active_backend, use_backend
 from .accumulator import AccumulatorState, acc_new, acc_run, acc_step, acc_step2, acc_total
 from .codes import (
     CodeFormatError,
@@ -86,12 +83,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccumulatorState",
-    "BACKEND_ENV",
     "CodeFormatError",
     "DelayModel",
     "EvalError",
     "GranularityError",
-    "HAS_NUMBA",
     "MapConfig",
     "MapState",
     "MultiRowCode",
@@ -106,7 +101,6 @@ __all__ = [
     "acc_step",
     "acc_step2",
     "acc_total",
-    "active_backend",
     "add_two_row",
     "build_scale",
     "delay_levels",
@@ -153,7 +147,6 @@ __all__ = [
     "to_text",
     "trapezoid_geometry",
     "tree_depth",
-    "use_backend",
     "value_of",
     "with_lsb_exp",
 ]

@@ -1,30 +1,30 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-Every kernel exists twice: a compiled scalar-loop version (numba) and a
-vectorized pure-numpy version.  The active backend is chosen at import
-time from the REDUNDARITH_BACKEND environment variable ("numba" or
-"numpy"); `use_backend` switches at runtime, which the equivalence tests
-and the benchmark rely on.
+"""Hot numeric kernels, one numpy implementation each.
 
 Digit matrices are int64 arrays of shape (rows, width) with column j
 holding the digits of weight radix**j.  Column sums stay far below 2**63
 for every supported shape (rows <= 127, radix <= 10), so plain int64
-arithmetic is exact everywhere in here.
+arithmetic is exact in the reduction kernels.
+
+The accumulator streams work on bit rows packed into Python ints (bit j
+is column j), so one carry-save step is a handful of whole-word
+operations at any width.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-BACKEND_ENV = "REDUNDARITH_BACKEND"
+# operand rows packed into ints at a time by the accumulator streams
+_CHUNK = 1 << 12
 
 
-def _row_count_after(m: int, q: int) -> int:
-    # smallest t with q**t >= 1 + m*(q-1); exact integer loop
-    bound = 1 + m * (q - 1)
+def next_row_count(m: int, q: int = 2) -> int:
+    """Rows needed to re-express any column sum of an m-row radix-q code."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    bound = 1 + m * (q - 1)  # column sums range over 0 .. m*(q-1)
     t = 0
     p = 1
     while p < bound:
@@ -33,13 +33,11 @@ def _row_count_after(m: int, q: int) -> int:
     return max(t, 1)
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy bodies
-
-
-def _np_reduce_once(digits: np.ndarray, q: int) -> np.ndarray:
+def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
+    # reduce_to_two_digits loops over this body, not over the public
+    # reduce_once_digits, so one reduction is one entry-point call
     m, n = digits.shape
-    m2 = _row_count_after(m, q)
+    m2 = next_row_count(m, q)
     col = digits.sum(axis=0, dtype=np.int64)
     out = np.zeros((m2, n + m2 - 1), dtype=np.int64)
     rem = col
@@ -49,15 +47,25 @@ def _np_reduce_once(digits: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _np_reduce_to_two(digits: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+def reduce_once_digits(digits: np.ndarray, q: int) -> np.ndarray:
+    """One reduction stage: column sums re-spread in radix q along diagonals."""
+    return _reduce_stage(digits, q)
+
+
+def reduce_to_two_digits(digits: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """Reduce until two rows remain; returns the digits and the stage count."""
     stages = 0
     while digits.shape[0] > 2:
-        digits = _np_reduce_once(digits, q)
+        digits = _reduce_stage(digits, q)
         stages += 1
     return digits, stages
 
 
-def _np_popcount_batch(bits: np.ndarray) -> np.ndarray:
+def popcount_batch(bits: np.ndarray) -> np.ndarray:
+    """Ones per row of a (batch, m) bit matrix, summed as a pairwise tree.
+
+    A partial count above 2**t at tree level t means a non-bit input.
+    """
     b, m = bits.shape
     p2 = 1
     while p2 < m:
@@ -68,265 +76,83 @@ def _np_popcount_batch(bits: np.ndarray) -> np.ndarray:
     while counts.shape[1] > 1:
         counts = counts[:, 0::2] + counts[:, 1::2]
         level += 1
-        assert counts.max(initial=0) <= (1 << level)
+        if counts.max(initial=0) > (1 << level):
+            raise ValueError(f"partial count above 2**{level} at level {level}: inputs must be bits")
     return counts[:, 0]
 
 
-def _np_acc_stream1(
-    ops: np.ndarray, s: np.ndarray, c: np.ndarray, xor_variant: bool
-) -> int:
-    w, n = ops.shape
+def _full_adder(x: int, y: int, z: int) -> tuple[int, int]:
+    """Sum word and carry word (moved up one column) of three bit rows."""
+    return x ^ y ^ z, ((x & y) | (z & (x | y))) << 1
+
+
+def _pack_rows(bits: np.ndarray) -> list:
+    """Each row of a 0/1 matrix as one int, bit j = column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    padded = np.zeros((packed.shape[0], -(-nbytes // 8) * 8), dtype=np.uint8)
+    padded[:, :nbytes] = packed
+    words = padded.view("<u8")
+    ints = words[:, 0].tolist()
+    for k in range(1, words.shape[1]):
+        ints = [lo | (hi << (64 * k)) for lo, hi in zip(ints, words[:, k].tolist())]
+    return ints
+
+
+def _unpack_into(value: int, out: np.ndarray) -> None:
+    raw = value.to_bytes(-(-out.shape[0] // 8), "little")
+    out[:] = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8), count=out.shape[0], bitorder="little"
+    )
+
+
+def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -> int:
+    """Carry-save steps over the (n+1)-slot rows s and c, in place.
+
+    Every step first moves the top slots (weight 2**n) to the counter,
+    by sum or, in the xor variant, by xor.  A one-row step is one full
+    adder; a two-row step folds (a, b, c) and then (s, p, g).  A one-row
+    step's top carry goes to the counter at once, so it never stays in
+    the top slot.  Returns the overflow count added.
+    """
+    n = s.shape[0] - 1
+    mask = (1 << n) - 1
+    sw, cw = _pack_rows(np.stack([s, c]))
     overflow = 0
-    for i in range(w):
-        if xor_variant:
-            overflow += int(s[n] ^ c[n])
-        else:
-            overflow += int(s[n] + c[n])
-        s[n] = 0
-        c[n] = 0
-        t = ops[i] + s[:n] + c[:n]
-        s[:n] = t & 1
-        carry = t >> 1
-        c[1:n] = carry[: n - 1]
-        c[0] = 0
-        overflow += int(carry[n - 1])
-    return overflow
-
-
-def _np_acc_stream2(
-    ops_a: np.ndarray,
-    ops_b: np.ndarray,
-    s: np.ndarray,
-    c: np.ndarray,
-    xor_variant: bool,
-) -> int:
-    w, n = ops_a.shape
-    overflow = 0
-    g = np.zeros(n + 1, dtype=np.int64)
-    for i in range(w):
-        if xor_variant:
-            overflow += int(s[n] ^ c[n])
-        else:
-            overflow += int(s[n] + c[n])
-        s[n] = 0
-        c[n] = 0
-        alpha = ops_a[i] + ops_b[i] + c[:n]
-        p = alpha & 1
-        g[1:] = alpha >> 1
-        g[0] = 0
-        beta = p + g[:n] + s[:n]
-        s[:n] = beta & 1
-        s[n] = g[n]
-        c[1:] = beta >> 1
-        c[0] = 0
-    return overflow
-
-
-def _np_pp_unsigned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = a.shape[0]
-    nb = b.shape[0]
-    out = np.zeros((nb, na + nb - 1), dtype=np.int64)
-    for j in range(nb):
-        out[j, j : j + na] = b[j] * a
-    return out
-
-
-_NUMPY_IMPL = {
-    "reduce_once": _np_reduce_once,
-    "reduce_to_two": _np_reduce_to_two,
-    "popcount_batch": _np_popcount_batch,
-    "acc_stream1": _np_acc_stream1,
-    "acc_stream2": _np_acc_stream2,
-    "pp_unsigned": _np_pp_unsigned,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba bodies (scalar loops; compiled lazily, cached on disk)
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAS_NUMBA = False
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_row_count_after(m, q):
-        bound = 1 + m * (q - 1)
-        t = 0
-        p = 1
-        while p < bound:
-            p *= q
-            t += 1
-        if t < 1:
-            t = 1
-        return t
-
-    @njit(cache=True)
-    def _nb_reduce_once(digits, q):
-        m, n = digits.shape
-        m2 = _nb_row_count_after(m, q)
-        out = np.zeros((m2, n + m2 - 1), dtype=np.int64)
-        for j in range(n):
-            sj = np.int64(0)
-            for i in range(m):
-                sj += digits[i, j]
-            for h in range(m2):
-                out[h, j + h] = sj % q
-                sj //= q
-        return out
-
-    @njit(cache=True)
-    def _nb_reduce_to_two(digits, q):
-        stages = 0
-        while digits.shape[0] > 2:
-            digits = _nb_reduce_once(digits, q)
-            stages += 1
-        return digits, stages
-
-    @njit(cache=True)
-    def _nb_popcount_batch(bits):
-        b, m = bits.shape
-        p2 = 1
-        while p2 < m:
-            p2 *= 2
-        counts = np.zeros((b, p2), dtype=np.int64)
-        counts[:, :m] = bits
-        width = p2
-        level = 0
-        while width > 1:
-            half = width // 2
-            level += 1
-            bound = 1 << level
-            for r in range(b):
-                for k in range(half):
-                    v = counts[r, 2 * k] + counts[r, 2 * k + 1]
-                    assert v <= bound
-                    counts[r, k] = v
-            width = half
-        return counts[:, 0].copy()
-
-    @njit(cache=True)
-    def _nb_acc_stream1(ops, s, c, xor_variant):
-        w, n = ops.shape
-        overflow = np.int64(0)
-        for i in range(w):
-            if xor_variant:
-                overflow += s[n] ^ c[n]
+    for start in range(0, ops_a.shape[0], _CHUNK):
+        rows_a = _pack_rows(ops_a[start : start + _CHUNK])
+        rows_b = rows_a if ops_b is None else _pack_rows(ops_b[start : start + _CHUNK])
+        for a, b in zip(rows_a, rows_b):
+            overflow += (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
+            sw &= mask
+            cw &= mask
+            if ops_b is None:
+                sw, cw = _full_adder(sw, a, cw)
             else:
-                overflow += s[n] + c[n]
-            s[n] = 0
-            c[n] = 0
-            prev_carry = np.int64(0)
-            for j in range(n):
-                t = ops[i, j] + s[j] + c[j]
-                s[j] = t & 1
-                c[j] = prev_carry
-                prev_carry = t >> 1
-            overflow += prev_carry
-            c[0] = 0
-        return overflow
-
-    @njit(cache=True)
-    def _nb_acc_stream2(ops_a, ops_b, s, c, xor_variant):
-        w, n = ops_a.shape
-        overflow = np.int64(0)
-        for i in range(w):
-            if xor_variant:
-                overflow += s[n] ^ c[n]
-            else:
-                overflow += s[n] + c[n]
-            s[n] = 0
-            c[n] = 0
-            g_prev = np.int64(0)  # stage-A carry entering column j
-            h_prev = np.int64(0)  # stage-B carry entering column j
-            for j in range(n):
-                alpha = ops_a[i, j] + ops_b[i, j] + c[j]
-                p = alpha & 1
-                g_next = alpha >> 1
-                beta = p + g_prev + s[j]
-                s[j] = beta & 1
-                c[j] = h_prev
-                h_prev = beta >> 1
-                g_prev = g_next
-            s[n] = g_prev
-            c[n] = h_prev
-            c[0] = 0
-        return overflow
-
-    @njit(cache=True)
-    def _nb_pp_unsigned(a, b):
-        na = a.shape[0]
-        nb = b.shape[0]
-        out = np.zeros((nb, na + nb - 1), dtype=np.int64)
-        for j in range(nb):
-            if b[j] != 0:
-                for i in range(na):
-                    out[j, j + i] = b[j] * a[i]
-        return out
-
-    _NUMBA_IMPL = {
-        "reduce_once": _nb_reduce_once,
-        "reduce_to_two": _nb_reduce_to_two,
-        "popcount_batch": _nb_popcount_batch,
-        "acc_stream1": _nb_acc_stream1,
-        "acc_stream2": _nb_acc_stream2,
-        "pp_unsigned": _nb_pp_unsigned,
-    }
-else:
-    _NUMBA_IMPL = {}
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_active_name = ""
-_active: dict = {}
-
-
-def use_backend(name: str) -> None:
-    """Select the kernel backend ("numba" or "numpy") at runtime."""
-    global _active_name, _active
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r} (expected 'numba' or 'numpy')")
-    if name == "numba" and not HAS_NUMBA:
-        warnings.warn("numba unavailable, falling back to numpy kernels")
-        name = "numpy"
-    _active = _NUMBA_IMPL if name == "numba" else _NUMPY_IMPL
-    _active_name = name
-
-
-def active_backend() -> str:
-    return _active_name
-
-
-use_backend(os.environ.get(BACKEND_ENV, "numba" if HAS_NUMBA else "numpy"))
-
-
-def reduce_once_digits(digits: np.ndarray, q: int) -> np.ndarray:
-    return _active["reduce_once"](digits, q)
-
-
-def reduce_to_two_digits(digits: np.ndarray, q: int) -> tuple[np.ndarray, int]:
-    return _active["reduce_to_two"](digits, q)
-
-
-def popcount_batch(bits: np.ndarray) -> np.ndarray:
-    return _active["popcount_batch"](bits)
+                sw, cw = _full_adder(sw, *_full_adder(a, b, cw))
+    if ops_b is None and ops_a.shape[0]:
+        overflow += cw >> n
+        cw &= mask
+    _unpack_into(sw, s)
+    _unpack_into(cw, c)
+    return overflow
 
 
 def acc_stream1(ops, s, c, xor_variant: bool) -> int:
-    return int(_active["acc_stream1"](ops, s, c, xor_variant))
+    """Absorb one operand row per step; mutates s and c, returns the overflow added."""
+    return _acc_stream(ops, None, s, c, xor_variant)
 
 
 def acc_stream2(ops_a, ops_b, s, c, xor_variant: bool) -> int:
-    return int(_active["acc_stream2"](ops_a, ops_b, s, c, xor_variant))
+    """Absorb the two-row operand (ops_a[i], ops_b[i]) per step; as acc_stream1."""
+    return _acc_stream(ops_a, ops_b, s, c, xor_variant)
 
 
 def pp_unsigned_digits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _active["pp_unsigned"](a, b)
+    """Row j holds b[j] * a shifted j columns."""
+    na = a.shape[0]
+    nb = b.shape[0]
+    out = np.zeros((nb, na + nb - 1), dtype=np.int64)
+    rows = np.arange(nb)[:, None]
+    out[rows, rows + np.arange(na)] = np.outer(b, a)
+    return out

@@ -42,6 +42,7 @@ class AccumulatorState:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
             if arr.shape != (self.width + 1,):
                 raise ValueError(f"{name} must have width+1 slots")
+            _check_bits(name, arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -72,30 +73,22 @@ def _operand_bits(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> np
     return out
 
 
-def _flush_top(acc, s, c) -> int:
-    if acc.counter_mode == "xor":
-        moved = int(s[acc.width] ^ c[acc.width])
-    else:
-        moved = int(s[acc.width] + c[acc.width])
-    s[acc.width] = 0
-    c[acc.width] = 0
-    return acc.overflow_count + moved
+def _check_bits(name: str, arr: np.ndarray) -> None:
+    if arr.size and (arr.min() < 0 or arr.max() > 1):
+        raise ValueError(f"{name} entries must be 0 or 1")
+
+
+def _step_rows(name: str, rows, width: int) -> np.ndarray:
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name} must be (steps, width)")
+    _check_bits(name, rows)
+    return rows
 
 
 def acc_step(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
     """Absorb a one-row operand: one full-adder layer."""
-    bits = _operand_bits(acc, operand, rows=1)[0]
-    n = acc.width
-    s = acc.sum_row.copy()
-    c = acc.carry_row.copy()
-    ovf = _flush_top(acc, s, c)
-    t = bits + s[:n] + c[:n]
-    s[:n] = t & 1
-    carry = t >> 1
-    c[1:n] = carry[: n - 1]
-    c[0] = 0
-    ovf += int(carry[n - 1])
-    return replace(acc, sum_row=s, carry_row=c, overflow_count=ovf)
+    return acc_run(acc, _operand_bits(acc, operand, rows=1))
 
 
 def acc_step2(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
@@ -106,20 +99,7 @@ def acc_step2(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
     slots and reach the counter on the next flush.
     """
     ab = _operand_bits(acc, operand, rows=2)
-    n = acc.width
-    s = acc.sum_row.copy()
-    c = acc.carry_row.copy()
-    ovf = _flush_top(acc, s, c)
-    alpha = ab[0] + ab[1] + c[:n]
-    p = alpha & 1
-    g = np.zeros(n + 1, dtype=np.int64)
-    g[1:] = alpha >> 1
-    beta = p + g[:n] + s[:n]
-    s[:n] = beta & 1
-    s[n] = g[n]
-    c[1:] = beta >> 1
-    c[0] = 0
-    return replace(acc, sum_row=s, carry_row=c, overflow_count=ovf)
+    return acc_run(acc, ab[:1], ab[1:])
 
 
 def acc_run(
@@ -127,22 +107,20 @@ def acc_run(
     ops: np.ndarray,
     ops_b: np.ndarray | None = None,
 ) -> AccumulatorState:
-    """Stream many steps through the active kernel backend.
+    """Stream many steps through the carry-save kernel.
 
     ops is a (steps, width) bit matrix, one operand row per step.  With
     ops_b present, each step absorbs the two-row operand (ops[i], ops_b[i]).
-    Equivalent to folding acc_step / acc_step2, just fast.
+    acc_step and acc_step2 are the one-step streams.
     """
-    ops = np.ascontiguousarray(ops, dtype=np.int64)
-    if ops.ndim != 2 or ops.shape[1] != acc.width:
-        raise ValueError("ops must be (steps, width)")
+    ops = _step_rows("ops", ops, acc.width)
     s = acc.sum_row.copy()
     c = acc.carry_row.copy()
     xor = acc.counter_mode == "xor"
     if ops_b is None:
         delta = _kernels.acc_stream1(ops, s, c, xor)
     else:
-        ops_b = np.ascontiguousarray(ops_b, dtype=np.int64)
+        ops_b = _step_rows("ops_b", ops_b, acc.width)
         if ops_b.shape != ops.shape:
             raise ValueError("ops_b must match ops shape")
         delta = _kernels.acc_stream2(ops, ops_b, s, c, xor)

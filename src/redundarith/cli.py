@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import accumulator, codes, divider, evalexpr, map_unit, multiplier, reducer
-from ._kernels import BACKEND_ENV
 from .report import FUZZ_OPS, TABLE_KINDS, fuzz_verify, report_tables
 
 SEED_ENV = "REDUNDARITH_SEED"
@@ -72,10 +71,11 @@ def _cmd_reduce(args) -> int:
         _emit_code(code, args.json)
         return 0
     if args.trace:
-        for i, stage in enumerate(reducer.reduce_stages(code), start=1):
-            print(f"stage {i}: {stage.rows} rows")
-            sys.stdout.write(codes.to_text(stage))
-    out = reducer.reduce_to_two(code)
+        for i, out in enumerate(reducer.reduce_stages(code), start=1):
+            print(f"stage {i}: {out.rows} rows")
+            sys.stdout.write(codes.to_text(out))
+    else:
+        out = reducer.reduce_to_two(code)
     _emit_code(out, args.json)
     return 0
 
@@ -298,11 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-row redundant arithmetic: reduce, add, multiply, "
         "divide, accumulate, matrix unit, golden-table reports.",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("numba", "numpy"),
-        help=f"kernel backend for this run (default: ${BACKEND_ENV} or numba)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="reduce a code to 2 rows")
@@ -388,10 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend:
-        from . import _kernels
-
-        _kernels.use_backend(args.backend)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -99,8 +99,8 @@ def select_digit(
         h = bisect_right(scale.entries, r) - 1
     elif method == "eager":
         flags = thermometer_flags(r, scale)
-        for prev, cur in zip(flags, flags[1:]):
-            assert prev >= cur, "comparator vector must be monotone"
+        if any(prev < cur for prev, cur in zip(flags, flags[1:])):
+            raise RuntimeError(f"comparator vector {flags} is not monotone")
         h = sum(flags) - 1
     else:
         raise ValueError("method must be 'bisect' or 'eager'")

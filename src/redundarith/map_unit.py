@@ -95,7 +95,8 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
             if a.width != cfg.width or b.width != cfg.width:
                 raise ValueError("signed product operands must have the full width")
             ppm = pp_matrix_signed(a, b)
-            assert ppm.bias_scaled == 1 << gw
+            if ppm.bias_scaled != 1 << gw:
+                raise RuntimeError(f"signed product bias {ppm.bias_scaled} != 2**{gw}")
             bias += 1
         else:
             _check_additive(cfg, "a", a)

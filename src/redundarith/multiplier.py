@@ -23,13 +23,7 @@ import numpy as np
 from . import _kernels
 from .codes import MultiRowCode, scaled_value, value_of
 from .compressor import DelayModel
-from .reducer import (
-    next_row_count,
-    reduce_delay,
-    reduce_once,
-    reduce_to_two,
-    stage_plan,
-)
+from .reducer import reduce_delay, reduce_once, reduce_to_two, stage_plan
 
 
 @dataclass(frozen=True)
@@ -137,13 +131,11 @@ def mac_injection_stage(pp_rows: int, feedback_rows: int) -> tuple[int, int]:
     """
     if pp_rows < 1:
         raise ValueError("pp_rows must be >= 1")
-    heads = [max(pp_rows, 2)]
-    while heads[-1] > 2:
-        heads.append(next_row_count(heads[-1], 2))
-    bare = len(heads) - 1
+    plan = stage_plan(max(pp_rows, 2), 2)
+    bare = plan.stages
     totals = [
         s + stage_plan(max(h + feedback_rows, 2), 2).stages
-        for s, h in enumerate(heads)
+        for s, h in enumerate(plan.row_counts)
     ]
     if len(totals) > 1 and totals[1] == bare:
         return 1, bare

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything in here is pure Python over exact big integers and never
-calls into the numpy/numba kernels, so a bug cannot hide on both sides
+calls into the numpy kernels, so a bug cannot hide on both sides
 of a comparison.  Tests and the fuzz harness build on these.
 """
 

@@ -15,23 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import next_row_count
 from .codes import MultiRowCode, QuadSignedCode, quad_negate
 from .compressor import DelayModel, oca_delay, tree_depth
-
-
-def next_row_count(m: int, q: int = 2) -> int:
-    """Rows needed to re-express any column sum of an m-row radix-q code."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    bound = 1 + m * (q - 1)  # column sums range over 0 .. m*(q-1)
-    t = 0
-    p = 1
-    while p < bound:
-        p *= q
-        t += 1
-    return max(t, 1)
 
 
 @dataclass(frozen=True)
@@ -95,7 +81,9 @@ def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
     if code.rows == 2:
         return code
     out, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
-    assert stages == stage_plan(code.rows, code.radix).stages
+    planned = stage_plan(code.rows, code.radix).stages
+    if stages != planned:
+        raise RuntimeError(f"reduction ran {stages} stages, stage_plan gives {planned}")
     return MultiRowCode(2, out.shape[1], code.radix, code.lsb_exp, out)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from redundarith.accumulator import (
+    AccumulatorState,
     acc_new,
     acc_run,
     acc_step,
@@ -129,3 +130,85 @@ def test_operand_validation():
         acc_step(acc, make_from_value(1, 2, 4, 2))  # wrong row count for 1-row step
     with pytest.raises(ValueError):
         acc_step(acc, MultiRowCode(1, 4, 3, 0, np.zeros((1, 4), dtype=np.int64)))
+
+
+def test_stream_rejects_non_bit_operands():
+    acc = acc_new(4)
+    zeros = np.zeros((3, 4), dtype=np.int64)
+    for bad_value in (2, -1):
+        bad = zeros.copy()
+        bad[1, 2] = bad_value
+        with pytest.raises(ValueError, match="ops entries must be 0 or 1"):
+            acc_run(acc, bad)
+        with pytest.raises(ValueError, match="ops_b entries must be 0 or 1"):
+            acc_run(acc, zeros, bad)
+
+
+def test_state_rejects_non_bit_rows():
+    for name in ("sum_row", "carry_row"):
+        rows = {"sum_row": np.zeros(5, dtype=np.int64), "carry_row": np.zeros(5, dtype=np.int64)}
+        rows[name][4] = 2
+        with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
+            AccumulatorState(width=4, overflow_count=0, **rows)
+
+
+def _reference_stream(ops_a, ops_b, s, c, xor_variant):
+    """Literal per-step carry-save layers over int64 column vectors."""
+    s = s.copy()
+    c = c.copy()
+    n = s.shape[0] - 1
+    overflow = 0
+    for i in range(ops_a.shape[0]):
+        overflow += int(s[n] ^ c[n]) if xor_variant else int(s[n] + c[n])
+        s[n] = 0
+        c[n] = 0
+        if ops_b is None:
+            t = ops_a[i] + s[:n] + c[:n]
+            s[:n] = t & 1
+            carry = t >> 1
+            c[1:n] = carry[: n - 1]
+            c[0] = 0
+            overflow += int(carry[n - 1])
+        else:
+            alpha = ops_a[i] + ops_b[i] + c[:n]
+            g = np.zeros(n + 1, dtype=np.int64)
+            g[1:] = alpha >> 1
+            beta = (alpha & 1) + g[:n] + s[:n]
+            s[:n] = beta & 1
+            s[n] = g[n]
+            c[1:] = beta >> 1
+            c[0] = 0
+    return s, c, overflow
+
+
+def _assert_same_state(got, s, c, overflow):
+    assert np.array_equal(got.sum_row, s)
+    assert np.array_equal(got.carry_row, c)
+    assert got.overflow_count == overflow
+
+
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 130])
+def test_stream_kernel_matches_per_step_reference(width):
+    rng = np.random.default_rng(width)
+    for steps in (0, 1, 2, 300):
+        for rows in (1, 2):
+            for mode in ("exact", "xor"):
+                s0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
+                c0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
+                s0[width] = c0[width] = 1  # pending top carries
+                start = AccumulatorState(width, s0, c0, int(rng.integers(0, 9)), counter_mode=mode)
+                ops_a = rng.integers(0, 2, size=(steps, width), dtype=np.int64)
+                ops_b = rng.integers(0, 2, size=(steps, width), dtype=np.int64) if rows == 2 else None
+                s, c, delta = _reference_stream(ops_a, ops_b, s0, c0, mode == "xor")
+                want = (s, c, start.overflow_count + delta)
+                _assert_same_state(acc_run(start, ops_a, ops_b), *want)
+                stepped = start
+                for i in range(steps):
+                    if rows == 1:
+                        stepped = acc_step(stepped, MultiRowCode(1, width, 2, 0, ops_a[i : i + 1]))
+                    else:
+                        pair = np.stack([ops_a[i], ops_b[i]])
+                        stepped = acc_step2(stepped, MultiRowCode(2, width, 2, 0, pair))
+                _assert_same_state(stepped, *want)
+                if steps == 0:
+                    _assert_same_state(acc_run(start, ops_a, ops_b), s0, c0, start.overflow_count)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from redundarith import _kernels, codes, reducer
 from redundarith.cli import main
 
 
@@ -47,6 +48,33 @@ def test_reduce_trace(capsys, tmp_path):
     assert code == 0
     assert "stage 1: 3 rows" in out
     assert "stage 2: 2 rows" in out
+
+
+def test_reduce_trace_reduces_once(capsys, tmp_path, monkeypatch):
+    text = "mrc 9 4 2 0\n" + "1111\n" * 9
+    f = tmp_path / "code.txt"
+    f.write_text(text)
+    plan = reducer.stage_plan(9, 2)
+    want = codes.to_text(reducer.reduce_to_two(codes.from_text(text)))
+    stages = []
+    once, to_two = _kernels.reduce_once_digits, _kernels.reduce_to_two_digits
+
+    def count_once(digits, q):
+        stages.append(1)
+        return once(digits, q)
+
+    def count_to_two(digits, q):
+        out, n = to_two(digits, q)
+        stages.append(n)
+        return out, n
+
+    monkeypatch.setattr(_kernels, "reduce_once_digits", count_once)
+    monkeypatch.setattr(_kernels, "reduce_to_two_digits", count_to_two)
+    code, out, _ = run(capsys, "reduce", str(f), "--trace")
+    assert code == 0
+    assert sum(stages) == plan.stages
+    # the last traced stage is printed, then emitted as the result
+    assert out.endswith(f"stage {plan.stages}: 2 rows\n" + want + want)
 
 
 def test_div_identity_and_json(capsys):
@@ -143,14 +171,6 @@ def test_bad_operand_is_usage_error(capsys):
     code, _, err = run(capsys, "mul", "abc", "2")
     assert code == 2
     assert "neither an integer" in err
-
-
-def test_backend_flag(capsys):
-    code, out, _ = run(capsys, "--backend", "numpy", "mul", "3", "5", "--json")
-    assert code == 0
-    from redundarith import _kernels
-
-    _kernels.use_backend("numba" if _kernels.HAS_NUMBA else "numpy")
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -1,8 +1,14 @@
 """Counting-adder trees: depth, golden delay bands, table plans, costs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import redundarith
 from redundarith.compressor import (
     DelayModel,
     UntabulatedCostError,
@@ -113,3 +119,19 @@ def test_structural_square_cells_upper_bounds_exact():
 def test_structural_encoder_cost_is_added_verbatim():
     base = oca_cost_structural(10)
     assert oca_cost_structural(10, encoder_cost=7) == base + 7
+
+
+def test_popcount_bound_check_survives_optimize():
+    # python -O strips asserts; the adder-tree bound must still raise
+    src = str(Path(redundarith.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "import numpy as np\n"
+        "from redundarith import _kernels\n"
+        "print(_kernels.popcount_batch(np.array([[5, 7, 9]])))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "ValueError" in proc.stderr
