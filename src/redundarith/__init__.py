@@ -17,6 +17,7 @@ from .codes import (
     CodeFormatError,
     GranularityError,
     MultiRowCode,
+    NumericDomainError,
     QuadSignedCode,
     WidthOverflowError,
     from_json,
@@ -90,6 +91,7 @@ __all__ = [
     "MapConfig",
     "MapState",
     "MultiRowCode",
+    "NumericDomainError",
     "OcaSpec",
     "QuadSignedCode",
     "ScaleTable",

@@ -1,9 +1,12 @@
 """Hot numeric kernels, one numpy implementation each.
 
 Digit matrices are int64 arrays of shape (rows, width) with column j
-holding the digits of weight radix**j.  Column sums stay far below 2**63
-for every supported shape (rows <= 127, radix <= 10), so plain int64
-arithmetic is exact in the reduction kernels.
+holding the digits of weight radix**j.  `MultiRowCode` rejects any code
+with rows * (radix - 1) > 2**63 - 1, so every column sum fits in int64,
+and so does every digit weight radix**h of a stage, since
+radix**(m2 - 1) <= rows * (radix - 1).  Plain int64 arithmetic is
+therefore exact in the reduction kernels.  The row counts and digit
+weights of a stage depend only on (rows, radix) and are cached per shape.
 
 The accumulator streams work on bit rows packed into Python ints (bit j
 is column j), so one carry-save step is a handful of whole-word
@@ -12,12 +15,18 @@ operations at any width.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # operand rows packed into ints at a time by the accumulator streams
 _CHUNK = 1 << 12
+# distinct shapes kept by each per-shape cache (row counts, digit
+# weights, stage plans, MAC injection stages)
+SHAPE_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def next_row_count(m: int, q: int = 2) -> int:
     """Rows needed to re-express any column sum of an m-row radix-q code."""
     if m < 1:
@@ -33,18 +42,33 @@ def next_row_count(m: int, q: int = 2) -> int:
     return max(t, 1)
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _digit_weights(m: int, q: int) -> np.ndarray:
+    """Column vector q**h, h < next_row_count(m, q): one row per output digit."""
+    w = np.array([q**h for h in range(next_row_count(m, q))], dtype=np.int64)[:, None]
+    w.flags.writeable = False
+    return w
+
+
+def _skew(block: np.ndarray) -> np.ndarray:
+    """Row h of an (r, n) block shifted h columns, as an (r, n + r - 1) matrix.
+
+    The block is written unshifted into rows of n + r cells; read back
+    with rows of n + r - 1 cells, row h of the flat buffer starts h cells
+    later, and the cells before it fall on the zero padding.
+    """
+    r, n = block.shape
+    grid = np.zeros((r, n + r), dtype=np.int64)
+    grid[:, :n] = block
+    return grid.ravel()[: r * (n + r - 1)].reshape(r, n + r - 1)
+
+
 def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
     # reduce_to_two_digits loops over this body, not over the public
     # reduce_once_digits, so one reduction is one entry-point call
-    m, n = digits.shape
-    m2 = next_row_count(m, q)
     col = digits.sum(axis=0, dtype=np.int64)
-    out = np.zeros((m2, n + m2 - 1), dtype=np.int64)
-    rem = col
-    for h in range(m2):
-        out[h, h : h + n] = rem % q
-        rem = rem // q
-    return out
+    # digit h of every column sum goes to row h, shifted h columns
+    return _skew(col // _digit_weights(digits.shape[0], q) % q)
 
 
 def reduce_once_digits(digits: np.ndarray, q: int) -> np.ndarray:
@@ -150,9 +174,4 @@ def acc_stream2(ops_a, ops_b, s, c, xor_variant: bool) -> int:
 
 def pp_unsigned_digits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row j holds b[j] * a shifted j columns."""
-    na = a.shape[0]
-    nb = b.shape[0]
-    out = np.zeros((nb, na + nb - 1), dtype=np.int64)
-    rows = np.arange(nb)[:, None]
-    out[rows, rows + np.arange(na)] = np.outer(b, a)
-    return out
+    return _skew(b[:, None] * a)

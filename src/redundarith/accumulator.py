@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .codes import MultiRowCode
+from .codes import MultiRowCode, scale_fraction
 
 
 @dataclass(frozen=True)
@@ -143,4 +143,4 @@ def acc_total(acc: AccumulatorState) -> Fraction:
         + _row_value(acc.sum_row)
         + _row_value(acc.carry_row)
     )
-    return scaled * Fraction(2) ** acc.lsb_exp
+    return scale_fraction(scaled, 2, acc.lsb_exp)

@@ -95,10 +95,10 @@ def _cmd_add(args) -> int:
 def _cmd_mul(args) -> int:
     a = _read_operand(args.a, args.width, 2)
     b = _read_operand(args.b, args.width, 2)
+    if args.signed and a.width != b.width:
+        raise UsageError("--signed needs equal operand widths")
     out = multiplier.multiply(a, b, signed=args.signed)
     if args.signed:
-        if a.width != b.width:
-            raise UsageError("--signed needs equal operand widths")
         value = multiplier.signed_product_value(out, a.width)
         if args.json:
             print(json.dumps({"product": codes.to_json_dict(out), "value": str(value)}))

@@ -31,13 +31,26 @@ class CodeFormatError(ValueError):
     """Malformed text or JSON serialization."""
 
 
+class NumericDomainError(ValueError):
+    """Shape whose worst column sum rows * (radix - 1) exceeds int64."""
+
+
+# largest column sum the int64 kernels hold exactly
+MAX_COLUMN_SUM = (1 << 63) - 1
+
+
 def _as_digit_matrix(digits, rows: int, width: int, radix: int) -> np.ndarray:
-    arr = np.asarray(digits, dtype=np.int64)
+    try:
+        arr = np.asarray(digits, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"digits out of range for radix {radix}") from None
     if arr.ndim != 2:
         raise ValueError(f"digit matrix must be 2-D, got ndim={arr.ndim}")
     if arr.shape != (rows, width):
         raise ValueError(f"digit matrix shape {arr.shape} != ({rows}, {width})")
-    if width and rows and (arr.min(initial=0) < 0 or arr.max(initial=0) >= radix):
+    # read as uint64 a negative digit is >= 2**63, and the numeric-domain
+    # check keeps radix <= 2**63, so one max checks both ends of the range
+    if width and rows and int(arr.view(np.uint64).max()) >= radix:
         raise ValueError(f"digits out of range for radix {radix}")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -61,6 +74,13 @@ class MultiRowCode:
             raise ValueError("width must be >= 0")
         if self.radix < 2:
             raise ValueError("radix must be >= 2")
+        # the reduction kernels sum columns in int64; the largest stage
+        # weight radix**(m2 - 1) is at most the same worst column sum
+        if self.rows * (self.radix - 1) > MAX_COLUMN_SUM:
+            raise NumericDomainError(
+                f"{self.rows} rows at radix {self.radix}: column sums can "
+                f"exceed 2**63 - 1"
+            )
         object.__setattr__(
             self,
             "digits",
@@ -69,7 +89,9 @@ class MultiRowCode:
 
     @classmethod
     def from_digits(cls, digits, radix: int = 2, lsb_exp: int = 0) -> "MultiRowCode":
-        arr = np.asarray(digits, dtype=np.int64)
+        # the constructor converts to int64, so a digit too wide for it is
+        # reported as out of range
+        arr = np.asarray(digits)
         if arr.ndim == 1:
             arr = arr[None, :]
         return cls(arr.shape[0], arr.shape[1], radix, lsb_exp, arr)
@@ -102,28 +124,26 @@ def scaled_value(code: MultiRowCode) -> int:
     """Exact integer value ignoring lsb_exp: sum of digit * radix**j."""
     if code.width == 0:
         return 0
-    col = code.digits.sum(axis=0, dtype=np.int64)
     if code.radix == 2:
-        # split column sums into bit planes; each plane packs into a big int
-        total = 0
-        plane = 0
-        col = col.copy()
-        while col.any():
-            bits = (col & 1).astype(np.uint8)
-            packed = np.packbits(bits, bitorder="little").tobytes()
-            total += int.from_bytes(packed, "little") << plane
-            col >>= 1
-            plane += 1
-        return total
+        # each bit row packs into one int
+        packed = np.packbits(code.digits, axis=1, bitorder="little")
+        return sum(int.from_bytes(row.tobytes(), "little") for row in packed)
     total = 0
-    for j in range(code.width - 1, -1, -1):
-        total = total * code.radix + int(col[j])
+    for d in reversed(code.digits.sum(axis=0, dtype=np.int64).tolist()):
+        total = total * code.radix + d
     return total
+
+
+def scale_fraction(scaled: int, radix: int, lsb_exp: int) -> Fraction:
+    """scaled * radix**lsb_exp as an exact Fraction, in integer arithmetic."""
+    if lsb_exp >= 0:
+        return Fraction(scaled * radix**lsb_exp)
+    return Fraction(scaled, radix**-lsb_exp)
 
 
 def value_of(code: MultiRowCode) -> Fraction:
     """Exact value of the code as a rational number."""
-    return scaled_value(code) * Fraction(code.radix) ** code.lsb_exp
+    return scale_fraction(scaled_value(code), code.radix, code.lsb_exp)
 
 
 def make_from_value(
@@ -138,25 +158,32 @@ def make_from_value(
     `value` may be an int or Fraction; it must be a non-negative multiple
     of radix**lsb_exp and fit in `width` columns.
     """
-    v = Fraction(value)
-    if v < 0:
+    if isinstance(value, int):
+        num, den = value, 1
+    else:
+        v = Fraction(value)
+        num, den = v.numerator, v.denominator
+    if num < 0:
         raise ValueError("value must be non-negative")
-    scaled = v / Fraction(radix) ** lsb_exp
-    if scaled.denominator != 1:
+    if lsb_exp >= 0:
+        den *= radix**lsb_exp
+    else:
+        num *= radix**-lsb_exp
+    n, rem = divmod(num, den)
+    if rem:
         raise GranularityError(
             f"{value} is not a multiple of {radix}**{lsb_exp}"
         )
-    n = int(scaled)
-    digits = np.zeros((rows, width), dtype=np.int64)
-    j = 0
+    if n >= radix**width:
+        raise WidthOverflowError(
+            f"value {value} does not fit in width {width} at radix {radix}"
+        )
+    row = []
     while n:
-        if j >= width:
-            raise WidthOverflowError(
-                f"value {value} does not fit in width {width} at radix {radix}"
-            )
         n, d = divmod(n, radix)
-        digits[0, j] = d
-        j += 1
+        row.append(d)
+    digits = np.zeros((rows, width), dtype=np.int64)
+    digits[0, : len(row)] = row
     return MultiRowCode(rows, width, radix, lsb_exp, digits)
 
 
@@ -264,7 +291,7 @@ def from_text(text: str) -> MultiRowCode:
         raise CodeFormatError(f"bad header numbers: {lines[0]!r}") from exc
     if len(lines) - 1 != rows:
         raise CodeFormatError(f"expected {rows} digit rows, got {len(lines) - 1}")
-    digits = np.zeros((rows, width), dtype=np.int64)
+    digits = []
     for i, ln in enumerate(lines[1:]):
         if radix <= 10:
             parts = list(ln.strip())
@@ -273,11 +300,19 @@ def from_text(text: str) -> MultiRowCode:
         if len(parts) != width:
             raise CodeFormatError(f"row {i}: expected {width} digits, got {len(parts)}")
         try:
-            digits[i] = [int(p) for p in reversed(parts)]
+            digits.append([int(p) for p in reversed(parts)])
         except ValueError as exc:
             raise CodeFormatError(f"row {i}: non-numeric digit") from exc
+    return _parsed_code(rows, width, radix, lsb_exp, digits)
+
+
+def _parsed_code(rows, width, radix, lsb_exp, digits) -> MultiRowCode:
+    """Build a parsed code; bad digits are a format error, a shape outside
+    the numeric domain keeps its own error."""
     try:
         return MultiRowCode(rows, width, radix, lsb_exp, digits)
+    except NumericDomainError:
+        raise
     except ValueError as exc:
         raise CodeFormatError(str(exc)) from exc
 
@@ -307,15 +342,12 @@ def from_json_dict(obj: dict) -> MultiRowCode:
         raise CodeFormatError(f"bad JSON code object: {exc}") from exc
     if len(raw) != rows:
         raise CodeFormatError(f"expected {rows} digit rows, got {len(raw)}")
-    digits = np.zeros((rows, width), dtype=np.int64)
+    digits = []
     for i, row in enumerate(raw):
         if len(row) != width:
             raise CodeFormatError(f"row {i}: expected {width} digits")
-        digits[i] = list(reversed([int(d) for d in row]))
-    try:
-        return MultiRowCode(rows, width, radix, lsb_exp, digits)
-    except ValueError as exc:
-        raise CodeFormatError(str(exc)) from exc
+        digits.append([int(d) for d in reversed(row)])
+    return _parsed_code(rows, width, radix, lsb_exp, digits)
 
 
 def from_json(text: str) -> MultiRowCode:

@@ -14,7 +14,8 @@ sign-magnitude pairs of 2-row codes: '+' and '-' run through the
 stack-and-reduce adder, '*' and mul(a, b) through the partial-product
 multiplier, div(x, z, k, iters) through the scaled-table divider and
 yields the truncated quotient.  Everything is radix 2, so literals must
-have power-of-two denominators.
+have power-of-two denominators.  Parentheses, unary minus and calls may
+nest at most MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class Token:
     text: str
     pos: int
 
+
+# deepest atom nesting the recursive-descent parser accepts
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/(),])")
 
@@ -101,6 +105,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
         self.steps: list = []
 
     # token helpers ---------------------------------------------------
@@ -204,6 +209,17 @@ class _Parser:
         return left
 
     def atom(self) -> QuadSignedCode:
+        # each nesting level is a few Python frames, so cap it well below
+        # the interpreter's recursion limit
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise EvalError(f"expression nested deeper than {MAX_DEPTH}", self._peek().pos)
+        try:
+            return self._atom()
+        finally:
+            self.depth -= 1
+
+    def _atom(self) -> QuadSignedCode:
         tok = self._next()
         if tok.kind == "num":
             value = Fraction(int(tok.text))

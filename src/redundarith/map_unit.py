@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import MultiRowCode, scaled_value
+from .codes import MultiRowCode, scale_fraction, scaled_value
 from .compressor import DelayModel, oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
 from .reducer import reduce_to_two, stage_plan
@@ -195,13 +195,13 @@ def map_total(state: MapState) -> Fraction:
     """Exact total: overflow counter at grid weight plus the 2-row value."""
     gw = state.config.grid_width
     scaled = (state.overflow_count << gw) + scaled_value(state.f)
-    return scaled * Fraction(2) ** state.config.lsb_exp
+    return scale_fraction(scaled, 2, state.config.lsb_exp)
 
 
 def map_signed_total(state: MapState) -> Fraction:
     """Total with complement-row bias removed (twos-complement mode)."""
     gw = state.config.grid_width
-    bias = (state.bias_units << gw) * Fraction(2) ** state.config.lsb_exp
+    bias = scale_fraction(state.bias_units << gw, 2, state.config.lsb_exp)
     return map_total(state) - bias
 
 

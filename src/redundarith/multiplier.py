@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .codes import MultiRowCode, scaled_value, value_of
+from .codes import MultiRowCode, scale_fraction, scaled_value
 from .compressor import DelayModel
 from .reducer import reduce_delay, reduce_once, reduce_to_two, stage_plan
 
@@ -34,7 +35,7 @@ class PartialProductMatrix:
 
     @property
     def bias(self) -> Fraction:
-        return self.bias_scaled * Fraction(2) ** self.matrix.lsb_exp
+        return scale_fraction(self.bias_scaled, 2, self.matrix.lsb_exp)
 
 
 def _check_operand(code: MultiRowCode, min_width: int = 1) -> None:
@@ -51,7 +52,7 @@ def signed_operand_value(code: MultiRowCode) -> Fraction:
     _check_operand(code, min_width=2)
     sign = int(code.digits[0, code.width - 1])
     raw = scaled_value(code)
-    return (raw - (sign << code.width)) * Fraction(2) ** code.lsb_exp
+    return scale_fraction(raw - (sign << code.width), 2, code.lsb_exp)
 
 
 def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
@@ -85,9 +86,8 @@ def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
     b_sign = int(bbits[n])
     width = 2 * n + 1
     rows = np.zeros((n + 3, width), dtype=np.int64)
-    for j in range(n):  # magnitude * magnitude, same shape as unsigned
-        if bbits[j]:
-            rows[j, j : j + n] = abits[:n]
+    # magnitude * magnitude, the unsigned partial products of n digits
+    rows[:n, : 2 * n - 1] = _kernels.pp_unsigned_digits(abits[:n], bbits[:n])
     rows[n, n : 2 * n] = 1 - a_sign * bbits[:n]  # -(sign_a * mag_b), inverted
     rows[n, 2 * n] = a_sign * b_sign  # sign * sign
     rows[n + 1, n : 2 * n] = 1 - b_sign * abits[:n]  # -(sign_b * mag_a), inverted
@@ -115,10 +115,11 @@ def signed_product_value(product: MultiRowCode, operand_width: int) -> Fraction:
     the bias is 2**(2(w-1)+1) scaled cells.
     """
     n = operand_width - 1
-    bias = (1 << (2 * n + 1)) * Fraction(2) ** product.lsb_exp
-    return value_of(product) - bias
+    unbiased = scaled_value(product) - (1 << (2 * n + 1))
+    return scale_fraction(unbiased, product.radix, product.lsb_exp)
 
 
+@lru_cache(maxsize=_kernels.SHAPE_CACHE_SIZE)
 def mac_injection_stage(pp_rows: int, feedback_rows: int) -> tuple[int, int]:
     """Feedback injection stage: (stage index s, total stage count).
 

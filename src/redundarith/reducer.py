@@ -11,11 +11,12 @@ propagation by simply stacking and reducing again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import next_row_count
+from ._kernels import SHAPE_CACHE_SIZE, next_row_count
 from .codes import MultiRowCode, QuadSignedCode, quad_negate
 from .compressor import DelayModel, oca_delay, tree_depth
 
@@ -40,7 +41,10 @@ class StagePlan:
                 raise ValueError(f"inconsistent plan step {a} -> {b}")
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def stage_plan(m: int, q: int = 2) -> StagePlan:
+    """Row counts of a full reduction of m rows; cached per shape, which is
+    safe because StagePlan is frozen."""
     if m < 2:
         raise ValueError("m must be >= 2")
     counts = [m]

@@ -31,6 +31,12 @@ def test_mul_signed_text(capsys):
     assert "value -143" in out
 
 
+def test_mul_signed_needs_equal_widths(capsys):
+    code, _, err = run(capsys, "mul", "0b101", "0b1101", "--signed")
+    assert code == 2
+    assert err == "error: --signed needs equal operand widths\n"
+
+
 def test_add_and_reduce_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "add", "25", "17", "--width", "6")
     assert code == 0
@@ -75,6 +81,21 @@ def test_reduce_trace_reduces_once(capsys, tmp_path, monkeypatch):
     assert sum(stages) == plan.stages
     # the last traced stage is printed, then emitted as the result
     assert out.endswith(f"stage {plan.stages}: 2 rows\n" + want + want)
+
+
+def test_reduce_outside_numeric_domain_is_usage_error(capsys, tmp_path):
+    q = 2**61
+    cases = (
+        f"mrc 5 2 {q} 0\n" + f"{q - 1} {q - 1}\n" * 5,  # int64 column sums overflow
+        f"mrc 1 1 {2**64} 0\n{2**64 - 1}\n",  # digit does not fit int64
+    )
+    for i, text in enumerate(cases):
+        f = tmp_path / f"code{i}.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "reduce", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_div_identity_and_json(capsys):
@@ -165,6 +186,14 @@ def test_eval_error_is_usage(capsys):
     code, _, err = run(capsys, "eval", "1 +")
     assert code == 2
     assert "error:" in err
+
+
+def test_eval_nesting_limit_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "(" * 3000 + "1" + ")" * 3000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested deeper" in err
 
 
 def test_bad_operand_is_usage_error(capsys):

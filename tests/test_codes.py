@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from redundarith.codes import (
     GranularityError,
     MultiRowCode,
+    NumericDomainError,
     QuadSignedCode,
     WidthOverflowError,
+    from_text,
     make_from_value,
     quad_from_value,
     quad_negate,
@@ -21,6 +23,7 @@ from redundarith.codes import (
     with_lsb_exp,
 )
 from redundarith.oracle import exact_scaled_value
+from redundarith.reducer import reduce_to_two
 
 from conftest import random_code
 
@@ -34,6 +37,26 @@ def test_construction_validates_shape_and_digits():
         MultiRowCode(1, 2, 2, 0, np.array([[0, -1]], dtype=np.int64))
     with pytest.raises(ValueError):
         MultiRowCode(1, 2, 1, 0, np.zeros((1, 2), dtype=np.int64))
+    for digit in (2**64 - 1, 2**70):  # too wide for int64
+        with pytest.raises(ValueError):
+            MultiRowCode.from_digits([[digit]], radix=2**63)
+
+
+def test_column_sum_domain_is_enforced():
+    # 5 rows of maximum digits at radix 2**61 would overflow int64 column sums
+    q = 2**61
+    with pytest.raises(NumericDomainError):
+        MultiRowCode(5, 3, q, 0, [[q - 1] * 3] * 5)
+    # a radix-2**64 digit does not fit int64: rejected before conversion
+    with pytest.raises(NumericDomainError):
+        MultiRowCode(1, 1, 2**64, 0, [[2**64 - 1]])
+    with pytest.raises(NumericDomainError):
+        from_text(f"mrc 1 1 {2**64} 0\n{2**64 - 1}\n")
+    # the widest radix a 3-row code allows still reduces exactly
+    q = (2**63 - 1) // 3 + 1
+    code = MultiRowCode(3, 4, q, 0, [[q - 1] * 4] * 3)
+    out = reduce_to_two(code)
+    assert value_of(out) == value_of(code) == 3 * (q**4 - 1)
 
 
 def test_digits_are_read_only():
@@ -67,15 +90,36 @@ def test_make_from_value_round_trips(rng):
             code = make_from_value(v, 3, 40, radix)
             assert value_of(code) == v
             assert code.digits[1:].sum() == 0
+    # every accepted input type encodes the same digits
+    for v in (6, True, np.int64(6), Fraction(6)):
+        code = make_from_value(v, 2, 8, 2)
+        assert value_of(code) == v
+        assert code.digits[0].tolist() == [int(d) for d in format(int(v), "08b")[::-1]]
+    for radix in (2, 3):
+        assert value_of(make_from_value(radix**8 - 1, 1, 8, radix)) == radix**8 - 1
+    assert value_of(make_from_value(Fraction(13, 8), 1, 5, 2, -3)) == Fraction(13, 8)
+    assert value_of(make_from_value(5, 1, 6, 2, -3)) == 5  # int input, negative lsb_exp
+    assert value_of(make_from_value(18, 1, 2, 3, 2)) == 18  # int input, positive lsb_exp
+    empty = make_from_value(0, 1, 0, 2)
+    assert empty.width == 0 and value_of(empty) == 0
 
 
 def test_make_from_value_rejects_bad_inputs():
     with pytest.raises(WidthOverflowError):
         make_from_value(256, 1, 8, 2)
+    for radix in (2, 3):
+        with pytest.raises(WidthOverflowError):
+            make_from_value(radix**8, 1, 8, radix)
+    with pytest.raises(WidthOverflowError):
+        make_from_value(1, 1, 0, 2)
     with pytest.raises(GranularityError):
         make_from_value(Fraction(1, 3), 1, 8, 2, -4)
+    with pytest.raises(GranularityError):
+        make_from_value(10, 1, 8, 2, 2)  # int input, not a multiple of 2**2
     with pytest.raises(ValueError):
         make_from_value(-1, 1, 8, 2)
+    with pytest.raises(ValueError):
+        make_from_value(Fraction(-1, 2), 1, 8, 2, -1)
 
 
 def test_with_lsb_exp_preserves_value():

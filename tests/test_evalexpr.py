@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from redundarith.evalexpr import EvalError, evaluate
+from redundarith.evalexpr import MAX_DEPTH, EvalError, evaluate
 
 
 def test_integer_arithmetic():
@@ -79,6 +79,21 @@ def test_error_positions():
     with pytest.raises(EvalError) as err:
         evaluate("frob(1)")
     assert err.value.pos == 0
+
+
+def test_nesting_depth_is_capped():
+    # MAX_DEPTH - 1 parentheses around a literal nest exactly MAX_DEPTH atoms
+    k = MAX_DEPTH - 1
+    assert evaluate("(" * k + "1" + ")" * k).value == 1
+    assert evaluate("-" * k + "1").value == (-1) ** k
+    # the cap is hit at the atom one level deeper, not by a RecursionError
+    for text in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"):
+        with pytest.raises(EvalError) as err:
+            evaluate(text)
+        assert err.value.pos == MAX_DEPTH
+    with pytest.raises(EvalError) as err:
+        evaluate("mul(1, " * 3000 + "1" + ")" * 3000)
+    assert err.value.pos == 7 * (MAX_DEPTH - 1) + 4  # first argument of the deepest mul
 
 
 def test_result_code_holds_the_value():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redundarith import _kernels
 from redundarith.codes import (
     MultiRowCode,
     make_from_value,
@@ -89,6 +90,36 @@ def test_reduce_stage_count_matches_plan(rng):
         assert len(stages) == len(stage_plan(rows).row_counts) - 1
         assert [s.rows for s in stages[:-1]] == list(stage_plan(rows).row_counts[1:-1])
         assert stages[-1].rows == 2
+
+
+def _reference_stage(digits, q):
+    # per-row loop: digit h of every column sum goes to row h, shifted h columns
+    m, n = digits.shape
+    m2 = next_row_count(m, q)
+    col = digits.sum(axis=0, dtype=np.int64)
+    out = np.zeros((m2, n + m2 - 1), dtype=np.int64)
+    rem = col
+    for h in range(m2):
+        out[h, h : h + n] = rem % q
+        rem = rem // q
+    return out
+
+
+def test_stage_body_matches_per_row_reference(rng):
+    for radix in (2, 3, 7, 10, 2**20):
+        for rows in (3, 4, 5, 9, 63, 127):
+            for width in (1, 2, 64):  # width 1 and 2 are below m2 for most shapes
+                full = np.full((rows, width), radix - 1, dtype=np.int64)
+                for digits in (random_code(rng, rows, width, radix).digits, full):
+                    once = _kernels.reduce_once_digits(digits, radix)
+                    np.testing.assert_array_equal(once, _reference_stage(digits, radix))
+                    want, want_stages = digits, 0
+                    while want.shape[0] > 2:
+                        want = _reference_stage(want, radix)
+                        want_stages += 1
+                    got, stages = _kernels.reduce_to_two_digits(digits, radix)
+                    assert stages == want_stages == stage_plan(rows, radix).stages
+                    np.testing.assert_array_equal(got, want)
 
 
 def test_reduce_handles_degenerate_inputs():
