@@ -9,9 +9,11 @@ parallel multiplier, a fused multiply-accumulate, a serial accumulator
 with an overflow counter, a high-radix divider driven by a table of
 divisor multiples, and a matrix unit combining a product with six
 addends in one reduction.  The hot kernels are plain numpy, in
-`_kernels`.
+`_kernels`.  `trace.record()` collects what the engines ran (reduction
+stages, divider digits, expression steps) as plain dict events.
 """
 
+from . import trace
 from .accumulator import AccumulatorState, acc_new, acc_run, acc_step, acc_step2, acc_total
 from .codes import (
     CodeFormatError,
@@ -147,6 +149,7 @@ __all__ = [
     "stage_plan",
     "to_json",
     "to_text",
+    "trace",
     "trapezoid_geometry",
     "tree_depth",
     "value_of",

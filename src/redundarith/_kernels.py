@@ -7,6 +7,7 @@ and so does every digit weight radix**h of a stage, since
 radix**(m2 - 1) <= rows * (radix - 1).  Plain int64 arithmetic is
 therefore exact in the reduction kernels.  The row counts and digit
 weights of a stage depend only on (rows, radix) and are cached per shape.
+Every stage reports a "reduce" event to an active `trace.record()`.
 
 The accumulator streams work on bit rows packed into Python ints (bit j
 is column j), so one carry-save step is a handful of whole-word
@@ -18,6 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from . import trace
 
 # operand rows packed into ints at a time by the accumulator streams
 _CHUNK = 1 << 12
@@ -68,7 +71,13 @@ def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
     # reduce_once_digits, so one reduction is one entry-point call
     col = digits.sum(axis=0, dtype=np.int64)
     # digit h of every column sum goes to row h, shifted h columns
-    return _skew(col // _digit_weights(digits.shape[0], q) % q)
+    out = _skew(col // _digit_weights(digits.shape[0], q) % q)
+    events = trace.sink()
+    if events is not None:
+        rows_out, width = out.shape
+        events.append({"op": "reduce", "rows_in": digits.shape[0], "rows_out": rows_out,
+                       "width": width, "radix": q, "digits": out.copy()})
+    return out
 
 
 def reduce_once_digits(digits: np.ndarray, q: int) -> np.ndarray:

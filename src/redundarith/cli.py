@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch (report/fuzz/identity
-failures), 2 usage errors.
+failures), 2 usage errors.  `--trace` (reduce, div, eval) leaves stdout
+unchanged and writes the command's trace events to stderr, one JSON
+object per line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import accumulator, codes, divider, evalexpr, map_unit, multiplier, reducer
+from . import accumulator, codes, divider, evalexpr, map_unit, multiplier, reducer, trace
 from .report import FUZZ_OPS, TABLE_KINDS, fuzz_verify, report_tables
 
 SEED_ENV = "REDUNDARITH_SEED"
@@ -49,9 +52,13 @@ def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCod
         ) from None
     if value < 0:
         raise UsageError("integer operands must be non-negative; use eval for signs")
-    need = max(1, value.bit_length()) if radix == 2 else len(np.base_repr(value, radix))
-    w = width if width is not None else need
-    return codes.make_from_value(value, 1, w, radix)
+    if radix < 2:
+        raise UsageError("--radix must be >= 2")
+    if width is None:
+        width, rest = 1, value // radix
+        while rest:
+            width, rest = width + 1, rest // radix
+    return codes.make_from_value(value, 1, width, radix)
 
 
 def _emit_code(code: codes.MultiRowCode, as_json: bool) -> None:
@@ -67,26 +74,13 @@ def _emit_code(code: codes.MultiRowCode, as_json: bool) -> None:
 
 def _cmd_reduce(args) -> int:
     code = _parse_code_text(_read_text(args.code))
-    if code.rows <= 2:
-        _emit_code(code, args.json)
-        return 0
-    if args.trace:
-        for i, out in enumerate(reducer.reduce_stages(code), start=1):
-            print(f"stage {i}: {out.rows} rows")
-            sys.stdout.write(codes.to_text(out))
-    else:
-        out = reducer.reduce_to_two(code)
-    _emit_code(out, args.json)
+    _emit_code(code if code.rows <= 2 else reducer.reduce_to_two(code), args.json)
     return 0
 
 
 def _cmd_add(args) -> int:
-    a = _read_operand(args.a, args.width, args.radix)
-    b = _read_operand(args.b, args.width, args.radix)
-    if a.rows == 1:
-        a = codes.MultiRowCode(2, a.width, a.radix, a.lsb_exp, np.vstack([a.digits, np.zeros_like(a.digits)]))
-    if b.rows == 1:
-        b = codes.MultiRowCode(2, b.width, b.radix, b.lsb_exp, np.vstack([b.digits, np.zeros_like(b.digits)]))
+    a = reducer._pad_to_two(_read_operand(args.a, args.width, args.radix))
+    b = reducer._pad_to_two(_read_operand(args.b, args.width, args.radix))
     out = reducer.add_two_row(a, b)
     _emit_code(out, args.json)
     return 0
@@ -111,28 +105,18 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_mac(args) -> int:
-    f = _read_operand(args.f, args.acc_width, 2)
+    f = reducer._pad_to_two(_read_operand(args.f, args.acc_width, 2))
     a = _read_operand(args.a, args.width, 2)
     b = _read_operand(args.b, args.width, 2)
-    if f.rows == 1:
-        f = codes.MultiRowCode(2, f.width, f.radix, f.lsb_exp, np.vstack([f.digits, np.zeros_like(f.digits)]))
     out = multiplier.fused_mac(f, a, b)
     _emit_code(out, args.json)
     return 0
 
 
 def _cmd_div(args) -> int:
-    trace = [] if args.trace else None
     digits, residual = divider.divide(
-        args.x, args.z, args.k, args.iters, radix=args.radix,
-        method=args.method, trace=trace,
+        args.x, args.z, args.k, args.iters, radix=args.radix, method=args.method
     )
-    if trace:
-        for st in trace:
-            line = f"iter {st.iteration}: digit {st.digit} residual {st.residual}"
-            if st.thermometer is not None:
-                line += " flags " + "".join(str(f) for f in st.thermometer)
-            print(line)
     identity = (
         args.x * args.radix ** (args.k * args.iters)
         == args.z * sum(
@@ -270,9 +254,6 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_eval(args) -> int:
     result = evalexpr.evaluate(args.expression)
-    if args.trace:
-        for step in result.steps:
-            print(f"step {step}")
     if args.json:
         print(
             json.dumps(
@@ -299,101 +280,102 @@ def build_parser() -> argparse.ArgumentParser:
         "divide, accumulate, matrix unit, golden-table reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    traced = argparse.ArgumentParser(add_help=False, parents=[common])
+    traced.add_argument(
+        "--trace", action="store_true", help="write trace events to stderr as JSON lines"
+    )
 
-    p = sub.add_parser("reduce", help="reduce a code to 2 rows")
+    p = sub.add_parser("reduce", parents=[traced], help="reduce a code to 2 rows")
     p.add_argument("code", help="code file, or - for stdin")
-    p.add_argument("--trace", action="store_true", help="print every stage")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("add", help="carry-free addition of two codes")
+    p = sub.add_parser("add", parents=[common], help="carry-free addition of two codes")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--width", type=int)
     p.add_argument("--radix", type=int, default=2)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_add)
 
-    p = sub.add_parser("mul", help="multiply two 1-row binary operands")
+    p = sub.add_parser("mul", parents=[common], help="multiply two 1-row binary operands")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--width", type=int)
     p.add_argument("--signed", action="store_true", help="twos-complement operands")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mul)
 
-    p = sub.add_parser("mac", help="fused multiply-accumulate f + a*b")
+    p = sub.add_parser("mac", parents=[common], help="fused multiply-accumulate f + a*b")
     p.add_argument("f")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--width", type=int, help="operand width for a and b")
     p.add_argument("--acc-width", type=int, help="width for f")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mac)
 
-    p = sub.add_parser("div", help="high-radix division by table lookup")
+    p = sub.add_parser("div", parents=[traced], help="high-radix division by table lookup")
     p.add_argument("x", type=int)
     p.add_argument("z", type=int)
     p.add_argument("k", type=int, help="digit group size: one pass yields a radix**k digit")
     p.add_argument("iters", type=int)
     p.add_argument("--radix", type=int, default=2)
     p.add_argument("--method", choices=("bisect", "eager"), default="bisect")
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_div)
 
-    p = sub.add_parser("accumulate", help="stream binary rows into the accumulator")
+    p = sub.add_parser(
+        "accumulate", parents=[common], help="stream binary rows into the accumulator"
+    )
     p.add_argument("stream", help="file of binary rows (MSB first), or -")
     p.add_argument("--width", type=int)
     p.add_argument("--pairs", action="store_true", help="consume rows two at a time")
     p.add_argument("--counter-mode", choices=("exact", "xor"), default="exact")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_accumulate)
 
-    p = sub.add_parser("map", help="one-shot a*b + c + d + e + g + h + l")
+    p = sub.add_parser("map", parents=[common], help="one-shot a*b + c + d + e + g + h + l")
     p.add_argument("operands", nargs="+", metavar="name=value")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--tc", action="store_true", help="twos-complement operands")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--gates", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_map)
 
-    p = sub.add_parser("report", help="golden tables vs derived values")
+    p = sub.add_parser("report", parents=[common], help="golden tables vs derived values")
     p.add_argument("--table", choices=TABLE_KINDS, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("fuzz", help="randomized checks against big-int oracles")
+    p = sub.add_parser("fuzz", parents=[common], help="randomized checks against big-int oracles")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV} or 0")
     p.add_argument("--scope", help="comma-separated subset of: " + ",".join(FUZZ_OPS))
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fuzz)
 
-    p = sub.add_parser("eval", help="evaluate an expression through the engines")
+    p = sub.add_parser("eval", parents=[traced], help="evaluate an expression through the engines")
     p.add_argument("expression")
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
     return parser
 
 
+def _event_field(value):
+    """JSON form of an event field json.dumps cannot write: digit arrays
+    as MSB-first row lists (as in codes.to_json_dict), Fractions as strings."""
+    if isinstance(value, np.ndarray):
+        return value[:, ::-1].tolist()
+    return str(value)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    recorder = trace.record() if getattr(args, "trace", False) else contextlib.nullcontext(())
     try:
-        return args.func(args)
-    except UsageError as exc:
+        with recorder as events:
+            status = args.func(args)
+    except (ValueError, OSError) as exc:  # usage, format and evaluation errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (codes.CodeFormatError, evalexpr.EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for event in events:
+        print(json.dumps(event, default=_event_field), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

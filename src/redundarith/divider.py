@@ -23,6 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import trace
+
 MAX_SCALE_ENTRIES = 1 << 20
 
 
@@ -38,14 +40,6 @@ class ScaleTable:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class DivisionState:
-    iteration: int
-    digit: int
-    residual: int
-    thermometer: tuple | None = None
 
 
 def build_scale(z: int, k: int, radix: int = 2, extended: bool = False) -> ScaleTable:
@@ -123,14 +117,14 @@ def divide(
     iters: int,
     radix: int = 2,
     method: str = "bisect",
-    trace: list | None = None,
 ) -> tuple[list[int], int]:
     """Iterative scale division of x by z, k digits of radix `radix` per
     iteration after the first (which also covers the integer position).
 
     Returns (digits, residual) satisfying exactly
         x * radix**(k*iters) == z * Q + residual,
-    with Q = sum of digits[j] * radix**(k*(iters-1-j)).
+    with Q = sum of digits[j] * radix**(k*(iters-1-j)).  Each iteration
+    reports a "divide" event to an active `trace.record()`.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -143,22 +137,16 @@ def divide(
     rest = build_scale(z, k, radix)
     digits = []
     residual = x
+    events = trace.sink()
     for it in range(1, iters + 1):
         scale = first if it == 1 else rest
         shifted = residual * step
         h, residual = select_digit(shifted, scale, method)
         digits.append(h)
-        if trace is not None:
-            trace.append(
-                DivisionState(
-                    iteration=it,
-                    digit=h,
-                    residual=residual,
-                    thermometer=thermometer_flags(shifted, scale)
-                    if method == "eager"
-                    else None,
-                )
-            )
+        if events is not None:
+            flags = thermometer_flags(shifted, scale) if method == "eager" else None
+            events.append({"op": "divide", "iteration": it, "digit": h, "residual": residual,
+                           "thermometer": flags})
     return digits, residual
 
 

@@ -16,6 +16,9 @@ multiplier, div(x, z, k, iters) through the scaled-table divider and
 yields the truncated quotient.  Everything is radix 2, so literals must
 have power-of-two denominators.  Parentheses, unary minus and calls may
 nest at most MAX_DEPTH deep.
+
+Each '+', '-' and '*' reports an "add", "sub" or "mul" event to an
+active `trace.record()`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import divider, multiplier, reducer
+from . import divider, multiplier, reducer, trace
 from .codes import (
     MultiRowCode,
     QuadSignedCode,
@@ -78,7 +81,6 @@ def tokenize(text: str) -> list:
 class EvalResult:
     value: Fraction
     code: QuadSignedCode
-    steps: list
 
 
 def _requad(q: QuadSignedCode, lsb_exp: int) -> QuadSignedCode:
@@ -106,7 +108,6 @@ class _Parser:
         self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0
-        self.steps: list = []
 
     # token helpers ---------------------------------------------------
     def _peek(self) -> Token:
@@ -127,9 +128,10 @@ class _Parser:
     def _add(self, x, y, sign: str) -> QuadSignedCode:
         x, y = _aligned(x, y)
         out = reducer.quad_add(x, y) if sign == "+" else reducer.quad_sub(x, y)
-        self.steps.append(
-            f"{sign} {quad_value(x)} {quad_value(y)} -> {quad_value(out)}"
-        )
+        events = trace.sink()
+        if events is not None:
+            events.append({"op": "add" if sign == "+" else "sub", "x": quad_value(x),
+                           "y": quad_value(y), "result": quad_value(out)})
         return out
 
     def _mul(self, x, y) -> QuadSignedCode:
@@ -144,7 +146,9 @@ class _Parser:
             if negative
             else QuadSignedCode(pos=product, neg=zero)
         )
-        self.steps.append(f"* {vx} {vy} -> {quad_value(out)}")
+        events = trace.sink()
+        if events is not None:
+            events.append({"op": "mul", "x": vx, "y": vy, "result": quad_value(out)})
         return out
 
     def _int_arg(self, q: QuadSignedCode, name: str, pos: int) -> int:
@@ -177,14 +181,10 @@ class _Parser:
             if k < 1 or iters < 1:
                 raise EvalError("div needs k >= 1 and iters >= 1", name.pos)
             try:
-                digits, residual = divider.divide(x, z, k, iters)
+                digits, _ = divider.divide(x, z, k, iters)
             except ValueError as exc:
                 raise EvalError(str(exc), name.pos) from None
             value = divider.quotient_value(digits, k)
-            self.steps.append(
-                f"div {x} {z} k={k} iters={iters} -> digits {digits} "
-                f"residual {residual}"
-            )
             q_scaled = 0
             for d in digits:
                 q_scaled = (q_scaled << k) + d
@@ -259,4 +259,4 @@ class _Parser:
 def evaluate(text: str) -> EvalResult:
     parser = _Parser(text)
     code = parser.parse()
-    return EvalResult(value=quad_value(code), code=code, steps=parser.steps)
+    return EvalResult(value=quad_value(code), code=code)

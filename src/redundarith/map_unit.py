@@ -5,7 +5,9 @@ six additive operands (C, D, E, G, H, L), reduces everything to a 2-row
 result F on a fixed grid of 2n-1 columns, and charges any digits that
 land beyond the grid to a serial overflow counter.  In accumulate mode
 the previous F re-enters the stack in place of H and L, so a running sum
-of products never leaves redundant form.
+of products never leaves redundant form.  The grid's LSB weighs
+2**lsb_exp: additive operands must share that lsb_exp, and the product's
+operands must have lsb_exps summing to it.
 
 Unsigned-direct mode sums exactly.  Two's-complement mode reuses the
 signed partial-product matrix and sign-extends one-row additive operands
@@ -91,6 +93,9 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
     if (a is None) != (b is None):
         raise ValueError("product needs both a and b (or neither)")
     if a is not None:
+        # the product's digits carry weight 2**(a.lsb_exp + b.lsb_exp)
+        if a.lsb_exp + b.lsb_exp != cfg.lsb_exp:
+            raise ValueError("a.lsb_exp + b.lsb_exp must equal the grid lsb_exp")
         if cfg.signedness == "twos-complement":
             if a.width != cfg.width or b.width != cfg.width:
                 raise ValueError("signed product operands must have the full width")
@@ -99,10 +104,8 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
                 raise RuntimeError(f"signed product bias {ppm.bias_scaled} != 2**{gw}")
             bias += 1
         else:
-            _check_additive(cfg, "a", a)
-            _check_additive(cfg, "b", b)
-            if a.rows != 1 or b.rows != 1:
-                raise ValueError("product operands must be one-row codes")
+            if a.width > cfg.width or b.width > cfg.width:
+                raise ValueError(f"product operands wider than {cfg.width}")
             ppm = pp_matrix_unsigned(a, b)
         for i in range(ppm.matrix.rows):
             rows.append(ppm.matrix.digits[i])

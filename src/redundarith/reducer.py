@@ -63,14 +63,6 @@ def reduce_once(code: MultiRowCode) -> MultiRowCode:
     )
 
 
-def reduce_stages(code: MultiRowCode):
-    """Yield the matrix after each stage until two rows remain."""
-    cur = _pad_to_two(code)
-    while cur.rows > 2:
-        cur = reduce_once(cur)
-        yield cur
-
-
 def _pad_to_two(code: MultiRowCode) -> MultiRowCode:
     if code.rows >= 2:
         return code

@@ -47,13 +47,22 @@ def test_add_and_reduce_round_trip(capsys, tmp_path):
     assert out2.startswith("mrc 2")
 
 
+def events_of(err):
+    events = [json.loads(line) for line in err.splitlines()]
+    assert events and all("op" in e for e in events)
+    return events
+
+
 def test_reduce_trace(capsys, tmp_path):
     f = tmp_path / "code.txt"
     f.write_text("mrc 5 4 2 0\n" + "1111\n" * 5)
-    code, out, _ = run(capsys, "reduce", str(f), "--trace")
+    code, _, err = run(capsys, "reduce", str(f), "--trace")
     assert code == 0
-    assert "stage 1: 3 rows" in out
-    assert "stage 2: 2 rows" in out
+    events = events_of(err)
+    assert [(e["rows_in"], e["rows_out"]) for e in events] == [(5, 3), (3, 2)]
+    # digit matrices are written MSB first, as in the code's JSON form
+    want = reducer.reduce_to_two(codes.from_text(f.read_text()))
+    assert events[-1]["digits"] == codes.to_json_dict(want)["digits"]
 
 
 def test_reduce_trace_reduces_once(capsys, tmp_path, monkeypatch):
@@ -79,8 +88,38 @@ def test_reduce_trace_reduces_once(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "reduce", str(f), "--trace")
     assert code == 0
     assert sum(stages) == plan.stages
-    # the last traced stage is printed, then emitted as the result
-    assert out.endswith(f"stage {plan.stages}: 2 rows\n" + want + want)
+    assert out == want
+
+
+TRACED_COMMANDS = (  # argv, ops its trace holds
+    (("reduce", "{code}"), {"reduce"}),
+    (("div", "45", "57", "2", "3", "--method", "eager"), {"divide"}),
+    (("eval", "3/4 * (2 - 5) + div(5, 7, 2, 3)"), {"sub", "mul", "add", "divide", "reduce"}),
+)
+
+
+@pytest.mark.parametrize("argv,ops", TRACED_COMMANDS, ids=("reduce", "div", "eval"))
+@pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
+def test_trace_leaves_stdout_alone(capsys, tmp_path, argv, ops, as_json):
+    f = tmp_path / "code.txt"
+    f.write_text("mrc 9 4 2 0\n" + "1011\n" * 9)
+    argv = [arg.format(code=f) for arg in argv] + (["--json"] if as_json else [])
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    code, traced, err = run(capsys, *argv, "--trace")
+    assert code == 0
+    assert traced == plain
+    if as_json:
+        json.loads(traced)
+    assert {e["op"] for e in events_of(err)} == ops
+
+
+def test_traced_usage_error_prints_one_line(capsys):
+    for argv in (("div", "14", "7", "2", "2"), ("eval", "1 + 2 + div(22, 7, 2, 3)")):
+        code, out, err = run(capsys, *argv, "--trace")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reduce_outside_numeric_domain_is_usage_error(capsys, tmp_path):
@@ -96,6 +135,18 @@ def test_reduce_outside_numeric_domain_is_usage_error(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_add_radix_above_36(capsys):
+    code, out, _ = run(capsys, "add", "100", "100", "--radix", "40", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["radix"] == 40
+    assert sum(d * 40**j for row in obj["digits"] for j, d in enumerate(reversed(row))) == 200
+    code, out, err = run(capsys, "add", "100", "100", "--radix", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_div_identity_and_json(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from redundarith import trace
 from redundarith.divider import (
     build_scale,
     divide,
@@ -103,11 +104,12 @@ def test_eager_and_bisect_agree(rng):
 
 
 def test_trace_records_iterations():
-    trace = []
-    divide(5, 7, 4, 2, method="eager", trace=trace)
-    assert [t.iteration for t in trace] == [1, 2]
-    assert [t.digit for t in trace] == [11, 6]
-    assert trace[0].thermometer is not None
+    with trace.record() as events:
+        divide(5, 7, 4, 2, method="eager")
+    assert [e["op"] for e in events] == ["divide", "divide"]
+    assert [e["iteration"] for e in events] == [1, 2]
+    assert [e["digit"] for e in events] == [11, 6]
+    assert events[0]["thermometer"] is not None
 
 
 def test_divide_rejects_out_of_range():

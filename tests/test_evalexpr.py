@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from redundarith import trace
 from redundarith.evalexpr import MAX_DEPTH, EvalError, evaluate
 
 
@@ -64,9 +65,10 @@ def test_signed_mixed_expression():
 
 
 def test_steps_record_engine_calls():
-    result = evaluate("1 + 2 * 3")
-    assert any(step.startswith("*") for step in result.steps)
-    assert any(step.startswith("+") for step in result.steps)
+    with trace.record() as events:
+        evaluate("1 + 2 * 3")
+    steps = [(e["op"], e["x"], e["y"], e["result"]) for e in events if e["op"] != "reduce"]
+    assert steps == [("mul", 2, 3, 6), ("add", 1, 6, 7)]
 
 
 def test_error_positions():

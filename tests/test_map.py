@@ -1,5 +1,7 @@
 """Matrix arithmetic unit: one-shot totals, accumulate stream, timing, gates."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,9 @@ from redundarith.map_unit import (
 )
 
 
-def _bits(v, width):
+def _bits(v, width, lsb_exp=0):
     return MultiRowCode(
-        1, width, 2, 0,
+        1, width, 2, lsb_exp,
         np.array([[(v >> i) & 1 for i in range(width)]], dtype=np.int64),
     )
 
@@ -105,6 +107,43 @@ def test_twos_complement_signed_totals(rng):
         state = map_eval(cfg, **ops)
         want = vals["a"] * vals["b"] + sum(vals[k] for k in ADDITIVE_OPERANDS)
         assert map_signed_total(state) == want
+
+
+def test_product_weight_is_the_sum_of_operand_lsb_exps():
+    # a*b carries weight 2**(a.lsb_exp + b.lsb_exp); additive operands sit
+    # at the grid's lsb_exp.  Scaled operand values are 4-bit words.
+    n = 4
+    for lsb, ea, eb in ((-2, -1, -1), (-2, -2, 0), (1, 0, 1), (1, 2, -1)):
+        for tc in (False, True):
+            cfg = MapConfig(
+                width=n, lsb_exp=lsb,
+                signedness="twos-complement" if tc else "unsigned-direct",
+            )
+            ia, ib, ic = (-3, 5, -7) if tc else (3, 13, 9)
+            state = map_eval(
+                cfg,
+                a=_bits(ia % (1 << n), n, ea),
+                b=_bits(ib % (1 << n), n, eb),
+                c=_bits(ic % (1 << n), n, lsb),
+            )
+            want = ia * ib * Fraction(2) ** (ea + eb) + ic * Fraction(2) ** lsb
+            assert (map_signed_total if tc else map_total)(state) == want
+
+
+def test_misaligned_product_is_rejected():
+    n = 4
+    tc = MapConfig(width=n, signedness="twos-complement")
+    cases = (  # each used to give a wrong total with exit status 0
+        (MapConfig(width=n, lsb_exp=-1), _bits(3, n, -1), _bits(3, n, -1)),  # 3/2 * 3/2: 5
+        (MapConfig(width=n, lsb_exp=1), _bits(1, n, 1), _bits(1, n, 1)),  # 2 * 2: 2
+        (tc, _bits(1, n, -3), _bits(1, n, 0)),  # 1/8 * 1: 1
+    )
+    for cfg, a, b in cases:
+        with pytest.raises(ValueError, match="lsb_exp"):
+            map_eval(cfg, a=a, b=b, c=_bits(1, n, cfg.lsb_exp))
+    acc = MapConfig(width=n, mode="accumulate", lsb_exp=-1)
+    with pytest.raises(ValueError, match="lsb_exp"):
+        map_accumulate(acc, [{"a": _bits(3, n, -1), "b": _bits(3, n, -1)}])
 
 
 def test_twos_complement_additive_must_be_one_row():

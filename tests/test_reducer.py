@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redundarith import _kernels
+from redundarith import _kernels, trace
 from redundarith.codes import (
     MultiRowCode,
     make_from_value,
@@ -22,7 +22,6 @@ from redundarith.reducer import (
     quad_sub,
     reduce_delay,
     reduce_once,
-    reduce_stages,
     reduce_to_two,
     stage_plan,
     trapezoid_geometry,
@@ -86,10 +85,28 @@ def test_reduce_preserves_value_random(rng):
 def test_reduce_stage_count_matches_plan(rng):
     for rows in (3, 7, 9, 31, 64, 127):
         code = random_code(rng, rows, 16, 2)
-        stages = list(reduce_stages(code))
+        with trace.record() as stages:
+            reduce_to_two(code)
         assert len(stages) == len(stage_plan(rows).row_counts) - 1
-        assert [s.rows for s in stages[:-1]] == list(stage_plan(rows).row_counts[1:-1])
-        assert stages[-1].rows == 2
+        assert [s["rows_out"] for s in stages[:-1]] == list(stage_plan(rows).row_counts[1:-1])
+        assert stages[-1]["rows_out"] == 2
+
+
+def test_traced_row_counts_equal_stage_plan(rng):
+    # what the kernel actually ran, read back from the trace, against the
+    # model of Table 2.1 for every binary shape and a few radix-3/10 ones
+    shapes = [(m, 2) for m in range(3, 128)]
+    shapes += [(m, q) for q in (3, 10) for m in (3, 4, 9, 28, 100, 127)]
+    for m, q in shapes:
+        code = random_code(rng, m, 8, q)
+        with trace.record() as events:
+            out = reduce_to_two(code)
+        counts = [events[0]["rows_in"]] + [e["rows_out"] for e in events]
+        assert tuple(counts) == stage_plan(m, q).row_counts, (m, q)
+        assert {e["op"] for e in events} == {"reduce"}
+        assert all(e["radix"] == q for e in events)
+        assert all(e["digits"].shape == (e["rows_out"], e["width"]) for e in events)
+        np.testing.assert_array_equal(events[-1]["digits"], out.digits)
 
 
 def _reference_stage(digits, q):

@@ -1,0 +1,64 @@
+"""The event sink: scope of a recorder, and no tracing work without one."""
+
+import redundarith
+from redundarith import divider, evalexpr, trace
+from redundarith.codes import make_from_value
+from redundarith.reducer import reduce_to_two
+
+
+def _run_engines():
+    reduce_to_two(make_from_value(1234, 5, 16, 2))
+    divider.divide(5, 7, 4, 2, method="eager")
+    evalexpr.evaluate("1 + 2 * 3")
+
+
+def test_nothing_is_recorded_after_the_block():
+    assert trace.sink() is None
+    with trace.record() as events:
+        _run_engines()
+        assert trace.sink() is events
+    seen = list(events)
+    assert seen and all("op" in e for e in seen)
+    _run_engines()
+    assert events == seen
+    assert trace.sink() is None
+
+
+def test_nested_recorder_takes_over_until_it_exits():
+    with trace.record() as outer:
+        divider.divide(5, 7, 4, 1)
+        with trace.record() as inner:
+            divider.divide(5, 7, 4, 2)
+        divider.divide(5, 7, 4, 3)
+    assert [e["iteration"] for e in inner] == [1, 2]
+    assert [e["iteration"] for e in outer] == [1, 1, 2, 3]
+
+
+def test_untraced_engines_build_no_event_fields(monkeypatch):
+    # the fields an event would carry are computed only under a recorder
+    calls = {"quad_value": 0, "thermometer_flags": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(evalexpr, "quad_value", counting("quad_value", evalexpr.quad_value))
+    monkeypatch.setattr(
+        divider, "thermometer_flags", counting("thermometer_flags", divider.thermometer_flags)
+    )
+    evalexpr.evaluate("1 + 2 + 3")
+    divider.divide(5, 7, 4, 2, method="eager")
+    # evaluate reads its final value once; select_digit needs one vector per iteration
+    assert calls == {"quad_value": 1, "thermometer_flags": 2}
+    with trace.record():
+        evalexpr.evaluate("1 + 2 + 3")
+        divider.divide(5, 7, 4, 2, method="eager")
+    assert calls == {"quad_value": 1 + 1 + 2 * 3, "thermometer_flags": 2 + 2 * 2}
+
+
+def test_trace_is_exported():
+    assert redundarith.trace is trace
+    assert "trace" in redundarith.__all__
