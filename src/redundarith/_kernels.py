@@ -100,15 +100,11 @@ def popcount_batch(bits: np.ndarray) -> np.ndarray:
     A partial count above 2**t at tree level t means a non-bit input.
     """
     b, m = bits.shape
-    p2 = 1
-    while p2 < m:
-        p2 *= 2
-    counts = np.zeros((b, p2), dtype=np.int64)
+    depth = (m - 1).bit_length()  # ceil(log2 m)
+    counts = np.zeros((b, 1 << depth), dtype=np.int64)
     counts[:, :m] = bits
-    level = 0
-    while counts.shape[1] > 1:
+    for level in range(1, depth + 1):
         counts = counts[:, 0::2] + counts[:, 1::2]
-        level += 1
         if counts.max(initial=0) > (1 << level):
             raise ValueError(f"partial count above 2**{level} at level {level}: inputs must be bits")
     return counts[:, 0]
@@ -121,6 +117,7 @@ def _full_adder(x: int, y: int, z: int) -> tuple[int, int]:
 
 def _pack_rows(bits: np.ndarray) -> list:
     """Each row of a 0/1 matrix as one int, bit j = column j."""
+    # word-wise; beats codes.bit_rows_value's per-row from_bytes on tall chunks
     packed = np.packbits(bits, axis=1, bitorder="little")
     nbytes = packed.shape[1]
     padded = np.zeros((packed.shape[0], -(-nbytes // 8) * 8), dtype=np.uint8)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .codes import MultiRowCode, scale_fraction
+from .codes import MultiRowCode, bit_rows_value, scale_fraction
 
 
 @dataclass(frozen=True)
@@ -129,18 +129,7 @@ def acc_run(
     )
 
 
-def _row_value(row: np.ndarray) -> int:
-    total = 0
-    for j in range(row.shape[0] - 1, -1, -1):
-        total = (total << 1) + int(row[j])
-    return total
-
-
 def acc_total(acc: AccumulatorState) -> Fraction:
     """Exact accumulated value including the overflow counter weight."""
-    scaled = (
-        (acc.overflow_count << acc.width)
-        + _row_value(acc.sum_row)
-        + _row_value(acc.carry_row)
-    )
-    return scale_fraction(scaled, 2, acc.lsb_exp)
+    rows = bit_rows_value((acc.sum_row, acc.carry_row))
+    return scale_fraction((acc.overflow_count << acc.width) + rows, 2, acc.lsb_exp)

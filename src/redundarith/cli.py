@@ -117,18 +117,13 @@ def _cmd_div(args) -> int:
     digits, residual = divider.divide(
         args.x, args.z, args.k, args.iters, radix=args.radix, method=args.method
     )
-    identity = (
-        args.x * args.radix ** (args.k * args.iters)
-        == args.z * sum(
-            d * args.radix ** (args.k * (args.iters - 1 - j))
-            for j, d in enumerate(digits)
-        )
-        + residual
-    )
+    quotient = divider.quotient_value(digits, args.k, args.radix)
+    scale = args.radix ** (args.k * args.iters)
+    identity = args.x * scale == args.z * quotient * scale + residual
     payload = {
         "digits": digits,
         "residual": residual,
-        "quotient": str(divider.quotient_value(digits, args.k, args.radix)),
+        "quotient": str(quotient),
         "identity": identity,
     }
     if args.json:

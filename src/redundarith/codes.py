@@ -120,14 +120,16 @@ class MultiRowCode:
         )
 
 
+def bit_rows_value(bits) -> int:
+    """Sum of the rows of a 0/1 matrix, each read as an int with bit j in column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return sum(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def scaled_value(code: MultiRowCode) -> int:
     """Exact integer value ignoring lsb_exp: sum of digit * radix**j."""
-    if code.width == 0:
-        return 0
     if code.radix == 2:
-        # each bit row packs into one int
-        packed = np.packbits(code.digits, axis=1, bitorder="little")
-        return sum(int.from_bytes(row.tobytes(), "little") for row in packed)
+        return bit_rows_value(code.digits)
     total = 0
     for d in reversed(code.digits.sum(axis=0, dtype=np.int64).tolist()):
         total = total * code.radix + d

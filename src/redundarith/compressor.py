@@ -85,12 +85,7 @@ def tree_depth(m: int) -> int:
     """Depth of the merge tree over m inputs: ceil(log2 m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    d = 0
-    p = 1
-    while p < m:
-        p *= 2
-        d += 1
-    return d
+    return (m - 1).bit_length()
 
 
 @lru_cache(maxsize=None)
@@ -108,9 +103,7 @@ def _merge_nodes(m: int) -> tuple:
     def build(k: int) -> tuple[int, tuple]:
         if k == 1:
             return 0, ()
-        half = 1
-        while half * 2 < k:
-            half *= 2
+        half = 1 << ((k - 1).bit_length() - 1)  # largest power of two below k
         d1, n1 = build(half)
         d2, n2 = build(k - half)
         depth = max(d1, d2) + 1
@@ -174,23 +167,19 @@ def oca_cost_lookup(m: int) -> int:
         raise UntabulatedCostError(f"no tabulated gate count for m={m}") from None
 
 
-def oca_cost_structural(m: int, encoder_cost: int = 0, cells: str = "square") -> int:
+def oca_cost_structural(m: int, cells: str = "square") -> int:
     """Gate count recomputed from the generated tree.
 
     cells="square" charges every type-t table its full square size
     (2**(t-1) + 1)**2.  cells="exact" sizes each table by the actual
     bounds of its two partial counts, (bound_l + 1) * (bound_r + 1),
     which reproduces the golden sigma_and column except at its known
-    m=30 anomaly.  encoder_cost is added as-is.
+    m=30 anomaly.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if cells == "square":
-        total = sum(
-            (2 ** (level - 1) + 1) ** 2 for level, _, _ in _merge_nodes(m)
-        )
-    elif cells == "exact":
-        total = sum((bl + 1) * (br + 1) for _, bl, br in _merge_nodes(m))
-    else:
-        raise ValueError("cells must be 'square' or 'exact'")
-    return total + encoder_cost
+        return sum((2 ** (level - 1) + 1) ** 2 for level, _, _ in _merge_nodes(m))
+    if cells == "exact":
+        return sum((bl + 1) * (br + 1) for _, bl, br in _merge_nodes(m))
+    raise ValueError("cells must be 'square' or 'exact'")

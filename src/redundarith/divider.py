@@ -50,9 +50,12 @@ def build_scale(z: int, k: int, radix: int = 2, extended: bool = False) -> Scale
         raise ValueError("k must be >= 1")
     if radix < 2:
         raise ValueError("radix must be >= 2")
-    size = radix ** (k + 1) if extended else radix**k
-    if size > MAX_SCALE_ENTRIES:
-        raise ValueError(f"scale would need {size} entries (limit {MAX_SCALE_ENTRIES})")
+    exp = k + 1 if extended else k
+    # radix >= 2, so an exponent past the limit's bit count is over the
+    # limit at any radix: reject it before computing the power
+    if exp >= MAX_SCALE_ENTRIES.bit_length() or radix**exp > MAX_SCALE_ENTRIES:
+        raise ValueError(f"scale would need {radix}**{exp} entries (limit {MAX_SCALE_ENTRIES})")
+    size = radix**exp
     return ScaleTable(z=z, k=k, radix=radix, entries=tuple(d * z for d in range(size)))
 
 
@@ -70,10 +73,7 @@ def _sign_via_complement(entry: int, r: int, width: int) -> int:
 
 def _comparison_width(scale: ScaleTable) -> int:
     bound = scale.size * scale.z  # residuals and entries both lie below this
-    width = 1
-    while (1 << width) < bound:
-        width += 1
-    return width + 1  # one sign position above the magnitude
+    return max((bound - 1).bit_length(), 1) + 1  # one sign position above the magnitude
 
 
 def select_digit(
@@ -132,9 +132,9 @@ def divide(
         raise ValueError("divisor must be positive")
     if not 0 <= x < radix * z:
         raise ValueError("dividend out of range (need 0 <= x < radix*z)")
-    step = radix**k
     first = build_scale(z, k, radix, extended=True)
     rest = build_scale(z, k, radix)
+    step = rest.size  # radix**k
     digits = []
     residual = x
     events = trace.sink()
@@ -153,7 +153,8 @@ def divide(
 def quotient_value(digits: list, k: int, radix: int = 2) -> Fraction:
     """Value of a digit string as a truncated quotient: digit j weighs
     radix**(-k*(j+1))."""
-    total = Fraction(0)
-    for j, d in enumerate(digits):
-        total += d * Fraction(radix) ** (-k * (j + 1))
-    return total
+    step = radix**k
+    q = 0
+    for d in digits:
+        q = q * step + d
+    return Fraction(q, step ** len(digits))

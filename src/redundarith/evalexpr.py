@@ -185,12 +185,8 @@ class _Parser:
             except ValueError as exc:
                 raise EvalError(str(exc), name.pos) from None
             value = divider.quotient_value(digits, k)
-            q_scaled = 0
-            for d in digits:
-                q_scaled = (q_scaled << k) + d
-            return quad_from_value(
-                value, max(1, q_scaled.bit_length()), 2, -k * iters
-            )
+            width = max(1, int(value * 2 ** (k * iters)).bit_length())
+            return quad_from_value(value, width, 2, -k * iters)
         raise EvalError(f"unknown function {name.text!r}", name.pos)
 
     # grammar ---------------------------------------------------------

@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import MultiRowCode, scale_fraction, scaled_value
+from .codes import MultiRowCode, bit_rows_value, scale_fraction, scaled_value
 from .compressor import DelayModel, oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
-from .reducer import reduce_to_two, stage_plan
+from .reducer import next_row_count, reduce_to_two, stage_plan
 
 ADDITIVE_OPERANDS = ("c", "d", "e", "g", "h", "l")
 REFERENCE_WIDTH = 24
@@ -152,9 +152,7 @@ def _reduce_to_state(cfg: MapConfig, state: MapState, rows, bias: int) -> MapSta
     digits = reduced.digits
     overflow = state.overflow_count
     if digits.shape[1] > gw:
-        spill = digits[:, gw:]
-        for j in range(spill.shape[1]):
-            overflow += int(spill[:, j].sum()) << j
+        overflow += bit_rows_value(digits[:, gw:])
         digits = digits[:, :gw]
     f_digits = np.zeros((2, gw), dtype=np.int64)
     f_digits[:, : digits.shape[1]] = digits
@@ -222,23 +220,21 @@ class MapTiming:
     note: str | None
 
 
-def map_timing(
-    cfg: MapConfig, model: DelayModel | None = None, operand_rows: int = 6
-) -> MapTiming:
+def map_timing(cfg: MapConfig, model: DelayModel | None = None) -> MapTiming:
     """Per-stage delay breakdown for one evaluation.
 
     The derived numbers charge each reduction stage of the stacked
-    matrix (width-n product rows plus `operand_rows` additive rows) its
+    matrix (width-n product rows plus one row per additive operand) its
     merge-tree depth.  The 24-bit configuration reports the shipped
     reference levels (6, 4, 3) instead, which exceed the derivable ones;
     the derived breakdown is attached and the difference noted.
     """
     model = model or DelayModel()
-    stack = cfg.width + operand_rows
+    stack = cfg.width + len(ADDITIVE_OPERANDS)
     heads = stage_plan(max(stack, 2), 2).row_counts[:-1]
     derived = tuple(tree_depth(m) * model.t_and for m in heads)
     derived_total = model.t_and + sum(derived)
-    if cfg.width == REFERENCE_WIDTH and operand_rows == 6:
+    if cfg.width == REFERENCE_WIDTH:
         levels = REFERENCE_LEVELS
         note = (
             f"reference stage levels {levels} exceed the derived "
@@ -267,7 +263,7 @@ def map_timing(
     )
 
 
-def map_gate_estimate(cfg: MapConfig, operand_rows: int = 6) -> dict:
+def map_gate_estimate(cfg: MapConfig) -> dict:
     """Structural AND-gate estimate for one evaluation datapath.
 
     Counts the n*n partial-product AND array plus, per reduction stage,
@@ -280,7 +276,7 @@ def map_gate_estimate(cfg: MapConfig, operand_rows: int = 6) -> dict:
     for j in range(n):  # product rows, diagonal occupancy
         for c in range(j, j + n):
             heights[c] = heights.get(c, 0) + 1
-    for _ in range(operand_rows):
+    for _ in ADDITIVE_OPERANDS:
         for c in range(n):
             heights[c] = heights.get(c, 0) + 1
     counter_gates = 0
@@ -291,8 +287,7 @@ def map_gate_estimate(cfg: MapConfig, operand_rows: int = 6) -> dict:
         for c, h in sorted(heights.items()):
             if h >= 2:
                 counter_gates += oca_cost_structural(h, cells="exact")
-            bits = tree_depth(h + 1)  # digits needed to hold a count of h
-            for k in range(max(bits, 1)):
+            for k in range(next_row_count(h, 2)):  # digits holding a count of h
                 nxt[c + k] = nxt.get(c + k, 0) + 1
         heights = nxt
     return {

@@ -73,18 +73,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _normalize_kind(which: str) -> str:
-    kind = which.removeprefix("table-").removeprefix("table ")
-    if kind not in TABLE_KINDS:
-        raise ValueError(f"unknown table {which!r}; expected one of {TABLE_KINDS}")
-    return kind
-
-
 def report_tables(which: str) -> Report:
-    kind = _normalize_kind(which)
-    if kind == "2.1":
+    if which not in TABLE_KINDS:
+        raise ValueError(f"unknown table {which!r}; expected one of {TABLE_KINDS}")
+    if which == "2.1":
         return _report_2_1()
-    if kind == "3.1":
+    if which == "3.1":
         return _report_3_1()
     return _report_3_2()
 
@@ -347,8 +341,8 @@ def _check_div(rng, width: int):
     want_digits, want_res = oracle.restoring_division_digits(x, z, k, iters, radix)
     if digits != want_digits or residual != want_res:
         return f"div {x}/{z} k={k}: {digits},{residual} != {want_digits},{want_res}"
-    q = sum(d * radix ** (k * (iters - 1 - j)) for j, d in enumerate(digits))
-    if x * radix ** (k * iters) != z * q + residual:
+    scale = radix ** (k * iters)
+    if x * scale != z * divider.quotient_value(digits, k, radix) * scale + residual:
         return f"div identity broken for {x}/{z}"
     return None
 
@@ -389,6 +383,8 @@ _CHECKS = {
 
 def fuzz_verify(seed: int = 0, trials: int = 100, scope=None) -> FuzzResult:
     """Randomized oracle checks; deterministic per (seed, trial index)."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     scope = tuple(scope) if scope else FUZZ_OPS
     unknown = set(scope) - set(FUZZ_OPS)
     if unknown:

@@ -14,6 +14,7 @@ from redundarith.accumulator import (
     acc_total,
 )
 from redundarith.codes import MultiRowCode, make_from_value
+from redundarith.oracle import exact_scaled_value
 
 
 def _operand(bits):
@@ -185,9 +186,11 @@ def _assert_same_state(got, s, c, overflow):
     assert np.array_equal(got.sum_row, s)
     assert np.array_equal(got.carry_row, c)
     assert got.overflow_count == overflow
+    want = (overflow << (s.shape[0] - 1)) + exact_scaled_value([s.tolist(), c.tolist()], 2)
+    assert acc_total(got) == want
 
 
-@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("width", [1, 2, 8, 63, 64, 65, 130])
 def test_stream_kernel_matches_per_step_reference(width):
     rng = np.random.default_rng(width)
     for steps in (0, 1, 2, 300):
@@ -197,6 +200,7 @@ def test_stream_kernel_matches_per_step_reference(width):
                 c0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
                 s0[width] = c0[width] = 1  # pending top carries
                 start = AccumulatorState(width, s0, c0, int(rng.integers(0, 9)), counter_mode=mode)
+                _assert_same_state(start, s0, c0, start.overflow_count)
                 ops_a = rng.integers(0, 2, size=(steps, width), dtype=np.int64)
                 ops_b = rng.integers(0, 2, size=(steps, width), dtype=np.int64) if rows == 2 else None
                 s, c, delta = _reference_stream(ops_a, ops_b, s0, c0, mode == "xor")

@@ -162,6 +162,11 @@ def test_div_usage_error(capsys):
     code, _, err = run(capsys, "div", "14", "7", "2", "2")
     assert code == 2
     assert "error:" in err
+    # the scale size is checked before radix**k is computed
+    code, out, err = run(capsys, "div", "5", "7", "30000000", "1", "--radix", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_accumulate_stdin_style(capsys, tmp_path):
@@ -218,6 +223,13 @@ def test_fuzz_seed_env(capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["seed"] == 9
     assert obj["passed"] == 14
+
+
+def test_fuzz_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "fuzz", "--trials", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_fuzz_seed_flag_overrides_env(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from redundarith.codes import (
     NumericDomainError,
     QuadSignedCode,
     WidthOverflowError,
+    bit_rows_value,
     from_text,
     make_from_value,
     quad_from_value,
@@ -74,6 +75,12 @@ def test_value_matches_slow_reference(rng):
             assert scaled_value(code) == exact_scaled_value(
                 code.digits.tolist(), radix
             )
+    # bit rows across the byte and 64-bit word edges, random and all ones
+    for width in (1, 7, 8, 9, 63, 64, 65, 130):
+        for rows in (1, 2, 5):
+            for code in (random_code(rng, rows, width), MultiRowCode.from_digits(np.ones((rows, width)))):
+                want = exact_scaled_value(code.digits.tolist(), 2)
+                assert bit_rows_value(code.digits) == scaled_value(code) == want
 
 
 def test_value_respects_lsb_exp():

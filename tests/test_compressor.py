@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import redundarith
+from redundarith import _kernels
 from redundarith.compressor import (
     DelayModel,
     UntabulatedCostError,
@@ -30,6 +31,9 @@ def test_tree_depth_is_ceil_log2():
     assert tree_depth(4) == 2
     assert tree_depth(5) == 3
     assert tree_depth(128) == 7
+    for m in range(2, 4097):
+        d = tree_depth(m)
+        assert 2 ** (d - 1) < m <= 2**d
     with pytest.raises(ValueError):
         tree_depth(0)
 
@@ -38,6 +42,9 @@ def test_popcount_tree_counts_ones(rng):
     for _ in range(100):
         bits = rng.integers(0, 2, size=int(rng.integers(2, 129)), dtype=np.int64)
         assert popcount_tree(bits) == int(bits.sum())
+    for m in (1, 2, 3, 63, 64, 65):  # around the power-of-two padding
+        batch = np.vstack([rng.integers(0, 2, size=(8, m)), np.ones((1, m), np.int64)])
+        assert np.array_equal(_kernels.popcount_batch(batch), batch.sum(axis=1))
 
 
 def test_popcount_tree_rejects_non_bits():
@@ -114,11 +121,6 @@ def test_structural_square_cells_upper_bounds_exact():
         assert oca_cost_structural(m, cells="square") >= oca_cost_structural(
             m, cells="exact"
         )
-
-
-def test_structural_encoder_cost_is_added_verbatim():
-    base = oca_cost_structural(10)
-    assert oca_cost_structural(10, encoder_cost=7) == base + 7
 
 
 def test_popcount_bound_check_survives_optimize():

@@ -30,6 +30,8 @@ def test_build_scale_bounds():
         build_scale(3, 0)
     with pytest.raises(ValueError):
         build_scale(1, 30)  # table would exceed MAX_SCALE_ENTRIES
+    with pytest.raises(ValueError):
+        build_scale(3, 10**9, 3)  # rejected before 3**(10**9) is computed
 
 
 def test_select_digit_is_floor_division(rng):
@@ -76,6 +78,15 @@ def test_divide_identity_and_residual_bound(rng):
                 q_scaled = q_scaled * radix**k + d
             assert x * radix ** (k * iters) == z * q_scaled + residual
             assert 0 <= residual < z
+    for radix in (2, 3, 10):
+        for k in range(1, 5):
+            for iters in range(1, 6):
+                z = int(rng.integers(1, 4096))
+                x = int(rng.integers(0, radix * z))
+                digits, residual = divide(x, z, k, iters, radix=radix)
+                want = sum(Fraction(d, radix ** (k * (j + 1))) for j, d in enumerate(digits))
+                assert quotient_value(digits, k, radix) == want
+                assert want == Fraction(x, z) - Fraction(residual, z * radix ** (k * iters))
 
 
 def test_divide_matches_restoring_oracle(rng):
@@ -123,3 +134,5 @@ def test_divide_rejects_out_of_range():
         divide(5, 7, 0, 2)
     with pytest.raises(ValueError):
         divide(5, 7, 2, 0)
+    with pytest.raises(ValueError):
+        divide(5, 7, 10**9, 1, radix=3)  # scale size checked before radix**k

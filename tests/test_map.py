@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from redundarith import trace
 from redundarith.codes import MultiRowCode, make_from_value
 from redundarith.map_unit import (
     ADDITIVE_OPERANDS,
@@ -17,6 +18,7 @@ from redundarith.map_unit import (
     map_timing,
     map_total,
 )
+from redundarith.oracle import exact_scaled_value
 
 
 def _bits(v, width, lsb_exp=0):
@@ -63,6 +65,17 @@ def test_overflow_counter_weights_grid_width():
     state = map_eval(cfg, a=_bits(15, n), b=_bits(15, n), c=_bits(15, n))
     assert map_total(state) == 15 * 15 + 15
     assert state.overflow_count >= 1  # 240 needs more than 7 grid columns
+    # a full stack of two-row addends spills over several columns, and
+    # the counter holds their exact value
+    n = 3
+    cfg = MapConfig(width=n, mode="one-shot")
+    full = MultiRowCode(2, n, 2, 0, np.ones((2, n), dtype=np.int64))
+    with trace.record() as events:
+        state = map_eval(cfg, a=_bits(7, n), b=_bits(7, n), **dict.fromkeys(ADDITIVE_OPERANDS, full))
+    spill = events[-1]["digits"][:, cfg.grid_width :]
+    assert np.count_nonzero(spill.any(axis=0)) >= 2
+    assert state.overflow_count == exact_scaled_value(spill.tolist(), 2)
+    assert map_total(state) == 7 * 7 + 6 * 14
 
 
 def test_accumulate_stream_matches_running_sum(rng):

@@ -34,8 +34,9 @@ def test_report_serializations_are_deterministic():
 
 
 def test_report_rejects_unknown_table():
-    with pytest.raises(ValueError):
-        report_tables("9.9")
+    for kind in ("9.9", "table-2.1", "table 3.1"):  # exactly TABLE_KINDS
+        with pytest.raises(ValueError):
+            report_tables(kind)
 
 
 def test_fuzz_clean_run_is_deterministic():
@@ -51,6 +52,9 @@ def test_fuzz_scope_filters_ops():
     assert result.passed == 10
     with pytest.raises(ValueError):
         fuzz_verify(seed=1, trials=2, scope=("nonsense",))
+    with pytest.raises(ValueError):
+        fuzz_verify(seed=1, trials=-5)
+    assert fuzz_verify(seed=1, trials=0).passed == 0
 
 
 def test_fuzz_catches_injected_bug(monkeypatch):
