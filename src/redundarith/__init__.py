@@ -35,7 +35,6 @@ from .codes import (
     with_lsb_exp,
 )
 from .compressor import (
-    DelayModel,
     OcaSpec,
     UntabulatedCostError,
     delay_levels,
@@ -87,7 +86,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumulatorState",
     "CodeFormatError",
-    "DelayModel",
     "EvalError",
     "GranularityError",
     "MapConfig",

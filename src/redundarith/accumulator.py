@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .codes import MultiRowCode, bit_rows_value, scale_fraction
+from .codes import MultiRowCode, bit_rows_value, scale_fraction, stack_rows
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,7 @@ def _operand_bits(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> np
         raise ValueError(f"expected a {rows}-row operand, got {operand.rows}")
     if operand.width > acc.width:
         raise ValueError("operand wider than the accumulator grid")
-    out = np.zeros((rows, acc.width), dtype=np.int64)
-    out[:, : operand.width] = operand.digits
-    return out
+    return stack_rows((operand.digits,), acc.width)
 
 
 def _check_bits(name: str, arr: np.ndarray) -> None:

@@ -47,8 +47,16 @@ def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCod
     try:
         value = int(spec, 0)
     except ValueError:
+        shown = spec if len(spec) <= 40 else spec[:40] + "..."
+        # Python refuses decimal strings past its int-string digit limit
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if 0 < limit < len(spec) and spec.isdecimal():
+            raise UsageError(
+                f"integer operand {shown} has {len(spec)} digits, past Python's "
+                f"limit of {limit}"
+            ) from None
         raise UsageError(
-            f"operand {spec!r} is neither an integer nor @file nor '-'"
+            f"operand {shown!r} is neither an integer nor @file nor '-'"
         ) from None
     if value < 0:
         raise UsageError("integer operands must be non-negative; use eval for signs")
@@ -355,7 +363,7 @@ def _event_field(value):
     """JSON form of an event field json.dumps cannot write: digit arrays
     as MSB-first row lists (as in codes.to_json_dict), Fractions as strings."""
     if isinstance(value, np.ndarray):
-        return value[:, ::-1].tolist()
+        return codes.msb_rows(value)
     return str(value)
 
 

@@ -102,9 +102,6 @@ class MultiRowCode:
     ) -> "MultiRowCode":
         return cls(rows, width, radix, lsb_exp, np.zeros((rows, width), np.int64))
 
-    def column(self, j: int) -> np.ndarray:
-        return self.digits[:, j]
-
     def __eq__(self, other) -> bool:
         # codes compare by represented value, not by digit layout
         if not isinstance(other, MultiRowCode):
@@ -118,6 +115,26 @@ class MultiRowCode:
             f"MultiRowCode(rows={self.rows}, width={self.width}, "
             f"radix={self.radix}, lsb_exp={self.lsb_exp}, value={value_of(self)})"
         )
+
+
+def stack_rows(blocks, width: int | None = None) -> np.ndarray:
+    """The rows of each 2-D digit block, in order, as one int64 matrix.
+
+    Every row is zero-padded on the MSB side to the widest block, or to
+    `width` if that is wider.  A (k, 0) block adds k zero rows.
+    """
+    height, w = 0, width or 0
+    for block in blocks:
+        rows, cols = block.shape
+        height += rows
+        w = max(w, cols)
+    out = np.zeros((height, w), dtype=np.int64)
+    top = 0
+    for block in blocks:
+        rows, cols = block.shape
+        out[top : top + rows, :cols] = block
+        top += rows
+    return out
 
 
 def bit_rows_value(bits) -> int:
@@ -269,14 +286,16 @@ def quad_from_value(
 # larger radixes separate digits with spaces.
 
 
+def msb_rows(digits: np.ndarray) -> list:
+    """A digit matrix as lists of ints, one per row, most significant digit
+    first: the row order of the text, JSON and trace formats."""
+    return digits[:, ::-1].tolist()
+
+
 def to_text(code: MultiRowCode) -> str:
+    sep = "" if code.radix <= 10 else " "
     lines = [f"mrc {code.rows} {code.width} {code.radix} {code.lsb_exp}"]
-    for i in range(code.rows):
-        row = code.digits[i, ::-1]
-        if code.radix <= 10:
-            lines.append("".join(str(int(d)) for d in row))
-        else:
-            lines.append(" ".join(str(int(d)) for d in row))
+    lines += [sep.join(map(str, row)) for row in msb_rows(code.digits)]
     return "\n".join(lines) + "\n"
 
 
@@ -291,28 +310,33 @@ def from_text(text: str) -> MultiRowCode:
         rows, width, radix, lsb_exp = (int(x) for x in head[1:])
     except ValueError as exc:
         raise CodeFormatError(f"bad header numbers: {lines[0]!r}") from exc
-    if len(lines) - 1 != rows:
-        raise CodeFormatError(f"expected {rows} digit rows, got {len(lines) - 1}")
     digits = []
     for i, ln in enumerate(lines[1:]):
-        if radix <= 10:
-            parts = list(ln.strip())
-        else:
-            parts = ln.split()
-        if len(parts) != width:
-            raise CodeFormatError(f"row {i}: expected {width} digits, got {len(parts)}")
         try:
-            digits.append([int(p) for p in reversed(parts)])
+            digits.append([int(p) for p in (ln.strip() if radix <= 10 else ln.split())])
         except ValueError as exc:
             raise CodeFormatError(f"row {i}: non-numeric digit") from exc
     return _parsed_code(rows, width, radix, lsb_exp, digits)
 
 
-def _parsed_code(rows, width, radix, lsb_exp, digits) -> MultiRowCode:
-    """Build a parsed code; bad digits are a format error, a shape outside
-    the numeric domain keeps its own error."""
+def _parsed_code(rows, width, radix, lsb_exp, msb_first) -> MultiRowCode:
+    """Build a parsed code from its header fields and MSB-first digit rows.
+
+    Fields and digits must be ints (bool is not); anything malformed is a
+    format error, while a shape outside the numeric domain keeps its own
+    error.
+    """
+    if any(type(field) is not int for field in (rows, width, radix, lsb_exp)):
+        raise CodeFormatError("rows, width, radix and lsb_exp must be integers")
+    if not isinstance(msb_first, (list, tuple)) or len(msb_first) != rows:
+        raise CodeFormatError(f"expected a list of {rows} digit rows")
+    for i, row in enumerate(msb_first):
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise CodeFormatError(f"row {i}: expected {width} digits")
+        if any(type(d) is not int for d in row):
+            raise CodeFormatError(f"row {i}: digits must be integers")
     try:
-        return MultiRowCode(rows, width, radix, lsb_exp, digits)
+        return MultiRowCode(rows, width, radix, lsb_exp, [row[::-1] for row in msb_first])
     except NumericDomainError:
         raise
     except ValueError as exc:
@@ -325,7 +349,7 @@ def to_json_dict(code: MultiRowCode) -> dict:
         "width": code.width,
         "radix": code.radix,
         "lsb_exp": code.lsb_exp,
-        "digits": [[int(d) for d in code.digits[i, ::-1]] for i in range(code.rows)],
+        "digits": msb_rows(code.digits),
     }
 
 
@@ -335,21 +359,10 @@ def to_json(code: MultiRowCode) -> str:
 
 def from_json_dict(obj: dict) -> MultiRowCode:
     try:
-        rows = int(obj["rows"])
-        width = int(obj["width"])
-        radix = int(obj["radix"])
-        lsb_exp = int(obj["lsb_exp"])
-        raw = obj["digits"]
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = [obj[key] for key in ("rows", "width", "radix", "lsb_exp", "digits")]
+    except (KeyError, TypeError) as exc:
         raise CodeFormatError(f"bad JSON code object: {exc}") from exc
-    if len(raw) != rows:
-        raise CodeFormatError(f"expected {rows} digit rows, got {len(raw)}")
-    digits = []
-    for i, row in enumerate(raw):
-        if len(row) != width:
-            raise CodeFormatError(f"row {i}: expected {width} digits")
-        digits.append([int(d) for d in reversed(row)])
-    return _parsed_code(rows, width, radix, lsb_exp, digits)
+    return _parsed_code(*fields)
 
 
 def from_json(text: str) -> MultiRowCode:

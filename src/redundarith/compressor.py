@@ -27,24 +27,14 @@ class UntabulatedCostError(LookupError):
     """Requested a gate-count value outside the golden table."""
 
 
-@dataclass(frozen=True)
-class DelayModel:
-    """Unit delays, all in multiples of a two-input AND gate delay.
-
-    t_cc_per_stage is the encoder crossing charged by the banded
-    per-stage accounting; t_cc_reduce_total is the aggregate encoder
-    term used by the whole-reduction accounting (see reducer).
-    """
-
-    t_and: int = 1
-    t_cc_per_stage: int = 1
-    final_3to2_levels: int = 1
-    t_cc_reduce_total: int = 3
-
-    def __post_init__(self):
-        for name in ("t_and", "t_cc_per_stage", "final_3to2_levels", "t_cc_reduce_total"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+# Delays count two-input AND gate delays (t_and = 1).  These encoder
+# terms are the ones the golden tables use: one encoder crossing per stage
+# in the banded per-stage accounting, three for a whole reduction in the
+# aggregate accounting, and one adder level for a terminal 3->2 stage
+# (see reducer.reduce_delay).
+T_CC_PER_STAGE = 1
+T_CC_REDUCE_TOTAL = 3
+FINAL_3TO2_LEVELS = 1
 
 
 @dataclass(frozen=True)
@@ -151,12 +141,11 @@ def delay_levels(m: int) -> int:
     raise ValueError(f"no delay band covers m={m}")
 
 
-def oca_delay(m: int, model: DelayModel | None = None) -> int:
-    """Delay of one counting adder: banded levels * t_and + one encoder."""
+def oca_delay(m: int) -> int:
+    """Delay of one counting adder: its banded levels plus one encoder."""
     if not 3 <= m <= 128:
         raise ValueError("oca_delay requires 3 <= m <= 128")
-    model = model or DelayModel()
-    return delay_levels(m) * model.t_and + model.t_cc_per_stage
+    return delay_levels(m) + T_CC_PER_STAGE
 
 
 def oca_cost_lookup(m: int) -> int:

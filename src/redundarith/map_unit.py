@@ -18,13 +18,13 @@ stays exactly recoverable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .codes import MultiRowCode, bit_rows_value, scale_fraction, scaled_value
-from .compressor import DelayModel, oca_cost_structural, tree_depth
+from .codes import MultiRowCode, bit_rows_value, scale_fraction, scaled_value, stack_rows
+from .compressor import oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
 from .reducer import next_row_count, reduce_to_two, stage_plan
 
@@ -62,7 +62,6 @@ class MapState:
     f: MultiRowCode  # 2-row, grid_width columns
     overflow_count: int
     bias_units: int = 0  # complement-row overshoot, twos-complement mode only
-    steps: int = 0
 
 
 def map_new(config: MapConfig) -> MapState:
@@ -82,10 +81,10 @@ def _check_additive(cfg: MapConfig, name: str, code: MultiRowCode) -> None:
 
 
 def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
-    """Collect all matrix rows (as arrays on the grid) plus the bias units
-    introduced by complement encodings."""
+    """Collect the digit blocks of the matrix, in row order, plus the bias
+    units introduced by complement encodings."""
     gw = cfg.grid_width
-    rows = []
+    blocks = []
     bias = 0
 
     a = operands.get("a")
@@ -107,8 +106,7 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
             if a.width > cfg.width or b.width > cfg.width:
                 raise ValueError(f"product operands wider than {cfg.width}")
             ppm = pp_matrix_unsigned(a, b)
-        for i in range(ppm.matrix.rows):
-            rows.append(ppm.matrix.digits[i])
+        blocks.append(ppm.matrix.digits)
 
     for name in ADDITIVE_OPERANDS:
         code = operands.get(name)
@@ -120,49 +118,38 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
                 raise ValueError(
                     f"operand {name}: two-row operands are not sign-extendable"
                 )
+            if code.width < 1:
+                raise ValueError(f"operand {name}: no sign digit to extend")
             sign = int(code.digits[0, code.width - 1])
-            ext = np.zeros(gw, dtype=np.int64)
-            ext[: code.width - 1] = code.digits[0, : code.width - 1]
-            ext[code.width - 1 :] = sign
-            rows.append(ext)
+            ext = np.full((1, gw), sign, dtype=np.int64)
+            ext[:, : code.width - 1] = code.digits[:, : code.width - 1]
+            blocks.append(ext)
             bias += sign
         else:
-            for i in range(code.rows):
-                rows.append(code.digits[i])
+            blocks.append(code.digits)
 
     if feedback is not None:
         if feedback.width > gw:
             raise ValueError("feedback wider than the grid")
-        for i in range(feedback.rows):
-            rows.append(feedback.digits[i])
+        blocks.append(feedback.digits)
 
-    return rows, bias
+    return blocks, bias
 
 
-def _reduce_to_state(cfg: MapConfig, state: MapState, rows, bias: int) -> MapState:
+def _reduce_to_state(cfg: MapConfig, state: MapState, blocks, bias: int) -> MapState:
     gw = cfg.grid_width
-    if not rows:
-        return replace(state, steps=state.steps + 1)
-    width = max(gw, max(r.shape[0] for r in rows))
-    stacked = np.zeros((len(rows), width), dtype=np.int64)
-    for i, r in enumerate(rows):
-        stacked[i, : r.shape[0]] = r
-    code = MultiRowCode(stacked.shape[0], width, 2, cfg.lsb_exp, stacked)
-    reduced = reduce_to_two(code)
-    digits = reduced.digits
-    overflow = state.overflow_count
-    if digits.shape[1] > gw:
-        overflow += bit_rows_value(digits[:, gw:])
-        digits = digits[:, :gw]
-    f_digits = np.zeros((2, gw), dtype=np.int64)
-    f_digits[:, : digits.shape[1]] = digits
-    f = MultiRowCode(2, gw, 2, cfg.lsb_exp, f_digits)
+    if not blocks:
+        return state
+    # the stack is at least gw wide, so the reduced F is too
+    stacked = stack_rows(blocks, gw)
+    digits = reduce_to_two(MultiRowCode.from_digits(stacked, 2, cfg.lsb_exp)).digits
+    overflow = state.overflow_count + bit_rows_value(digits[:, gw:])
+    f = MultiRowCode(2, gw, 2, cfg.lsb_exp, digits[:, :gw])
     return MapState(
         config=cfg,
         f=f,
         overflow_count=overflow,
         bias_units=state.bias_units + bias,
-        steps=state.steps + 1,
     )
 
 
@@ -171,8 +158,8 @@ def map_eval(cfg: MapConfig, **operands) -> MapState:
     unknown = set(operands) - {"a", "b", *ADDITIVE_OPERANDS}
     if unknown:
         raise ValueError(f"unknown operands: {sorted(unknown)}")
-    rows, bias = _gather(cfg, operands, feedback=None)
-    return _reduce_to_state(cfg, map_new(cfg), rows, bias)
+    blocks, bias = _gather(cfg, operands, feedback=None)
+    return _reduce_to_state(cfg, map_new(cfg), blocks, bias)
 
 
 def map_accumulate(cfg: MapConfig, steps, state: MapState | None = None) -> MapState:
@@ -187,8 +174,8 @@ def map_accumulate(cfg: MapConfig, steps, state: MapState | None = None) -> MapS
             raise ValueError(
                 f"accumulate steps take a/b/c/d/e/g only, got {sorted(unknown)}"
             )
-        rows, bias = _gather(cfg, operands, feedback=state.f)
-        state = _reduce_to_state(cfg, state, rows, bias)
+        blocks, bias = _gather(cfg, operands, feedback=state.f)
+        state = _reduce_to_state(cfg, state, blocks, bias)
     return state
 
 
@@ -220,20 +207,20 @@ class MapTiming:
     note: str | None
 
 
-def map_timing(cfg: MapConfig, model: DelayModel | None = None) -> MapTiming:
+def map_timing(cfg: MapConfig) -> MapTiming:
     """Per-stage delay breakdown for one evaluation.
 
-    The derived numbers charge each reduction stage of the stacked
-    matrix (width-n product rows plus one row per additive operand) its
-    merge-tree depth.  The 24-bit configuration reports the shipped
-    reference levels (6, 4, 3) instead, which exceed the derivable ones;
-    the derived breakdown is attached and the difference noted.
+    The derived numbers charge one AND level (t_and = 1) for the partial
+    products, then each reduction stage of the stacked matrix (width-n
+    product rows plus one row per additive operand) its merge-tree
+    depth.  The 24-bit configuration reports the shipped reference
+    levels (6, 4, 3) instead, which exceed the derivable ones; the
+    derived breakdown is attached and the difference noted.
     """
-    model = model or DelayModel()
     stack = cfg.width + len(ADDITIVE_OPERANDS)
     heads = stage_plan(max(stack, 2), 2).row_counts[:-1]
-    derived = tuple(tree_depth(m) * model.t_and for m in heads)
-    derived_total = model.t_and + sum(derived)
+    derived = tuple(tree_depth(m) for m in heads)
+    derived_total = 1 + sum(derived)
     if cfg.width == REFERENCE_WIDTH:
         levels = REFERENCE_LEVELS
         note = (
@@ -248,13 +235,12 @@ def map_timing(cfg: MapConfig, model: DelayModel | None = None) -> MapTiming:
     t_q = levels[0] if len(levels) > 0 else 0
     t_s = levels[1] if len(levels) > 1 else None
     t_p = levels[2] if len(levels) > 2 else None
-    total = model.t_and + sum(levels)
     return MapTiming(
-        t_and=model.t_and,
+        t_and=1,
         t_q=t_q,
         t_s=t_s,
         t_p=t_p,
-        total=total,
+        total=1 + sum(levels),
         source=source,
         stack_rows=stack,
         derived_levels=derived,

@@ -22,8 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .codes import MultiRowCode, scale_fraction, scaled_value
-from .compressor import DelayModel
+from .codes import MultiRowCode, scale_fraction, scaled_value, stack_rows
 from .reducer import reduce_delay, reduce_once, reduce_to_two, stage_plan
 
 
@@ -167,22 +166,13 @@ def fused_mac(
     mat = ppm.matrix
     for _ in range(s):
         mat = reduce_once(mat)
-    w = max(mat.width, f_prev.width)
-    stacked = np.zeros((mat.rows + f_prev.rows, w), dtype=np.int64)
-    stacked[: mat.rows, : mat.width] = mat.digits
-    stacked[mat.rows :, : f_prev.width] = f_prev.digits
-    combined = MultiRowCode(
-        stacked.shape[0], w, 2, f_prev.lsb_exp, stacked
-    )
-    return reduce_to_two(combined)
+    stacked = stack_rows((mat.digits, f_prev.digits))
+    return reduce_to_two(MultiRowCode.from_digits(stacked, 2, f_prev.lsb_exp))
 
 
-def mul_delay(
-    n: int, model: DelayModel | None = None, accounting: str = "aggregate"
-) -> int:
+def mul_delay(n: int, accounting: str = "aggregate") -> int:
     """Multiply delay: one AND level to form partial products, then the
     reduction of the n-row matrix."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    model = model or DelayModel()
-    return model.t_and + reduce_delay(stage_plan(n, 2), model, accounting)
+    return 1 + reduce_delay(stage_plan(n, 2), accounting)

@@ -17,8 +17,11 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import SHAPE_CACHE_SIZE, next_row_count
-from .codes import MultiRowCode, QuadSignedCode, quad_negate
-from .compressor import DelayModel, oca_delay, tree_depth
+from .codes import MultiRowCode, QuadSignedCode, quad_negate, stack_rows
+from .compressor import FINAL_3TO2_LEVELS, T_CC_REDUCE_TOTAL, oca_delay, tree_depth
+
+# a row of no digits, which stack_rows pads to a zero row
+_EMPTY_ROW = np.zeros((1, 0), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,7 @@ def reduce_once(code: MultiRowCode) -> MultiRowCode:
 def _pad_to_two(code: MultiRowCode) -> MultiRowCode:
     if code.rows >= 2:
         return code
-    digits = np.zeros((2, code.width), dtype=np.int64)
-    digits[0] = code.digits[0]
+    digits = stack_rows((code.digits, _EMPTY_ROW))
     return MultiRowCode(2, code.width, code.radix, code.lsb_exp, digits)
 
 
@@ -108,9 +110,7 @@ def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     if a.lsb_exp != b.lsb_exp:
         raise ValueError("lsb_exp mismatch; align operands explicitly first")
     w = max(a.width, b.width)
-    stacked = np.zeros((4, w), dtype=np.int64)
-    stacked[0:2, : a.width] = a.digits
-    stacked[2:4, : b.width] = b.digits
+    stacked = stack_rows((a.digits, b.digits))
     out = reduce_to_two(MultiRowCode(4, w, a.radix, a.lsb_exp, stacked))
     return _trim_msb_zeros(out, w)
 
@@ -165,11 +165,7 @@ def trapezoid_geometry(n1: int, m2: int) -> TrapezoidGeometry:
     )
 
 
-def reduce_delay(
-    plan: StagePlan,
-    model: DelayModel | None = None,
-    accounting: str = "aggregate",
-) -> int:
+def reduce_delay(plan: StagePlan, accounting: str = "aggregate") -> int:
     """Total reduction delay for a stage plan, in t_and units.
 
     "aggregate" charges ceil(log2 m) per stage (the terminal 3->2 stage
@@ -177,18 +173,12 @@ def reduce_delay(
     charges every stage its banded counting-adder delay including one
     encoder crossing each; the two accountings differ by design.
     """
-    model = model or DelayModel()
     heads = plan.row_counts[:-1]
     if not heads:
         return 0
     if accounting == "aggregate":
-        total = model.t_cc_reduce_total
-        for m in heads:
-            if m > 3:
-                total += tree_depth(m) * model.t_and
-            else:
-                total += model.final_3to2_levels * model.t_and
-        return total
+        levels = (tree_depth(m) if m > 3 else FINAL_3TO2_LEVELS for m in heads)
+        return T_CC_REDUCE_TOTAL + sum(levels)
     if accounting == "per-stage":
-        return sum(oca_delay(m, model) for m in heads)
+        return sum(oca_delay(m) for m in heads)
     raise ValueError("accounting must be 'aggregate' or 'per-stage'")

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import io
 import json
 
 import pytest
@@ -263,9 +264,25 @@ def test_bad_operand_is_usage_error(capsys):
     code, _, err = run(capsys, "mul", "abc", "2")
     assert code == 2
     assert "neither an integer" in err
+    # past Python's 4300-digit int-string limit: named, and not echoed whole
+    code, out, err = run(capsys, "add", "9" * 5000, "1", "--radix", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200 and "5000 digits" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_malformed_json_code_is_usage_error(capsys, monkeypatch):
+    for digits in ("5", "[5]", "[[null]]", "[[1.7]]"):
+        text = '{"rows": 1, "width": 1, "radix": 2, "lsb_exp": 0, "digits": %s}' % digits
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "reduce", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -20,6 +20,7 @@ from redundarith.codes import (
     quad_negate,
     quad_value,
     scaled_value,
+    stack_rows,
     value_of,
     with_lsb_exp,
 )
@@ -178,3 +179,17 @@ def test_scaled_value_hypothesis(rows, width, radix, data):
     )
     code = MultiRowCode(rows, width, radix, 0, np.array(digits, dtype=np.int64))
     assert scaled_value(code) == exact_scaled_value(digits, radix)
+
+
+def test_stack_rows_pads_each_block_on_the_msb_side():
+    a = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+    b = np.array([[7]], dtype=np.int64)
+    empty = np.zeros((1, 0), dtype=np.int64)
+    assert stack_rows((a, b)).tolist() == [[1, 2, 3], [4, 5, 6], [7, 0, 0]]
+    assert stack_rows((b, empty, a), 4).tolist() == [
+        [7, 0, 0, 0], [0, 0, 0, 0], [1, 2, 3, 0], [4, 5, 6, 0],
+    ]
+    # a width below the widest block does not cut it
+    assert stack_rows((a,), 1).tolist() == a.tolist()
+    out = stack_rows((a,))
+    assert out.dtype == np.int64 and out is not a

@@ -11,7 +11,6 @@ import pytest
 import redundarith
 from redundarith import _kernels
 from redundarith.compressor import (
-    DelayModel,
     UntabulatedCostError,
     delay_levels,
     load_golden,
@@ -65,8 +64,6 @@ def test_delay_levels_golden_bands():
 def test_oca_delay_adds_carry_conversion():
     assert oca_delay(3) == 3  # 2 levels + 1 conversion
     assert oca_delay(63) == 7
-    custom = DelayModel(t_and=2, t_cc_per_stage=5)
-    assert oca_delay(9, custom) == 4 * 2 + 5
 
 
 def test_plan_tree_matches_golden_table_counts():

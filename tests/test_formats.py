@@ -50,8 +50,23 @@ def test_from_text_rejects_garbage():
         from_text("mrc 1 2 2 0\n09\n")  # digit 9 out of range for radix 2
     with pytest.raises(CodeFormatError):
         from_text("mrc 2 2 2 0\n01\n")  # missing a row
+    for row in ("011", "0x"):  # a row too wide, a non-numeric digit
+        with pytest.raises(CodeFormatError):
+            from_text(f"mrc 1 2 2 0\n{row}\n")
 
 
 def test_from_json_rejects_bad_digits():
     with pytest.raises(CodeFormatError):
         from_json('{"rows": 1, "width": 2, "radix": 2, "lsb_exp": 0, "digits": [[9, 0]]}')
+    # header fields and digits must be JSON integers: no bool, float,
+    # string or null; rows must be lists of the declared count and width
+    head = '{"rows": %s, "width": 1, "radix": 2, "lsb_exp": %s, "digits": %s}'
+    bad = [("1", "0", d) for d in ("5", "[5]", "[[null]]", "[[1.7]]", '[["1"]]', "[[true]]")]
+    bad += [("1.9", "0", "[[1]]"), ("true", "0", "[[1]]"), ("1", "null", "[[1]]")]
+    bad += [("2", "0", "[[1]]"), ("2", "0", "[[1], 3]"), ("1", "0", "[[1, 0]]")]
+    for fields in bad:
+        with pytest.raises(CodeFormatError):
+            from_json(head % fields)
+    for text in ('{"rows": 1, "width": 1, "radix": 2, "digits": [[1]]}', "[1, 2]", "7"):
+        with pytest.raises(CodeFormatError):
+            from_json(text)

@@ -164,6 +164,8 @@ def test_twos_complement_additive_must_be_one_row():
     two = make_from_value(3, 2, 5, 2)
     with pytest.raises(ValueError):
         map_eval(cfg, c=two)
+    with pytest.raises(ValueError, match="sign digit"):  # width 0: no sign to extend
+        map_eval(cfg, c=make_from_value(0, 1, 0, 2))
 
 
 def test_config_validation():
