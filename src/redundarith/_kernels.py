@@ -10,8 +10,8 @@ weights of a stage depend only on (rows, radix) and are cached per shape.
 Every stage reports a "reduce" event to an active `trace.record()`.
 
 The accumulator streams work on bit rows packed into Python ints (bit j
-is column j), so one carry-save step is a handful of whole-word
-operations at any width.
+is column j, by `codes.pack_rows` and `codes.unpack_row`), so one
+carry-save step is a handful of whole-word operations at any width.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import trace
+from .codes import pack_rows, unpack_row
 
 # operand rows packed into ints at a time by the accumulator streams
 _CHUNK = 1 << 12
@@ -115,27 +116,6 @@ def _full_adder(x: int, y: int, z: int) -> tuple[int, int]:
     return x ^ y ^ z, ((x & y) | (z & (x | y))) << 1
 
 
-def _pack_rows(bits: np.ndarray) -> list:
-    """Each row of a 0/1 matrix as one int, bit j = column j."""
-    # word-wise; beats codes.bit_rows_value's per-row from_bytes on tall chunks
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    nbytes = packed.shape[1]
-    padded = np.zeros((packed.shape[0], -(-nbytes // 8) * 8), dtype=np.uint8)
-    padded[:, :nbytes] = packed
-    words = padded.view("<u8")
-    ints = words[:, 0].tolist()
-    for k in range(1, words.shape[1]):
-        ints = [lo | (hi << (64 * k)) for lo, hi in zip(ints, words[:, k].tolist())]
-    return ints
-
-
-def _unpack_into(value: int, out: np.ndarray) -> None:
-    raw = value.to_bytes(-(-out.shape[0] // 8), "little")
-    out[:] = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8), count=out.shape[0], bitorder="little"
-    )
-
-
 def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -> int:
     """Carry-save steps over the (n+1)-slot rows s and c, in place.
 
@@ -147,11 +127,11 @@ def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -
     """
     n = s.shape[0] - 1
     mask = (1 << n) - 1
-    sw, cw = _pack_rows(np.stack([s, c]))
+    sw, cw = pack_rows((s, c))
     overflow = 0
     for start in range(0, ops_a.shape[0], _CHUNK):
-        rows_a = _pack_rows(ops_a[start : start + _CHUNK])
-        rows_b = rows_a if ops_b is None else _pack_rows(ops_b[start : start + _CHUNK])
+        rows_a = pack_rows(ops_a[start : start + _CHUNK])
+        rows_b = rows_a if ops_b is None else pack_rows(ops_b[start : start + _CHUNK])
         for a, b in zip(rows_a, rows_b):
             overflow += (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
             sw &= mask
@@ -163,8 +143,8 @@ def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -
     if ops_b is None and ops_a.shape[0]:
         overflow += cw >> n
         cw &= mask
-    _unpack_into(sw, s)
-    _unpack_into(cw, c)
+    s[:] = unpack_row(sw, s.shape[0])
+    c[:] = unpack_row(cw, c.shape[0])
     return overflow
 
 

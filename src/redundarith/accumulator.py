@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .codes import MultiRowCode, bit_rows_value, scale_fraction, stack_rows
+from .codes import MultiRowCode, pack_rows, scale_fraction, stack_rows
 
 
 @dataclass(frozen=True)
@@ -129,5 +129,5 @@ def acc_run(
 
 def acc_total(acc: AccumulatorState) -> Fraction:
     """Exact accumulated value including the overflow counter weight."""
-    rows = bit_rows_value((acc.sum_row, acc.carry_row))
+    rows = sum(pack_rows((acc.sum_row, acc.carry_row)))
     return scale_fraction((acc.overflow_count << acc.width) + rows, 2, acc.lsb_exp)

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch (report/fuzz/identity
-failures), 2 usage errors.  `--trace` (reduce, div, eval) leaves stdout
+failures), 2 usage errors.  `--trace`, on every subcommand, leaves stdout
 unchanged and writes the command's trace events to stderr, one JSON
-object per line.
+object per line.  Inputs past the size caps below are usage errors,
+rejected before anything of their size is allocated.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from . import accumulator, codes, divider, evalexpr, map_unit, multiplier, reduc
 from .report import FUZZ_OPS, TABLE_KINDS, fuzz_verify, report_tables
 
 SEED_ENV = "REDUNDARITH_SEED"
+# largest --width or --acc-width that add, mul, mac and accumulate take
+MAX_WIDTH = 1 << 16
+# largest digit matrix a mul or mac may stack: W x (2W - 1) partial
+# products, plus mac's accumulator rows
+MAX_MATRIX_CELLS = 1 << 22
 
 
 class UsageError(ValueError):
@@ -62,11 +68,22 @@ def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCod
         raise UsageError("integer operands must be non-negative; use eval for signs")
     if radix < 2:
         raise UsageError("--radix must be >= 2")
-    if width is None:
-        width, rest = 1, value // radix
-        while rest:
-            width, rest = width + 1, rest // radix
     return codes.make_from_value(value, 1, width, radix)
+
+
+def _capped_width(width: int | None, flag: str = "--width") -> int | None:
+    if width is not None and width > MAX_WIDTH:
+        raise UsageError(f"{flag} {width} is above the limit of {MAX_WIDTH}")
+    return width
+
+
+def _check_matrix(a: codes.MultiRowCode, b: codes.MultiRowCode, acc_width: int = 0) -> None:
+    """Reject a product whose stacked digit matrix passes MAX_MATRIX_CELLS."""
+    w = max(a.width, b.width)
+    rows, cols = w + (2 if acc_width else 0), max(2 * w - 1, acc_width)
+    if rows * cols > MAX_MATRIX_CELLS:
+        raise UsageError(f"a {w}-bit product needs a {rows}x{cols} digit matrix, "
+                         f"above the limit of {MAX_MATRIX_CELLS} cells")
 
 
 def _emit_code(code: codes.MultiRowCode, as_json: bool) -> None:
@@ -87,23 +104,27 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_add(args) -> int:
-    a = reducer._pad_to_two(_read_operand(args.a, args.width, args.radix))
-    b = reducer._pad_to_two(_read_operand(args.b, args.width, args.radix))
+    width = _capped_width(args.width)
+    a = reducer._pad_to_two(_read_operand(args.a, width, args.radix))
+    b = reducer._pad_to_two(_read_operand(args.b, width, args.radix))
     out = reducer.add_two_row(a, b)
     _emit_code(out, args.json)
     return 0
 
 
 def _cmd_mul(args) -> int:
-    a = _read_operand(args.a, args.width, 2)
-    b = _read_operand(args.b, args.width, 2)
+    width = _capped_width(args.width)
+    a = _read_operand(args.a, width, 2)
+    b = _read_operand(args.b, width, 2)
     if args.signed and a.width != b.width:
         raise UsageError("--signed needs equal operand widths")
+    _check_matrix(a, b)
     out = multiplier.multiply(a, b, signed=args.signed)
     if args.signed:
         value = multiplier.signed_product_value(out, a.width)
         if args.json:
-            print(json.dumps({"product": codes.to_json_dict(out), "value": str(value)}))
+            print(json.dumps({"product": codes.to_json_dict(out), "value": str(value)},
+                             sort_keys=True))
         else:
             sys.stdout.write(codes.to_text(out))
             print(f"value {value}")
@@ -113,15 +134,18 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_mac(args) -> int:
-    f = reducer._pad_to_two(_read_operand(args.f, args.acc_width, 2))
-    a = _read_operand(args.a, args.width, 2)
-    b = _read_operand(args.b, args.width, 2)
+    width = _capped_width(args.width)
+    f = reducer._pad_to_two(_read_operand(args.f, _capped_width(args.acc_width, "--acc-width"), 2))
+    a = _read_operand(args.a, width, 2)
+    b = _read_operand(args.b, width, 2)
+    _check_matrix(a, b, f.width)
     out = multiplier.fused_mac(f, a, b)
     _emit_code(out, args.json)
     return 0
 
 
 def _cmd_div(args) -> int:
+    divider.check_printable(args.k, args.iters, args.radix)
     digits, residual = divider.divide(
         args.x, args.z, args.k, args.iters, radix=args.radix, method=args.method
     )
@@ -151,20 +175,19 @@ def _rows_from_lines(text: str, width: int | None):
             continue
         if not set(line) <= {"0", "1"}:
             raise UsageError(f"line {lineno}: operand rows must be binary")
-        rows.append([int(ch) for ch in reversed(line)])
+        rows.append(line)
     if not rows:
         raise UsageError("no operand rows found")
-    w = width if width is not None else max(len(r) for r in rows)
-    mat = np.zeros((len(rows), w), dtype=np.int64)
-    for i, r in enumerate(rows):
-        if len(r) > w:
+    w = width if width is not None else max(map(len, rows))
+    for i, row in enumerate(rows):
+        if len(row) > w:
             raise UsageError(f"operand row {i + 1} wider than --width {w}")
-        mat[i, : len(r)] = r
-    return mat
+    return np.array([codes.unpack_row(int(row, 2), w) for row in rows])
 
 
 def _cmd_accumulate(args) -> int:
-    mat = _rows_from_lines(_read_text(args.stream), args.width)
+    width = _capped_width(args.width)
+    mat = _rows_from_lines(_read_text(args.stream), width)
     width = mat.shape[1]
     acc = accumulator.acc_new(width, counter_mode=args.counter_mode)
     if args.pairs:
@@ -175,17 +198,9 @@ def _cmd_accumulate(args) -> int:
         acc = accumulator.acc_run(acc, mat)
     total = accumulator.acc_total(acc)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "width": width,
-                    "steps": int(mat.shape[0] // (2 if args.pairs else 1)),
-                    "overflow_count": acc.overflow_count,
-                    "total": str(total),
-                },
-                sort_keys=True,
-            )
-        )
+        steps = mat.shape[0] // (2 if args.pairs else 1)
+        print(json.dumps({"width": width, "steps": steps, "overflow_count": acc.overflow_count,
+                          "total": str(total)}, sort_keys=True))
     else:
         print(f"total {total}")
         print(f"overflow_count {acc.overflow_count}")
@@ -258,16 +273,9 @@ def _cmd_fuzz(args) -> int:
 def _cmd_eval(args) -> int:
     result = evalexpr.evaluate(args.expression)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "value": str(result.value),
-                    "pos": codes.to_json_dict(result.code.pos),
-                    "neg": codes.to_json_dict(result.code.neg),
-                },
-                sort_keys=True,
-            )
-        )
+        code = result.code
+        print(json.dumps({"value": str(result.value), "pos": codes.to_json_dict(code.pos),
+                          "neg": codes.to_json_dict(code.neg)}, sort_keys=True))
     else:
         print(f"value {result.value}")
     return 0
@@ -285,12 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true")
-    traced = argparse.ArgumentParser(add_help=False, parents=[common])
-    traced.add_argument(
+    common.add_argument(
         "--trace", action="store_true", help="write trace events to stderr as JSON lines"
     )
 
-    p = sub.add_parser("reduce", parents=[traced], help="reduce a code to 2 rows")
+    p = sub.add_parser("reduce", parents=[common], help="reduce a code to 2 rows")
     p.add_argument("code", help="code file, or - for stdin")
     p.set_defaults(func=_cmd_reduce)
 
@@ -316,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acc-width", type=int, help="width for f")
     p.set_defaults(func=_cmd_mac)
 
-    p = sub.add_parser("div", parents=[traced], help="high-radix division by table lookup")
+    p = sub.add_parser("div", parents=[common], help="high-radix division by table lookup")
     p.add_argument("x", type=int)
     p.add_argument("z", type=int)
     p.add_argument("k", type=int, help="digit group size: one pass yields a radix**k digit")
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", help="comma-separated subset of: " + ",".join(FUZZ_OPS))
     p.set_defaults(func=_cmd_fuzz)
 
-    p = sub.add_parser("eval", parents=[traced], help="evaluate an expression through the engines")
+    p = sub.add_parser("eval", parents=[common], help="evaluate an expression through the engines")
     p.add_argument("expression")
     p.set_defaults(func=_cmd_eval)
 
@@ -369,7 +376,7 @@ def _event_field(value):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    recorder = trace.record() if getattr(args, "trace", False) else contextlib.nullcontext(())
+    recorder = trace.record() if args.trace else contextlib.nullcontext(())
     try:
         with recorder as events:
             status = args.func(args)

@@ -137,16 +137,29 @@ def stack_rows(blocks, width: int | None = None) -> np.ndarray:
     return out
 
 
-def bit_rows_value(bits) -> int:
-    """Sum of the rows of a 0/1 matrix, each read as an int with bit j in column j."""
+def pack_rows(bits) -> list:
+    """Each row of a 0/1 matrix as one int, bit j in column j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    return sum(int.from_bytes(row.tobytes(), "little") for row in packed)
+    rows, nbytes = packed.shape
+    if nbytes <= 8:
+        # one uint64 word per row: a single view and tolist for tall chunks
+        words = np.zeros((rows, 8), dtype=np.uint8)
+        words[:, :nbytes] = packed
+        return words.view("<u8").ravel().tolist()
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, rows * nbytes, nbytes)]
+
+
+def unpack_row(value: int, width: int) -> np.ndarray:
+    """Bits 0 .. width-1 of a non-negative int as a 0/1 row, bit j in column j."""
+    raw = value.to_bytes(-(-width // 8), "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=width, bitorder="little")
 
 
 def scaled_value(code: MultiRowCode) -> int:
     """Exact integer value ignoring lsb_exp: sum of digit * radix**j."""
     if code.radix == 2:
-        return bit_rows_value(code.digits)
+        return sum(pack_rows(code.digits))
     total = 0
     for d in reversed(code.digits.sum(axis=0, dtype=np.int64).tolist()):
         total = total * code.radix + d
@@ -165,23 +178,33 @@ def value_of(code: MultiRowCode) -> Fraction:
     return scale_fraction(scaled_value(code), code.radix, code.lsb_exp)
 
 
+def _echo(value) -> str:
+    """`value` for an error message: its text, or its size once that is long."""
+    v = Fraction(value)
+    bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+    return f"value {value}" if bits <= 128 else f"a {bits}-bit value"
+
+
 def make_from_value(
     value,
     rows: int,
-    width: int,
+    width: int | None,
     radix: int = 2,
     lsb_exp: int = 0,
 ) -> MultiRowCode:
     """Encode a non-negative number canonically: digits in row 0, rest zero.
 
     `value` may be an int or Fraction; it must be a non-negative multiple
-    of radix**lsb_exp and fit in `width` columns.
+    of radix**lsb_exp and fit in `width` columns.  `width=None` takes as
+    few columns as the value needs, and at least one.
     """
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
     if isinstance(value, int):
         num, den = value, 1
     else:
-        v = Fraction(value)
-        num, den = v.numerator, v.denominator
+        v = Fraction(value)  # keeps the type of a numpy integer's parts
+        num, den = int(v.numerator), int(v.denominator)
     if num < 0:
         raise ValueError("value must be non-negative")
     if lsb_exp >= 0:
@@ -190,19 +213,21 @@ def make_from_value(
         num *= radix**-lsb_exp
     n, rem = divmod(num, den)
     if rem:
-        raise GranularityError(
-            f"{value} is not a multiple of {radix}**{lsb_exp}"
-        )
-    if n >= radix**width:
-        raise WidthOverflowError(
-            f"value {value} does not fit in width {width} at radix {radix}"
-        )
-    row = []
-    while n:
-        n, d = divmod(n, radix)
-        row.append(d)
+        raise GranularityError(f"{_echo(value)} is not a multiple of {radix}**{lsb_exp}")
+    if radix == 2:
+        ndigits = n.bit_length()
+    else:
+        # stop one digit past the width: that digit already overflows it
+        row = []
+        while n and (width is None or len(row) <= width):
+            n, d = divmod(n, radix)
+            row.append(d)
+        ndigits = len(row)
+    width = max(ndigits, 1) if width is None else width
+    if ndigits > width:
+        raise WidthOverflowError(f"{_echo(value)} does not fit in width {width} at radix {radix}")
     digits = np.zeros((rows, width), dtype=np.int64)
-    digits[0, : len(row)] = row
+    digits[0] = unpack_row(n, width) if radix == 2 else row + [0] * (width - ndigits)
     return MultiRowCode(rows, width, radix, lsb_exp, digits)
 
 
@@ -268,11 +293,12 @@ def quad_negate(code: QuadSignedCode) -> QuadSignedCode:
 
 
 def quad_from_value(
-    value, width: int, radix: int = 2, lsb_exp: int = 0
+    value, width: int | None, radix: int = 2, lsb_exp: int = 0
 ) -> QuadSignedCode:
+    """Canonical quad code of a signed value; `width` as in make_from_value."""
     v = Fraction(value)
     mag = make_from_value(abs(v), 2, width, radix, lsb_exp)
-    zero = MultiRowCode.zero(2, width, radix, lsb_exp)
+    zero = MultiRowCode.zero(2, mag.width, radix, lsb_exp)
     if v >= 0:
         return QuadSignedCode(pos=mag, neg=zero)
     return QuadSignedCode(pos=zero, neg=mag)

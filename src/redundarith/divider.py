@@ -19,6 +19,8 @@ paths are exposed and must agree.
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,6 +150,17 @@ def divide(
             events.append({"op": "divide", "iteration": it, "digit": h, "residual": residual,
                            "thermometer": flags})
     return digits, residual
+
+
+def check_printable(k: int, iters: int, radix: int = 2) -> None:
+    """Reject, before dividing, a quotient Python could not print: its
+    numerator and denominator stay below radix**(k*iters + 1), and Python
+    writes no int of more decimal digits than its int-string limit (0 when
+    unlimited).  A radix below 2 is left to `divide` to reject."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and radix > 1 and (k * iters + 1) * math.log10(radix) >= limit:
+        raise ValueError(f"a quotient of {k * iters} radix-{radix} digits passes Python's "
+                         f"limit of {limit} digits for printing an integer")
 
 
 def quotient_value(digits: list, k: int, radix: int = 2) -> Fraction:

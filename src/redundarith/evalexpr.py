@@ -97,9 +97,7 @@ def _aligned(x: QuadSignedCode, y: QuadSignedCode):
 def _unsigned_row(value: Fraction) -> MultiRowCode:
     """Canonical 1-row encoding of |value| at its natural alignment."""
     mag = abs(value)
-    lsb_exp = -(mag.denominator.bit_length() - 1)
-    width = max(1, mag.numerator.bit_length())
-    return make_from_value(mag, 1, width, 2, lsb_exp)
+    return make_from_value(mag, 1, None, 2, -(mag.denominator.bit_length() - 1))
 
 
 class _Parser:
@@ -181,12 +179,11 @@ class _Parser:
             if k < 1 or iters < 1:
                 raise EvalError("div needs k >= 1 and iters >= 1", name.pos)
             try:
+                divider.check_printable(k, iters)
                 digits, _ = divider.divide(x, z, k, iters)
             except ValueError as exc:
                 raise EvalError(str(exc), name.pos) from None
-            value = divider.quotient_value(digits, k)
-            width = max(1, int(value * 2 ** (k * iters)).bit_length())
-            return quad_from_value(value, width, 2, -k * iters)
+            return quad_from_value(divider.quotient_value(digits, k), None, 2, -k * iters)
         raise EvalError(f"unknown function {name.text!r}", name.pos)
 
     # grammar ---------------------------------------------------------
@@ -231,9 +228,7 @@ class _Parser:
                 raise EvalError(
                     f"{value} is not representable at radix 2", tok.pos
                 )
-            width = max(1, value.numerator.bit_length())
-            lsb_exp = -(value.denominator.bit_length() - 1)
-            return quad_from_value(value, width, 2, lsb_exp)
+            return quad_from_value(value, None, 2, -(value.denominator.bit_length() - 1))
         if tok.kind == "op" and tok.text == "-":
             return quad_negate(self.atom())
         if tok.kind == "op" and tok.text == "(":

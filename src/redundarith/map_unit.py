@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import MultiRowCode, bit_rows_value, scale_fraction, scaled_value, stack_rows
+from .codes import MultiRowCode, pack_rows, scale_fraction, scaled_value, stack_rows
 from .compressor import oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
 from .reducer import next_row_count, reduce_to_two, stage_plan
@@ -143,7 +143,7 @@ def _reduce_to_state(cfg: MapConfig, state: MapState, blocks, bias: int) -> MapS
     # the stack is at least gw wide, so the reduced F is too
     stacked = stack_rows(blocks, gw)
     digits = reduce_to_two(MultiRowCode.from_digits(stacked, 2, cfg.lsb_exp)).digits
-    overflow = state.overflow_count + bit_rows_value(digits[:, gw:])
+    overflow = state.overflow_count + sum(pack_rows(digits[:, gw:]))
     f = MultiRowCode(2, gw, 2, cfg.lsb_exp, digits[:, :gw])
     return MapState(
         config=cfg,
@@ -162,12 +162,11 @@ def map_eval(cfg: MapConfig, **operands) -> MapState:
     return _reduce_to_state(cfg, map_new(cfg), blocks, bias)
 
 
-def map_accumulate(cfg: MapConfig, steps, state: MapState | None = None) -> MapState:
+def map_accumulate(cfg: MapConfig, steps) -> MapState:
     """Fold a stream of operand dicts; the running F replaces H and L."""
     if cfg.mode != "accumulate":
         raise ValueError("config mode must be 'accumulate'")
-    if state is None:
-        state = map_new(cfg)
+    state = map_new(cfg)
     for operands in steps:
         unknown = set(operands) - {"a", "b", "c", "d", "e", "g"}
         if unknown:

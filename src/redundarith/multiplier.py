@@ -29,12 +29,7 @@ from .reducer import reduce_delay, reduce_once, reduce_to_two, stage_plan
 @dataclass(frozen=True)
 class PartialProductMatrix:
     matrix: MultiRowCode
-    signed: bool
     bias_scaled: int
-
-    @property
-    def bias(self) -> Fraction:
-        return scale_fraction(self.bias_scaled, 2, self.matrix.lsb_exp)
 
 
 def _check_operand(code: MultiRowCode, min_width: int = 1) -> None:
@@ -62,7 +57,7 @@ def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix
     matrix = MultiRowCode(
         out.shape[0], out.shape[1], 2, a.lsb_exp + b.lsb_exp, out
     )
-    return PartialProductMatrix(matrix=matrix, signed=False, bias_scaled=0)
+    return PartialProductMatrix(matrix=matrix, bias_scaled=0)
 
 
 def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
@@ -92,9 +87,7 @@ def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
     rows[n + 1, n : 2 * n] = 1 - b_sign * abits[:n]  # -(sign_b * mag_a), inverted
     rows[n + 2, n + 1] = 1  # constant correction
     matrix = MultiRowCode(n + 3, width, 2, a.lsb_exp + b.lsb_exp, rows)
-    return PartialProductMatrix(
-        matrix=matrix, signed=True, bias_scaled=1 << (2 * n + 1)
-    )
+    return PartialProductMatrix(matrix=matrix, bias_scaled=1 << (2 * n + 1))
 
 
 def multiply(a: MultiRowCode, b: MultiRowCode, signed: bool = False) -> MultiRowCode:

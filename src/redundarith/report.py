@@ -15,7 +15,7 @@ smallest width that still fails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,16 +45,7 @@ class Report:
         return 1 if self.mismatches else 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "columns": self.columns,
-                "rows": self.rows,
-                "flags": self.flags,
-                "mismatches": self.mismatches,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_text(self) -> str:
         cols = self.columns
@@ -241,16 +232,7 @@ class FuzzResult:
         return 1 if self.failures else 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "trials": self.trials,
-                "scope": list(self.scope),
-                "passed": self.passed,
-                "failures": self.failures,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

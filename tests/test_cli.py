@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from redundarith import _kernels, codes, reducer
+from redundarith import _kernels, cli, codes, reducer
 from redundarith.cli import main
 
 
@@ -92,19 +92,28 @@ def test_reduce_trace_reduces_once(capsys, tmp_path, monkeypatch):
     assert out == want
 
 
-TRACED_COMMANDS = (  # argv, ops its trace holds
-    (("reduce", "{code}"), {"reduce"}),
-    (("div", "45", "57", "2", "3", "--method", "eager"), {"divide"}),
-    (("eval", "3/4 * (2 - 5) + div(5, 7, 2, 3)"), {"sub", "mul", "add", "divide", "reduce"}),
-)
+TRACED_COMMANDS = {  # id: (argv, ops its trace holds)
+    "reduce": (("reduce", "{code}"), {"reduce"}),
+    "div": (("div", "45", "57", "2", "3", "--method", "eager"), {"divide"}),
+    "eval": (("eval", "3/4 * (2 - 5) + div(5, 7, 2, 3)"), {"sub", "mul", "add", "divide", "reduce"}),
+    "add": (("add", "25", "17", "--width", "6"), {"reduce"}),
+    "mul": (("mul", "200", "131"), {"reduce"}),
+    "mac": (("mac", "1000", "200", "131", "--width", "8", "--acc-width", "16"), {"reduce"}),
+    "map": (("map", "a=200", "b=131", "c=77", "--width", "8"), {"reduce"}),
+    "fuzz": (("fuzz", "--trials", "2", "--scope", "mul"), {"reduce"}),
+    "accumulate": (("accumulate", "{stream}"), set()),
+    "report": (("report", "--table", "2.1"), set()),
+}
 
 
-@pytest.mark.parametrize("argv,ops", TRACED_COMMANDS, ids=("reduce", "div", "eval"))
+@pytest.mark.parametrize("argv,ops", TRACED_COMMANDS.values(), ids=TRACED_COMMANDS.keys())
 @pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
 def test_trace_leaves_stdout_alone(capsys, tmp_path, argv, ops, as_json):
     f = tmp_path / "code.txt"
     f.write_text("mrc 9 4 2 0\n" + "1011\n" * 9)
-    argv = [arg.format(code=f) for arg in argv] + (["--json"] if as_json else [])
+    stream = tmp_path / "stream.txt"
+    stream.write_text("10110\n01101\n11111\n")
+    argv = [arg.format(code=f, stream=stream) for arg in argv] + (["--json"] if as_json else [])
     code, plain, err = run(capsys, *argv)
     assert code == 0 and err == ""
     code, traced, err = run(capsys, *argv, "--trace")
@@ -112,7 +121,7 @@ def test_trace_leaves_stdout_alone(capsys, tmp_path, argv, ops, as_json):
     assert traced == plain
     if as_json:
         json.loads(traced)
-    assert {e["op"] for e in events_of(err)} == ops
+    assert {json.loads(line)["op"] for line in err.splitlines()} == ops
 
 
 def test_traced_usage_error_prints_one_line(capsys):
@@ -270,6 +279,53 @@ def test_bad_operand_is_usage_error(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 200 and "5000 digits" in err
+
+
+def test_long_value_error_names_its_size(capsys):
+    # a width overflow echoes a long value by its bit count, not its text,
+    # so one past Python's int-string limit still gets the width error
+    for value in ("9" * 4000, "0x" + "f" * 5000):
+        code, out, err = run(capsys, "add", value, "1", "--width", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200 and "width 3" in err
+
+
+def test_long_hex_operand_adds_exactly(capsys):
+    # the natural width of a long literal is worked out in linear time
+    value = int("f" * 40000, 16)
+    code, out, _ = run(capsys, "add", "0x" + "f" * 40000, "1", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["radix"] == 2 and obj["lsb_exp"] == 0
+    assert sum(int("".join(map(str, row)), 2) for row in obj["digits"]) == value + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("add", "1", "2", "--width", str(cli.MAX_WIDTH + 1)),
+        ("mul", "1", "2", "--width", str(cli.MAX_WIDTH + 1)),
+        ("mac", "1", "2", "3", "--acc-width", str(cli.MAX_WIDTH + 1)),
+        ("accumulate", "-", "--width", str(cli.MAX_WIDTH + 1)),
+        ("mul", "3", "5", "--width", "20000"),  # a 20000 x 39999 partial-product matrix
+        ("mul", "0x" + "f" * 5000, "1"),  # a natural width of 20000
+        ("mac", "1", "3", "5", "--width", "2000"),
+        ("mac", "1", "3", "5", "--width", "64", "--acc-width", str(cli.MAX_WIDTH)),
+        ("div", "1", "3", "1", "100000"),  # a quotient past the int-string limit
+        ("eval", "div(1, 3, 1, 100000)"),
+    ),
+    ids=("add", "mul", "mac", "accumulate", "mul-matrix", "mul-natural", "mac-matrix",
+         "mac-acc-matrix", "div", "eval-div"),
+)
+def test_oversized_input_is_rejected_up_front(capsys, monkeypatch, argv):
+    # the stream is never read: the width is checked first
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 def test_unknown_subcommand_exits_two(capsys):

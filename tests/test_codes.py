@@ -13,14 +13,15 @@ from redundarith.codes import (
     NumericDomainError,
     QuadSignedCode,
     WidthOverflowError,
-    bit_rows_value,
     from_text,
     make_from_value,
+    pack_rows,
     quad_from_value,
     quad_negate,
     quad_value,
     scaled_value,
     stack_rows,
+    unpack_row,
     value_of,
     with_lsb_exp,
 )
@@ -81,7 +82,21 @@ def test_value_matches_slow_reference(rng):
         for rows in (1, 2, 5):
             for code in (random_code(rng, rows, width), MultiRowCode.from_digits(np.ones((rows, width)))):
                 want = exact_scaled_value(code.digits.tolist(), 2)
-                assert bit_rows_value(code.digits) == scaled_value(code) == want
+                assert sum(pack_rows(code.digits)) == scaled_value(code) == want
+
+
+def test_pack_rows_and_unpack_row_round_trip(rng):
+    # both packer branches (one uint64 word per row, from_bytes beyond it)
+    # and the chunk height of the accumulator streams
+    for width in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+        for rows in (1, 2, 4096):
+            for bits in (rng.integers(0, 2, (rows, width)), np.ones((rows, width), np.int64)):
+                ints = pack_rows(bits)
+                assert len(ints) == rows
+                assert sum(ints) == exact_scaled_value(bits.tolist(), 2)
+                assert all(x < 1 << width for x in ints)
+                back = np.array([unpack_row(x, width) for x in ints]).reshape(rows, width)
+                assert np.array_equal(back, bits)
 
 
 def test_value_respects_lsb_exp():
@@ -110,6 +125,15 @@ def test_make_from_value_round_trips(rng):
     assert value_of(make_from_value(18, 1, 2, 3, 2)) == 18  # int input, positive lsb_exp
     empty = make_from_value(0, 1, 0, 2)
     assert empty.width == 0 and value_of(empty) == 0
+    # width=None: as few columns as the value needs, and at least one
+    for v, radix, width in ((0, 2, 1), (1, 2, 1), (255, 2, 8), (256, 2, 9), (0, 10, 1), (999, 10, 3)):
+        assert make_from_value(v, 1, None, radix).width == width
+    assert make_from_value(Fraction(13, 8), 1, None, 2, -3).width == 4
+    assert make_from_value(np.int64(6), 1, None).width == 3
+    assert quad_from_value(Fraction(-11, 16), None, 2, -4).neg.width == 4
+    big = 2**200000 - 1
+    code = make_from_value(big, 1, None)
+    assert code.width == 200000 and scaled_value(code) == big and code.digits.all()
 
 
 def test_make_from_value_rejects_bad_inputs():
@@ -128,6 +152,13 @@ def test_make_from_value_rejects_bad_inputs():
         make_from_value(-1, 1, 8, 2)
     with pytest.raises(ValueError):
         make_from_value(Fraction(-1, 2), 1, 8, 2, -1)
+    with pytest.raises(ValueError, match="rows"):
+        make_from_value(0, 0, 3)
+    # a long value is echoed by its size, not its text
+    for value, err in ((2**20000 - 1, WidthOverflowError), (Fraction(1, 3**9000), GranularityError)):
+        with pytest.raises(err, match=r"^a \d+-bit value") as info:
+            make_from_value(value, 1, 3, 2, -4)
+        assert len(str(info.value)) < 100
 
 
 def test_with_lsb_exp_preserves_value():

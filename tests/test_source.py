@@ -1,7 +1,12 @@
 """Source-level rules that hold for every library module."""
 
 import ast
+import functools
+import importlib
+import importlib.util
 from pathlib import Path
+
+import pytest
 
 import redundarith
 
@@ -18,3 +23,24 @@ def test_library_has_no_assert_statements():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_benchmark_span_names_resolve():
+    # the benchmark's tracer wraps library functions by name; a rename
+    # would otherwise show only in its own, much slower self-tests
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    if not path.is_file():
+        pytest.skip("no benchmark tracer in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for pairs in tracer.SPANS.values():
+        for module, attr in pairs:
+            target = importlib.import_module(f"redundarith.{module}")
+            try:
+                functools.reduce(getattr, attr.split("."), target)
+            except AttributeError:
+                missing.append(f"{module}.{attr}")
+    assert tracer.SPANS
+    assert missing == []
