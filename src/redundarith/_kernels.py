@@ -75,9 +75,12 @@ def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
     out = _skew(col // _digit_weights(digits.shape[0], q) % q)
     events = trace.sink()
     if events is not None:
-        rows_out, width = out.shape
-        events.append({"op": "reduce", "rows_in": digits.shape[0], "rows_out": rows_out,
-                       "width": width, "radix": q, "digits": out.copy()})
+        (rows_in, _), (rows_out, width) = digits.shape, out.shape
+        top = int(col.max(initial=0))
+        if top > rows_in * (q - 1):
+            raise RuntimeError(f"column sum {top} above its bound {rows_in}*({q}-1)")
+        events.append({"op": "reduce", "rows_in": rows_in, "rows_out": rows_out, "width": width,
+                       "radix": q, "max_column_sum": top, "digits": out.copy()})
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -66,14 +67,12 @@ def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCod
         ) from None
     if value < 0:
         raise UsageError("integer operands must be non-negative; use eval for signs")
-    if radix < 2:
-        raise UsageError("--radix must be >= 2")
     return codes.make_from_value(value, 1, width, radix)
 
 
 def _capped_width(width: int | None, flag: str = "--width") -> int | None:
-    if width is not None and width > MAX_WIDTH:
-        raise UsageError(f"{flag} {width} is above the limit of {MAX_WIDTH}")
+    if width is not None and not 0 <= width <= MAX_WIDTH:
+        raise UsageError(f"{flag} {width} is outside 0..{MAX_WIDTH}")
     return width
 
 
@@ -284,7 +283,9 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later `main`."""
     parser = argparse.ArgumentParser(
         prog="redundarith",
         description="Multi-row redundant arithmetic: reduce, add, multiply, "

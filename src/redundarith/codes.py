@@ -200,6 +200,10 @@ def make_from_value(
     """
     if rows < 1:
         raise ValueError("rows must be >= 1")
+    if radix < 2:
+        raise ValueError("radix must be >= 2")
+    if width is not None and width < 0:
+        raise ValueError("width must be >= 0")
     if isinstance(value, int):
         num, den = value, 1
     else:

@@ -132,6 +132,8 @@ def divide(
         raise ValueError("iters must be >= 1")
     if z <= 0:
         raise ValueError("divisor must be positive")
+    if radix < 2:
+        raise ValueError("radix must be >= 2")
     if not 0 <= x < radix * z:
         raise ValueError("dividend out of range (need 0 <= x < radix*z)")
     first = build_scale(z, k, radix, extended=True)

@@ -1,12 +1,24 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redundarith import _kernels, cli, codes, reducer
+from redundarith import _kernels, cli, codes, divider, evalexpr, map_unit, multiplier, reducer
 from redundarith.cli import main
+from redundarith.codes import make_from_value
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -341,4 +353,260 @@ def test_malformed_json_code_is_usage_error(capsys, monkeypatch):
         code, out, err = run(capsys, "reduce", "-")
         assert code == 2
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_div_radix_is_checked_before_the_dividend(capsys):
+    for radix in ("0", "1"):
+        code, out, err = run(capsys, "div", "1", "3", "1", "4", "--radix", radix)
+        assert (code, out, err) == (2, "", "error: radix must be >= 2\n")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    (
+        (("mul", "0", "0", "--width", "-1"), "--width -1"),
+        (("add", "0", "0", "--width", "-2", "--radix", "3"), "--width -2"),
+        (("mac", "1", "2", "3", "--acc-width", "-1"), "--acc-width -1"),
+        (("accumulate", "-", "--width", "-1"), "--width -1"),
+    ),
+    ids=("mul", "add", "mac", "accumulate"),
+)
+def test_negative_width_is_a_usage_error_naming_its_flag(capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {flag} is outside 0..{cli.MAX_WIDTH}\n")
+
+
+def test_zero_width_add_stays_valid(capsys):
+    code, out, err = run(capsys, "add", "0", "0", "--width", "0", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["width"] == 0
+
+
+# ---------------------------------------------------------------------------
+# many main calls in one process share one parser
+
+
+def call(argv):
+    """main(argv) in this process, with one binary row on stdin: (status,
+    stdout, stderr, whether argparse exited with SystemExit)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("1\n")), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            return main(list(argv)), out.getvalue(), err.getvalue(), False
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), True
+
+
+def fresh_process(argv, seed):
+    """The same call in a new `python -m redundarith.cli` process."""
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop(cli.SEED_ENV, None)
+    if seed is not None:
+        env[cli.SEED_ENV] = seed
+    proc = subprocess.run([sys.executable, "-m", "redundarith.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+REENTRANT = {  # id: (first argv, its $REDUNDARITH_SEED, its status), (second argv, its seed)
+    "usage-error-then-good": ((("mul", "45", "57", "--frob"), None, 2),
+                              (("mul", "45", "57", "--width", "6"), None)),
+    "json-then-plain": ((("div", "45", "57", "2", "3", "--json"), None, 0),
+                        (("div", "45", "57", "2", "3"), None)),
+    "fuzz-seed-changes": ((("fuzz", "--trials", "6", "--json"), "3", 0),
+                          (("fuzz", "--trials", "6", "--json"), "8")),
+    "call-then-help": ((("map", "a=3", "b=5", "--width", "4", "--tc"), None, 0),
+                       (("mac", "--help"), None)),
+}
+
+
+def _set_seed(monkeypatch, seed):
+    if seed is None:
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.SEED_ENV, seed)
+
+
+@pytest.mark.parametrize("first,second", REENTRANT.values(), ids=REENTRANT.keys())
+def test_main_is_reentrant(monkeypatch, first, second):
+    # nothing of the first call shows in the second: its output is a fresh process's
+    monkeypatch.setenv("COLUMNS", "80")
+    (argv, seed, status), (argv2, seed2) = first, second
+    _set_seed(monkeypatch, seed)
+    assert call(argv)[0] == status
+    _set_seed(monkeypatch, seed2)
+    assert call(argv2)[:3] == fresh_process(argv2, seed2)
+
+
+# ---------------------------------------------------------------------------
+# differential: every --json equals the library result
+
+
+def checked_json(*argv):
+    status, out, err, _ = call(argv)
+    assert (status, err) == (0, ""), err
+    return json.loads(out)
+
+
+def twos(value, width):
+    return value - (value >> (width - 1) << width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.booleans())
+def test_mul_json_equals_library(data, signed):
+    width = data.draw(st.integers(2 if signed else 1, 64))  # a signed operand needs a sign bit
+    a, b = (data.draw(st.integers(0, 2**width - 1)) for _ in range(2))
+    got = checked_json("mul", str(a), str(b), "--width", str(width), "--json",
+                       *(["--signed"] if signed else []))
+    want = multiplier.multiply(make_from_value(a, 1, width), make_from_value(b, 1, width),
+                               signed=signed)
+    if signed:
+        value = multiplier.signed_product_value(want, width)
+        assert value == twos(a, width) * twos(b, width)
+        assert got == {"product": codes.to_json_dict(want), "value": str(value)}
+    else:
+        assert got == codes.to_json_dict(want)
+        assert codes.scaled_value(want) == a * b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 64), st.integers(1, 64))
+def test_mac_json_equals_library(data, width, acc_width):
+    f = data.draw(st.integers(0, 2**acc_width - 1))
+    a, b = (data.draw(st.integers(0, 2**width - 1)) for _ in range(2))
+    got = checked_json("mac", str(f), str(a), str(b), "--width", str(width),
+                       "--acc-width", str(acc_width), "--json")
+    want = multiplier.fused_mac(make_from_value(f, 2, acc_width), make_from_value(a, 1, width),
+                                make_from_value(b, 1, width))
+    assert got == codes.to_json_dict(want)
+    assert codes.scaled_value(want) == f + a * b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from((2, 3)), st.integers(0, 64))
+def test_add_json_equals_library(data, radix, width):
+    a, b = (data.draw(st.integers(0, radix**width - 1)) for _ in range(2))
+    got = checked_json("add", str(a), str(b), "--width", str(width), "--radix", str(radix),
+                       "--json")
+    x, y = (make_from_value(v, 2, width, radix) for v in (a, b))
+    want = reducer.add_two_row(x, y)
+    assert got == codes.to_json_dict(want)
+    assert codes.scaled_value(want) == a + b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(("bisect", "eager")), st.sampled_from((2, 3)),
+       st.integers(1, 4), st.integers(1, 16))
+def test_div_json_equals_library(data, method, radix, k, iters):
+    z = data.draw(st.integers(1, 2**40))
+    x = data.draw(st.integers(0, radix * z - 1))
+    got = checked_json("div", str(x), str(z), str(k), str(iters), "--radix", str(radix),
+                       "--method", method, "--json")
+    digits, residual = divider.divide(x, z, k, iters, radix=radix, method=method)
+    quotient = divider.quotient_value(digits, k, radix)
+    assert got == {"digits": digits, "residual": residual, "quotient": str(quotient),
+                   "identity": True}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 64), st.booleans(),
+       st.lists(st.sampled_from(map_unit.ADDITIVE_OPERANDS), unique=True))
+def test_map_json_equals_library(data, width, tc, addends):
+    values = {name: data.draw(st.integers(0, 2**width - 1)) for name in ("a", "b", *addends)}
+    got = checked_json("map", *(f"{n}={v}" for n, v in values.items()), "--width", str(width),
+                       "--json", *(["--tc"] if tc else []))
+    cfg = map_unit.MapConfig(width, signedness="twos-complement" if tc else "unsigned-direct")
+    state = map_unit.map_eval(cfg, **{n: make_from_value(v, 1, width) for n, v in values.items()})
+    want = {"total": str(map_unit.map_total(state)), "overflow_count": state.overflow_count}
+    if tc:
+        want["signed_total"] = str(map_unit.map_signed_total(state))
+    assert got == want
+
+
+def _literal():
+    whole = st.integers(0, 10**6).map(lambda n: (str(n), Fraction(n)))
+    halves = st.tuples(st.integers(0, 999), st.integers(0, 6)).map(
+        lambda t: (f"{t[0]}/{1 << t[1]}", Fraction(t[0], 1 << t[1])))
+    return whole | halves
+
+
+def _operation(inner):
+    def join(t):
+        (lt, lv), op, (rt, rv) = t
+        value = lv + rv if op == "+" else lv - rv if op == "-" else lv * rv
+        return f"({lt} {op} {rt})", value
+    negated = inner.map(lambda e: (f"(-{e[0]})", -e[1]))
+    return st.tuples(inner, st.sampled_from("+-*"), inner).map(join) | negated
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.recursive(_literal(), _operation, max_leaves=6))
+def test_eval_json_equals_library(expression):
+    text, value = expression  # never starts with '-', which argparse would take for a flag
+    got = checked_json("eval", text, "--json")
+    result = evalexpr.evaluate(text)
+    assert result.value == value
+    assert got == {"value": str(value), "pos": codes.to_json_dict(result.code.pos),
+                   "neg": codes.to_json_dict(result.code.neg)}
+
+
+# ---------------------------------------------------------------------------
+# bad argv: exit 2, never a traceback
+
+GOOD_ARGV = (
+    ("reduce", "-"), ("add", "1", "2"), ("mul", "3", "5"), ("mac", "1", "2", "3"),
+    ("div", "5", "7", "2", "3"), ("accumulate", "-"), ("map", "a=1", "b=2", "--width", "8"),
+    ("report", "--table", "2.1"), ("fuzz", "--trials", "1"), ("eval", "1 + 2"),
+)
+WIDTH_ARGV = {  # flag: the argv it is appended to
+    "--width": (("add", "1", "2"), ("mul", "3", "5"), ("mac", "1", "2", "3"), ("accumulate", "-")),
+    "--acc-width": (("mac", "1", "2", "3"),),
+}
+OFF_SIZE = st.integers(-(2**70), -1) | st.integers(cli.MAX_WIDTH + 1, 2**70)
+
+
+@st.composite
+def bad_argv(draw):
+    kind = draw(st.sampled_from(("flag", "width", "map-width", "div", "operand")))
+    if kind == "flag":  # no real option starts with --no-such-, so none is abbreviated
+        suffix = draw(st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8))
+        return [*draw(st.sampled_from(GOOD_ARGV)), "--no-such-" + suffix]
+    if kind == "width":
+        flag = draw(st.sampled_from(sorted(WIDTH_ARGV)))
+        return [*draw(st.sampled_from(WIDTH_ARGV[flag])), flag, str(draw(OFF_SIZE))]
+    if kind == "map-width":
+        width = draw(st.integers(-(2**70), 1) | st.integers(122, 2**70))
+        return ["map", "a=1", "b=2", "--width", str(width)]
+    if kind == "div":  # x is outside 0 <= x < radix * z, and maybe more is wrong
+        radix, z = draw(st.integers(-3, 4)), draw(st.integers(-5, 2**40))
+        x = draw(st.integers(-(2**40), -1) | st.integers(max(radix * z, 0), 2**41))
+        k, iters = draw(st.integers(-2, 4)), draw(st.integers(-2, 16))
+        return ["div", str(x), str(z), str(k), str(iters), "--radix", str(radix)]
+    item = draw(st.one_of(
+        st.text("abc0123", min_size=1, max_size=6),  # no '='
+        st.text("mnopqrstuvwxyz", max_size=3).map(lambda name: f"{name}=1"),  # unknown name
+        st.text("ghijkz_.", max_size=6).map(lambda v: f"a={v}"),  # not an integer
+        st.integers(1, 2**70).map(lambda v: f"b=-{v}"),  # negative
+    ))
+    return ["map", "a=1", "b=2", item, "--width", "8"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_argv())
+def test_bad_argv_exits_two_without_traceback(argv):
+    status, out, err, exited = call(argv)
+    assert status == 2 and out == "" and "Traceback" not in err
+    if exited:  # argparse: its usage, then one "prog: error:" line
+        assert err.startswith("usage: redundarith")
+        assert err.splitlines()[-1].startswith("redundarith") and ": error: " in err
+    else:
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -154,6 +154,15 @@ def test_make_from_value_rejects_bad_inputs():
         make_from_value(Fraction(-1, 2), 1, 8, 2, -1)
     with pytest.raises(ValueError, match="rows"):
         make_from_value(0, 0, 3)
+    # a negative width is named as such, not as an overflow of the value
+    for value, width, radix in ((0, -1, 2), (5, -3, 3)):
+        with pytest.raises(ValueError, match=r"^width must be >= 0$"):
+            make_from_value(value, 1, width, radix)
+    # a radix below 2 fails at once, at a natural width too
+    for radix in (1, 0, -2):
+        for width in (None, 8):
+            with pytest.raises(ValueError, match=r"^radix must be >= 2$"):
+                make_from_value(5, 1, width, radix)
     # a long value is echoed by its size, not its text
     for value, err in ((2**20000 - 1, WidthOverflowError), (Fraction(1, 3**9000), GranularityError)):
         with pytest.raises(err, match=r"^a \d+-bit value") as info:

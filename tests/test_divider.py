@@ -136,3 +136,7 @@ def test_divide_rejects_out_of_range():
         divide(5, 7, 2, 0)
     with pytest.raises(ValueError):
         divide(5, 7, 10**9, 1, radix=3)  # scale size checked before radix**k
+    # the radix is checked before the dividend range that it scales
+    for radix in (1, 0, -2):
+        with pytest.raises(ValueError, match=r"^radix must be >= 2$"):
+            divide(1, 3, 1, 4, radix=radix)

@@ -107,6 +107,17 @@ def test_traced_row_counts_equal_stage_plan(rng):
         assert all(e["radix"] == q for e in events)
         assert all(e["digits"].shape == (e["rows_out"], e["width"]) for e in events)
         np.testing.assert_array_equal(events[-1]["digits"], out.digits)
+        # each stage's largest column sum, read from its input, within rows_in * (q - 1)
+        inputs = [code.digits] + [e["digits"] for e in events[:-1]]
+        for e, digits in zip(events, inputs):
+            assert e["max_column_sum"] == digits.sum(axis=0).max() <= e["rows_in"] * (q - 1)
+
+
+def test_traced_stage_checks_the_column_sum_bound():
+    bad = np.full((3, 2), 5, dtype=np.int64)  # digits past radix 2: column sums 15 > 3 * (2 - 1)
+    _kernels.reduce_once_digits(bad, 2)  # untraced, the stage runs no check
+    with trace.record(), pytest.raises(RuntimeError, match=r"column sum 15 above its bound 3\*"):
+        _kernels.reduce_once_digits(bad, 2)
 
 
 def _reference_stage(digits, q):
