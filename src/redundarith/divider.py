@@ -130,14 +130,11 @@ def divide(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if z <= 0:
-        raise ValueError("divisor must be positive")
-    if radix < 2:
-        raise ValueError("radix must be >= 2")
-    if not 0 <= x < radix * z:
-        raise ValueError("dividend out of range (need 0 <= x < radix*z)")
+    # the scales check z, k and the radix, which the dividend range depends on
     first = build_scale(z, k, radix, extended=True)
     rest = build_scale(z, k, radix)
+    if not 0 <= x < radix * z:
+        raise ValueError("dividend out of range (need 0 <= x < radix*z)")
     step = rest.size  # radix**k
     digits = []
     residual = x

@@ -136,7 +136,9 @@ def test_divide_rejects_out_of_range():
         divide(5, 7, 2, 0)
     with pytest.raises(ValueError):
         divide(5, 7, 10**9, 1, radix=3)  # scale size checked before radix**k
-    # the radix is checked before the dividend range that it scales
+    # the radix and k are checked before the dividend range
     for radix in (1, 0, -2):
         with pytest.raises(ValueError, match=r"^radix must be >= 2$"):
             divide(1, 3, 1, 4, radix=radix)
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        divide(20, 3, 0, 4)
