@@ -5,8 +5,8 @@ holding the digits of weight radix**j.  `MultiRowCode` rejects any code
 with rows * (radix - 1) > 2**63 - 1, so every column sum fits in int64,
 and so does every digit weight radix**h of a stage, since
 radix**(m2 - 1) <= rows * (radix - 1).  Plain int64 arithmetic is
-therefore exact in the reduction kernels.  The row counts and digit
-weights of a stage depend only on (rows, radix) and are cached per shape.
+therefore exact in the reduction kernels.  The digit weights of a stage
+depend only on (rows, radix) and are cached per shape.
 Every stage reports a "reduce" event to an active `trace.record()`.
 
 The accumulator streams work on bit rows packed into Python ints (bit j
@@ -25,12 +25,11 @@ from .codes import pack_rows, unpack_row
 
 # operand rows packed into ints at a time by the accumulator streams
 _CHUNK = 1 << 12
-# distinct shapes kept by each per-shape cache (row counts, digit
-# weights, stage plans, MAC injection stages)
+# distinct shapes kept by each per-shape cache (digit weights, stage
+# plans, MAC injection stages)
 SHAPE_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def next_row_count(m: int, q: int = 2) -> int:
     """Rows needed to re-express any column sum of an m-row radix-q code."""
     if m < 1:

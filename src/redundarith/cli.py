@@ -29,10 +29,6 @@ MAX_WIDTH = 1 << 16
 MAX_MATRIX_CELLS = 1 << 22
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _read_text(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
@@ -56,23 +52,23 @@ def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCod
     except ValueError:
         shown = spec if len(spec) <= 40 else spec[:40] + "..."
         # Python refuses decimal strings past its int-string digit limit
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        limit = codes.int_string_limit()
         if 0 < limit < len(spec) and spec.isdecimal():
-            raise UsageError(
+            raise ValueError(
                 f"integer operand {shown} has {len(spec)} digits, past Python's "
                 f"limit of {limit}"
             ) from None
-        raise UsageError(
+        raise ValueError(
             f"operand {shown!r} is neither an integer nor @file nor '-'"
         ) from None
     if value < 0:
-        raise UsageError("integer operands must be non-negative; use eval for signs")
+        raise ValueError("integer operands must be non-negative; use eval for signs")
     return codes.make_from_value(value, 1, width, radix)
 
 
 def _capped_width(width: int | None, flag: str = "--width") -> int | None:
     if width is not None and not 0 <= width <= MAX_WIDTH:
-        raise UsageError(f"{flag} {width} is outside 0..{MAX_WIDTH}")
+        raise ValueError(f"{flag} {width} is outside 0..{MAX_WIDTH}")
     return width
 
 
@@ -81,7 +77,7 @@ def _check_matrix(a: codes.MultiRowCode, b: codes.MultiRowCode, acc_width: int =
     w = max(a.width, b.width)
     rows, cols = w + (2 if acc_width else 0), max(2 * w - 1, acc_width)
     if rows * cols > MAX_MATRIX_CELLS:
-        raise UsageError(f"a {w}-bit product needs a {rows}x{cols} digit matrix, "
+        raise ValueError(f"a {w}-bit product needs a {rows}x{cols} digit matrix, "
                          f"above the limit of {MAX_MATRIX_CELLS} cells")
 
 
@@ -116,7 +112,7 @@ def _cmd_mul(args) -> int:
     a = _read_operand(args.a, width, 2)
     b = _read_operand(args.b, width, 2)
     if args.signed and a.width != b.width:
-        raise UsageError("--signed needs equal operand widths")
+        raise ValueError("--signed needs equal operand widths")
     _check_matrix(a, b)
     out = multiplier.multiply(a, b, signed=args.signed)
     if args.signed:
@@ -173,14 +169,14 @@ def _rows_from_lines(text: str, width: int | None):
         if not line or line.startswith("#"):
             continue
         if not set(line) <= {"0", "1"}:
-            raise UsageError(f"line {lineno}: operand rows must be binary")
+            raise ValueError(f"line {lineno}: operand rows must be binary")
         rows.append(line)
     if not rows:
-        raise UsageError("no operand rows found")
+        raise ValueError("no operand rows found")
     w = width if width is not None else max(map(len, rows))
     for i, row in enumerate(rows):
         if len(row) > w:
-            raise UsageError(f"operand row {i + 1} wider than --width {w}")
+            raise ValueError(f"operand row {i + 1} wider than --width {w}")
     return np.array([codes.unpack_row(int(row, 2), w) for row in rows])
 
 
@@ -191,7 +187,7 @@ def _cmd_accumulate(args) -> int:
     acc = accumulator.acc_new(width, counter_mode=args.counter_mode)
     if args.pairs:
         if mat.shape[0] % 2:
-            raise UsageError("--pairs needs an even number of rows")
+            raise ValueError("--pairs needs an even number of rows")
         acc = accumulator.acc_run(acc, mat[0::2], mat[1::2])
     else:
         acc = accumulator.acc_run(acc, mat)
@@ -215,11 +211,11 @@ def _cmd_map(args) -> int:
     operands = {}
     for item in args.operands:
         if "=" not in item:
-            raise UsageError(f"operand {item!r} must look like name=value")
+            raise ValueError(f"operand {item!r} must look like name=value")
         name, _, value = item.partition("=")
         name = name.lower()
         if name not in ("a", "b", *map_unit.ADDITIVE_OPERANDS):
-            raise UsageError(f"unknown operand {name!r}")
+            raise ValueError(f"unknown operand {name!r}")
         operands[name] = _read_operand(value, args.width, 2)
     state = map_unit.map_eval(cfg, **operands)
     payload = {

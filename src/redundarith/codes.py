@@ -12,6 +12,7 @@ MSB-first because that is what humans expect to read.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -176,6 +177,11 @@ def scale_fraction(scaled: int, radix: int, lsb_exp: int) -> Fraction:
 def value_of(code: MultiRowCode) -> Fraction:
     """Exact value of the code as a rational number."""
     return scale_fraction(scaled_value(code), code.radix, code.lsb_exp)
+
+
+def int_string_limit() -> int:
+    """Most decimal digits Python converts between int and str (0 when unlimited)."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
 
 
 def _echo(value) -> str:

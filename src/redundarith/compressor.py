@@ -57,13 +57,15 @@ def load_golden(name: str) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _golden_delay_bands() -> tuple:
+def golden_delay_bands() -> tuple:
+    """Table 3.1 as (lo, hi, levels) bands of m, in table order."""
     data = load_golden("table_3_1.json")
     return tuple((b["lo"], b["hi"], b["levels"]) for b in data["bands"])
 
 
 @lru_cache(maxsize=None)
-def _golden_costs() -> dict:
+def golden_costs() -> dict:
+    """Table 3.2 as m -> sigma_and, the m row in table order, then the extra rows."""
     data = load_golden("table_3_2.json")
     table = dict(zip(data["m"], data["sigma_and"]))
     for entry in data["extra"]:
@@ -135,7 +137,7 @@ def popcount_tree(bits) -> int:
 
 def delay_levels(m: int) -> int:
     """Golden banded level count for an m-input counting adder."""
-    for lo, hi, levels in _golden_delay_bands():
+    for lo, hi, levels in golden_delay_bands():
         if lo <= m <= hi:
             return levels
     raise ValueError(f"no delay band covers m={m}")
@@ -151,7 +153,7 @@ def oca_delay(m: int) -> int:
 def oca_cost_lookup(m: int) -> int:
     """Golden total AND-gate count for an m-input counting adder."""
     try:
-        return _golden_costs()[m]
+        return golden_costs()[m]
     except KeyError:
         raise UntabulatedCostError(f"no tabulated gate count for m={m}") from None
 

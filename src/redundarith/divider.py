@@ -20,12 +20,12 @@ paths are exposed and must agree.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import trace
+from .codes import int_string_limit
 
 MAX_SCALE_ENTRIES = 1 << 20
 
@@ -154,10 +154,10 @@ def divide(
 def check_printable(k: int, iters: int, radix: int = 2) -> None:
     """Reject, before dividing, a quotient Python could not print: its
     numerator and denominator stay below radix**(k*iters + 1), and Python
-    writes no int of more decimal digits than its int-string limit (0 when
-    unlimited).  A radix below 2 is left to `divide` to reject."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and radix > 1 and (k * iters + 1) * math.log10(radix) >= limit:
+    writes no int of more decimal digits than its int-string limit.  A
+    radix below 2, or k or iters below 1, is left to `divide` to reject."""
+    limit = int_string_limit()
+    if limit and min(radix - 1, k, iters) > 0 and (k * iters + 1) * math.log10(radix) >= limit:
         raise ValueError(f"a quotient of {k * iters} radix-{radix} digits passes Python's "
                          f"limit of {limit} digits for printing an integer")
 

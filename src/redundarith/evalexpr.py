@@ -31,6 +31,7 @@ from . import divider, multiplier, reducer, trace
 from .codes import (
     MultiRowCode,
     QuadSignedCode,
+    int_string_limit,
     make_from_value,
     quad_from_value,
     quad_negate,
@@ -98,6 +99,15 @@ def _unsigned_row(value: Fraction) -> MultiRowCode:
     """Canonical 1-row encoding of |value| at its natural alignment."""
     mag = abs(value)
     return make_from_value(mag, 1, None, 2, -(mag.denominator.bit_length() - 1))
+
+
+def _literal(tok: Token) -> int:
+    """An integer literal's value; one past the int-string limit is an error."""
+    limit = int_string_limit()
+    if 0 < limit < len(tok.text):
+        raise EvalError(f"integer literal has {len(tok.text)} digits, past Python's "
+                        f"limit of {limit}", tok.pos)
+    return int(tok.text)
 
 
 class _Parser:
@@ -174,10 +184,6 @@ class _Parser:
             x, z, k, iters = (
                 self._int_arg(a, "div", p) for a, p in zip(args, argpos)
             )
-            if z == 0:
-                raise EvalError("div by zero", name.pos)
-            if k < 1 or iters < 1:
-                raise EvalError("div needs k >= 1 and iters >= 1", name.pos)
             try:
                 divider.check_printable(k, iters)
                 digits, _ = divider.divide(x, z, k, iters)
@@ -215,15 +221,16 @@ class _Parser:
     def _atom(self) -> QuadSignedCode:
         tok = self._next()
         if tok.kind == "num":
-            value = Fraction(int(tok.text))
+            value = Fraction(_literal(tok))
             if self._peek().kind == "op" and self._peek().text == "/":
                 self._next()
                 den = self._next()
                 if den.kind != "num":
                     raise EvalError("expected integer after '/'", den.pos)
-                if int(den.text) == 0:
+                den_value = _literal(den)
+                if den_value == 0:
                     raise EvalError("zero denominator", den.pos)
-                value = Fraction(int(tok.text), int(den.text))
+                value /= den_value
             if value.denominator & (value.denominator - 1):
                 raise EvalError(
                     f"{value} is not representable at radix 2", tok.pos

@@ -26,7 +26,7 @@ import numpy as np
 from .codes import MultiRowCode, pack_rows, scale_fraction, scaled_value, stack_rows
 from .compressor import oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
-from .reducer import next_row_count, reduce_to_two, stage_plan
+from .reducer import next_row_count, reduce_to_two, stage_plan, trapezoid_geometry
 
 ADDITIVE_OPERANDS = ("c", "d", "e", "g", "h", "l")
 REFERENCE_WIDTH = 24
@@ -167,12 +167,11 @@ def map_accumulate(cfg: MapConfig, steps) -> MapState:
     if cfg.mode != "accumulate":
         raise ValueError("config mode must be 'accumulate'")
     state = map_new(cfg)
+    names = ("a", "b", *ADDITIVE_OPERANDS[:-2])  # all but H and L
     for operands in steps:
-        unknown = set(operands) - {"a", "b", "c", "d", "e", "g"}
+        unknown = set(operands) - set(names)
         if unknown:
-            raise ValueError(
-                f"accumulate steps take a/b/c/d/e/g only, got {sorted(unknown)}"
-            )
+            raise ValueError(f"accumulate steps take {'/'.join(names)} only, got {sorted(unknown)}")
         blocks, bias = _gather(cfg, operands, feedback=state.f)
         state = _reduce_to_state(cfg, state, blocks, bias)
     return state
@@ -257,13 +256,10 @@ def map_gate_estimate(cfg: MapConfig) -> dict:
     figure, never asserted against it.
     """
     n = cfg.width
-    heights = {}
-    for j in range(n):  # product rows, diagonal occupancy
-        for c in range(j, j + n):
-            heights[c] = heights.get(c, 0) + 1
-    for _ in ADDITIVE_OPERANDS:
-        for c in range(n):
-            heights[c] = heights.get(c, 0) + 1
+    # the n product rows are skewed like the output of an n-row stage
+    heights = dict(enumerate(trapezoid_geometry(n, n).column_heights))
+    for c in range(n):
+        heights[c] += len(ADDITIVE_OPERANDS)
     counter_gates = 0
     stages = 0
     while max(heights.values()) > 2:

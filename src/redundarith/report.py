@@ -22,7 +22,8 @@ import numpy as np
 from . import accumulator, divider, map_unit, multiplier, oracle, reducer
 from .codes import MultiRowCode, make_from_value, value_of
 from .compressor import (
-    delay_levels,
+    golden_costs,
+    golden_delay_bands,
     load_golden,
     oca_cost_structural,
     plan_tree,
@@ -112,19 +113,15 @@ def _report_2_1() -> Report:
 
 
 def _report_3_1() -> Report:
-    data = load_golden("table_3_1.json")
-    known = {entry["m"]: entry["note"] for entry in data.get("known_anomalies", [])}
+    known = {e["m"]: e["note"] for e in load_golden("table_3_1.json").get("known_anomalies", [])}
     report = Report(
         kind="3.1",
         columns=["m", "delay", "tree_depth", "agrees"],
         rows=[],
     )
-    for band in data["bands"]:
-        depths = []
-        for m in range(band["lo"], band["hi"] + 1):
-            levels = delay_levels(m)
-            depth = tree_depth(m)
-            depths.append(depth)
+    for lo, hi, levels in golden_delay_bands():
+        depths = [tree_depth(m) for m in range(lo, hi + 1)]
+        for m, depth in enumerate(depths, start=lo):
             if levels != depth:
                 if m in known:
                     report.flags.append(f"m={m}: {known[m]}")
@@ -137,11 +134,11 @@ def _report_3_1() -> Report:
             if min(depths) == max(depths)
             else f"{min(depths)}..{max(depths)}"
         )
-        flagged = any(band["lo"] <= k <= band["hi"] for k in known)
+        flagged = any(lo <= k <= hi for k in known)
         report.rows.append(
             {
-                "m": f"{band['lo']}..{band['hi']}",
-                "delay": f"{band['levels']}*t_and + t_cc",
+                "m": f"{lo}..{hi}",
+                "delay": f"{levels}*t_and + t_cc",
                 "tree_depth": span,
                 "agrees": "see notes" if flagged else "ok",
             }
@@ -166,13 +163,8 @@ def _report_3_2() -> Report:
         ],
         rows=[],
     )
-    ms = list(data["m"])
-    sigma = dict(zip(ms, data["sigma_and"]))
-    for entry in data["extra"]:
-        ms.append(entry["m"])
-        sigma[entry["m"]] = entry["sigma_and"]
     counts_index = {m: i for i, m in enumerate(data["m"])}
-    for m in ms:
+    for m, sigma_and in golden_costs().items():
         golden_counts = None
         if m in counts_index:
             golden_counts = tuple(
@@ -192,22 +184,22 @@ def _report_3_2() -> Report:
                 report.mismatches.append(
                     f"table counts at m={m}: golden {golden_counts}, derived {derived_counts}"
                 )
-        if exact != sigma[m]:
+        if exact != sigma_and:
             if m in sigma_known:
                 report.flags.append(
-                    f"m={m}: sigma_and {sigma[m]} breaks monotonicity; "
+                    f"m={m}: sigma_and {sigma_and} breaks monotonicity; "
                     f"exact-cell model gives {exact}"
                 )
             else:
                 report.mismatches.append(
-                    f"sigma_and at m={m}: golden {sigma[m]}, exact-cell model {exact}"
+                    f"sigma_and at m={m}: golden {sigma_and}, exact-cell model {exact}"
                 )
         report.rows.append(
             {
                 "m": m,
                 "tables": "/".join(str(c) for c in golden_counts) if golden_counts else None,
                 "tables_derived": "/".join(str(c) for c in derived_counts),
-                "sigma_and": sigma[m],
+                "sigma_and": sigma_and,
                 "structural_exact": exact,
                 "structural_square": square,
             }
@@ -244,9 +236,6 @@ class FuzzResult:
                 f"FAIL op={f['op']} trial={f['trial']} width={f['width']}: {f['detail']}"
             )
         return "\n".join(lines) + "\n"
-
-
-FUZZ_OPS = ("reduce", "add", "mul", "mac", "div", "map", "acc")
 
 
 def _random_code(rng, rows: int, width: int, radix: int) -> MultiRowCode:
@@ -332,10 +321,10 @@ def _check_div(rng, width: int):
 def _check_map(rng, width: int):
     n = max(width, 2)
     cfg = map_unit.MapConfig(width=n, mode="one-shot")
-    vals = {name: int(rng.integers(0, 1 << n)) for name in ("a", "b", "c", "d", "e", "g", "h", "l")}
+    vals = {name: int(rng.integers(0, 1 << n)) for name in ("a", "b", *map_unit.ADDITIVE_OPERANDS)}
     ops = {name: make_from_value(v, 1, n) for name, v in vals.items()}
     state = map_unit.map_eval(cfg, **ops)
-    want = vals["a"] * vals["b"] + sum(vals[k] for k in ("c", "d", "e", "g", "h", "l"))
+    want = vals["a"] * vals["b"] + sum(vals[k] for k in map_unit.ADDITIVE_OPERANDS)
     if map_unit.map_total(state) != want:
         return f"map total {map_unit.map_total(state)} != {want}"
     return None
@@ -361,6 +350,7 @@ _CHECKS = {
     "map": (_check_map, 12),
     "acc": (_check_acc, 16),
 }
+FUZZ_OPS = tuple(_CHECKS)
 
 
 def fuzz_verify(seed: int = 0, trials: int = 100, scope=None) -> FuzzResult:

@@ -10,13 +10,16 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redundarith import _kernels, cli, codes, divider, evalexpr, map_unit, multiplier, reducer
+from redundarith import (_kernels, accumulator, cli, codes, divider, evalexpr, map_unit,
+                         multiplier, reducer)
 from redundarith.cli import main
 from redundarith.codes import make_from_value
+from redundarith.report import FUZZ_OPS, TABLE_KINDS, fuzz_verify, report_tables
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -327,9 +330,10 @@ def test_long_hex_operand_adds_exactly(capsys):
         ("mac", "1", "3", "5", "--width", "64", "--acc-width", str(cli.MAX_WIDTH)),
         ("div", "1", "3", "1", "100000"),  # a quotient past the int-string limit
         ("eval", "div(1, 3, 1, 100000)"),
+        ("eval", "1 + " + "9" * 5000),  # a literal past the int-string limit
     ),
     ids=("add", "mul", "mac", "accumulate", "mul-matrix", "mul-natural", "mac-matrix",
-         "mac-acc-matrix", "div", "eval-div"),
+         "mac-acc-matrix", "div", "eval-div", "eval-literal"),
 )
 def test_oversized_input_is_rejected_up_front(capsys, monkeypatch, argv):
     # the stream is never read: the width is checked first
@@ -356,10 +360,31 @@ def test_malformed_json_code_is_usage_error(capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", (
+    "",
+    "mrc 2 3 2\n101\n011\n",  # short header
+    "mrc 2 3 2 x\n101\n011\n",
+    "mrc 2 3 2 0\n101\n",  # a row missing
+    "mrc 1 3 2 0\n1011\n",  # a row too wide
+    "mrc 1 3 2 0\n102\n",  # a digit past the radix
+    "mrc 1 3 1 0\n000\n",
+    "mrc 1 3 2 0\n1x1\n",
+    '{"rows": 1, "width": 2, "radix": 2, "lsb_exp": 0, "digits": [[1]]}',
+    '{"rows": 1, "width": 1, "radix": 2, "digits": [[1]]}',
+    '{"rows": 1, "width": 1',
+    "[[1]]",
+))
+def test_malformed_code_on_stdin_is_usage_error(text):
+    status, out, err, exited = call(("reduce", "-"), stdin=text)
+    assert (status, out, exited) == (2, "", False)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_div_radix_and_k_are_checked_before_the_dividend(capsys):
     for argv, message in ((("1", "3", "1", "4", "--radix", "0"), "radix must be >= 2"),
                           (("1", "3", "1", "4", "--radix", "1"), "radix must be >= 2"),
-                          (("20", "3", "0", "4"), "k must be >= 1")):
+                          (("20", "3", "0", "4"), "k must be >= 1"),
+                          (("1", "3", "-100", "-1000"), "iters must be >= 1")):
         code, out, err = run(capsys, "div", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -384,11 +409,11 @@ def test_negative_width_is_a_usage_error_naming_its_flag(capsys, monkeypatch, ar
 # many main calls in one process share one parser
 
 
-def call(argv):
-    """main(argv) in this process, with one binary row on stdin: (status,
-    stdout, stderr, whether argparse exited with SystemExit)."""
+def call(argv, stdin="1\n"):
+    """main(argv) in this process, with `stdin` (one binary row by default)
+    on stdin: (status, stdout, stderr, whether argparse exited with SystemExit)."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO("1\n")), contextlib.redirect_stdout(out), \
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         try:
             return main(list(argv)), out.getvalue(), err.getvalue(), False
@@ -446,8 +471,8 @@ def test_main_is_reentrant(monkeypatch, first, second):
 # differential: every --json equals the library result
 
 
-def checked_json(*argv):
-    status, out, err, _ = call(argv)
+def checked_json(*argv, stdin="1\n"):
+    status, out, err, _ = call(argv, stdin)
     assert (status, err) == (0, ""), err
     return json.loads(out)
 
@@ -527,6 +552,57 @@ def test_map_json_equals_library(data, width, tc, addends):
     if tc:
         want["signed_total"] = str(map_unit.map_signed_total(state))
     assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from((2, 3)), st.integers(1, 9), st.integers(1, 40),
+       st.integers(-3, 3), st.booleans())
+def test_reduce_json_equals_library(data, radix, rows, width, lsb_exp, json_in):
+    digits = data.draw(st.lists(st.lists(st.integers(0, radix - 1), min_size=width,
+                                         max_size=width), min_size=rows, max_size=rows))
+    code = codes.MultiRowCode(rows, width, radix, lsb_exp, digits)
+    text = codes.to_json(code) if json_in else codes.to_text(code)
+    got = checked_json("reduce", "-", "--json", stdin=text)
+    want = code if rows == 1 else reducer.reduce_to_two(code)  # one row is emitted as given
+    assert got == codes.to_json_dict(want)
+    assert codes.value_of(want) == sum(d * Fraction(radix) ** (j + lsb_exp)
+                                       for row in digits for j, d in enumerate(row))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.sampled_from(("exact", "xor")),
+       st.lists(st.integers(0, 2**12 - 1), min_size=2, max_size=20))
+@example(width=2, pairs=True, mode="xor", raw=[3] * 8)  # the xor counter loses count here
+def test_accumulate_json_equals_library(width, pairs, mode, raw):
+    values = [v % 2**width for v in raw[: len(raw) // 2 * 2 if pairs else len(raw)]]
+    text = "".join(f"{v:0{width}b}\n" for v in values)
+    got = checked_json("accumulate", "-", "--counter-mode", mode, "--json",
+                       *(["--pairs"] if pairs else []), stdin=text)
+    bits = np.array([[v >> j & 1 for j in range(width)] for v in values])
+    ops = (bits[0::2], bits[1::2]) if pairs else (bits,)
+    acc = accumulator.acc_run(accumulator.acc_new(width, counter_mode=mode), *ops)
+    total = accumulator.acc_total(acc)
+    assert got == {"width": width, "steps": len(values) // (1 + pairs),
+                   "overflow_count": acc.overflow_count, "total": str(total)}
+    if mode == "exact":
+        assert total == sum(values)
+
+
+@pytest.mark.parametrize("table", TABLE_KINDS)
+def test_report_json_equals_library(table):
+    rep = report_tables(table)
+    assert call(("report", "--table", table, "--json")) == (rep.exit_code, rep.to_json() + "\n",
+                                                            "", False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 8),
+       st.lists(st.sampled_from(FUZZ_OPS), min_size=1, max_size=4))
+def test_fuzz_json_equals_library(seed, trials, scope):
+    got = call(("fuzz", "--seed", str(seed), "--trials", str(trials), "--scope", ",".join(scope),
+                "--json"))
+    result = fuzz_verify(seed=seed, trials=trials, scope=scope)
+    assert got == (result.exit_code, result.to_json() + "\n", "", False)
 
 
 def _literal():

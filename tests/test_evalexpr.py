@@ -52,11 +52,26 @@ def test_div_argument_validation():
     with pytest.raises(EvalError):
         evaluate("div(5, 7, 4)")  # arity
     with pytest.raises(EvalError):
-        evaluate("div(5, 0, 1, 1)")
-    with pytest.raises(EvalError):
         evaluate("div(1/2, 7, 1, 1)")  # non-integer argument
     with pytest.raises(EvalError):
         evaluate("div(22, 7, 2, 3)")  # dividend out of the divider's range
+    # the divider's own checks, reported at the call
+    for text, message in (("div(5, 0, 1, 1)", "divisor must be positive (at offset 0)"),
+                          ("1 + div(5, 7, 0, 1)", "k must be >= 1 (at offset 4)"),
+                          ("div(5, 7, 1, 0)", "iters must be >= 1 (at offset 0)"),
+                          ("div(5, 0, 0, 0)", "iters must be >= 1 (at offset 0)")):
+        with pytest.raises(EvalError) as err:
+            evaluate(text)
+        assert str(err.value) == message
+
+
+def test_literal_past_the_int_string_limit():
+    # Python will not convert it; the parser names its size at its offset
+    for text, pos in (("9" * 5000, 0), ("1 + 1/" + "2" * 5000, 6)):
+        with pytest.raises(EvalError) as err:
+            evaluate(text)
+        assert err.value.pos == pos
+        assert "has 5000 digits" in str(err.value)
 
 
 def test_signed_mixed_expression():
