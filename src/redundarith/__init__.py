@@ -8,8 +8,9 @@ re-spreading the totals diagonally.  On top of that primitive sit a
 parallel multiplier, a fused multiply-accumulate, a serial accumulator
 with an overflow counter, a high-radix divider driven by a table of
 divisor multiples, and a matrix unit combining a product with six
-addends in one reduction.  The hot kernels are plain numpy, in
-`_kernels`.  `trace.record()` collects what the engines ran (reduction
+addends in one reduction.  The hot kernels live in `_kernels`: binary
+rows are Python ints reduced by carry-save steps, other radixes numpy
+digit matrices.  `trace.record()` collects what the engines ran (reduction
 stages, divider digits, expression steps) as plain dict events.
 """
 

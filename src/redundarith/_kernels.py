@@ -1,17 +1,18 @@
-"""Hot numeric kernels, one numpy implementation each.
+"""Hot numeric kernels, one implementation each.
 
-Digit matrices are int64 arrays of shape (rows, width) with column j
-holding the digits of weight radix**j.  `MultiRowCode` rejects any code
-with rows * (radix - 1) > 2**63 - 1, so every column sum fits in int64,
-and so does every digit weight radix**h of a stage, since
-radix**(m2 - 1) <= rows * (radix - 1).  Plain int64 arithmetic is
-therefore exact in the reduction kernels.  The digit weights of a stage
-depend only on (rows, radix) and are cached per shape.
+Binary rows are Python ints, bit j in column j (`MultiRowCode.packed`).
+One carry-save step, `_carry_save`, folds three rows into a sum row and
+a carry row over whole words.  The binary reduction stage is a
+bit-sliced column counter built from it; the accumulator streams take
+one or two per step, on rows packed by `codes.pack_rows`.
+
+Radix > 2 digit matrices are int64 arrays of shape (rows, width), column
+j holding the digits of weight radix**j, reduced by one numpy stage
+body.  `MultiRowCode` rejects rows * (radix - 1) > 2**63 - 1, so every
+column sum fits in int64, and so does every digit weight radix**h of a
+stage, since radix**(m2 - 1) <= rows * (radix - 1).  The numpy body
+takes bit matrices too and is the tests' reference for the packed stage.
 Every stage reports a "reduce" event to an active `trace.record()`.
-
-The accumulator streams work on bit rows packed into Python ints (bit j
-is column j, by `codes.pack_rows` and `codes.unpack_row`), so one
-carry-save step is a handful of whole-word operations at any width.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import trace
-from .codes import pack_rows, unpack_row
+from .codes import pack_rows, unpack_rows
 
 # operand rows packed into ints at a time by the accumulator streams
 _CHUNK = 1 << 12
@@ -66,6 +67,18 @@ def _skew(block: np.ndarray) -> np.ndarray:
     return grid.ravel()[: r * (n + r - 1)].reshape(r, n + r - 1)
 
 
+def _report_stage(events: list, rows_in: int, col: np.ndarray, q: int, out: np.ndarray) -> None:
+    """Append the "reduce" event of a stage with column sums `col` and
+    output digits `out`, after checking the largest column sum against
+    its bound rows_in * (q - 1)."""
+    rows_out, width = out.shape
+    top = int(col.max(initial=0))
+    if top > rows_in * (q - 1):
+        raise RuntimeError(f"column sum {top} above its bound {rows_in}*({q}-1)")
+    events.append({"op": "reduce", "rows_in": rows_in, "rows_out": rows_out, "width": width,
+                   "radix": q, "max_column_sum": top, "digits": out})
+
+
 def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
     # reduce_to_two_digits loops over this body, not over the public
     # reduce_once_digits, so one reduction is one entry-point call
@@ -74,12 +87,7 @@ def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
     out = _skew(col // _digit_weights(digits.shape[0], q) % q)
     events = trace.sink()
     if events is not None:
-        (rows_in, _), (rows_out, width) = digits.shape, out.shape
-        top = int(col.max(initial=0))
-        if top > rows_in * (q - 1):
-            raise RuntimeError(f"column sum {top} above its bound {rows_in}*({q}-1)")
-        events.append({"op": "reduce", "rows_in": rows_in, "rows_out": rows_out, "width": width,
-                       "radix": q, "max_column_sum": top, "digits": out.copy()})
+        _report_stage(events, digits.shape[0], col, q, out.copy())
     return out
 
 
@@ -95,6 +103,70 @@ def reduce_to_two_digits(digits: np.ndarray, q: int) -> tuple[np.ndarray, int]:
         digits = _reduce_stage(digits, q)
         stages += 1
     return digits, stages
+
+
+def _carry_save(x: int, y: int, z: int) -> tuple[int, int]:
+    """Sum row and carry row of three bit rows, column by column.
+
+    The carry row stays in the columns it came from; its bits weigh
+    twice those of the sum row.
+    """
+    return x ^ y ^ z, (x & y) | (z & (x | y))
+
+
+def _column_planes(rows: list) -> list:
+    """Plane h holds bit h of every column sum of the bit rows.
+
+    Carry-save steps fold the rows of each weight three at a time, and a
+    half adder takes a last pair, until one row per weight is left.  Of
+    m rows, floor(m / 2**k) have weight 2**k, so there are m.bit_length()
+    planes: next_row_count(m, 2).
+    """
+    planes = []
+    while rows:
+        carries = []
+        while len(rows) > 2:
+            total, carry = _carry_save(rows.pop(), rows.pop(), rows.pop())
+            rows.append(total)
+            carries.append(carry)
+        if len(rows) == 2:
+            x, y = rows
+            rows = [x ^ y]
+            carries.append(x & y)
+        planes.append(rows[0])
+        rows = carries
+    return planes
+
+
+def _packed_stage(rows, width: int) -> tuple[list, int]:
+    """Plane h of the column sums, shifted h columns, is output row h.
+
+    Zero rows add nothing to a column sum, so only the others are
+    counted, and zero rows pad their planes to m.bit_length().
+    """
+    out = [plane << h for h, plane in enumerate(_column_planes([row for row in rows if row]))]
+    out += [0] * (len(rows).bit_length() - len(out))
+    out_width = width + len(out) - 1
+    events = trace.sink()
+    if events is not None:
+        col = unpack_rows(rows, width).sum(axis=0)  # digit matrices only under a recorder
+        _report_stage(events, len(rows), col, 2, unpack_rows(out, out_width))
+    return out, out_width
+
+
+def reduce_once_packed(rows, width: int) -> tuple[list, int]:
+    """One reduction stage of packed binary rows; returns the rows and their width."""
+    return _packed_stage(rows, width)
+
+
+def reduce_to_two_packed(rows, width: int) -> tuple[list, int, int]:
+    """Reduce packed binary rows until two remain; returns the rows, their
+    width and the stage count."""
+    stages = 0
+    while len(rows) > 2:
+        rows, width = _packed_stage(rows, width)
+        stages += 1
+    return rows, width, stages
 
 
 def popcount_batch(bits: np.ndarray) -> np.ndarray:
@@ -113,17 +185,13 @@ def popcount_batch(bits: np.ndarray) -> np.ndarray:
     return counts[:, 0]
 
 
-def _full_adder(x: int, y: int, z: int) -> tuple[int, int]:
-    """Sum word and carry word (moved up one column) of three bit rows."""
-    return x ^ y ^ z, ((x & y) | (z & (x | y))) << 1
-
-
 def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -> int:
     """Carry-save steps over the (n+1)-slot rows s and c, in place.
 
     Every step first moves the top slots (weight 2**n) to the counter,
-    by sum or, in the xor variant, by xor.  A one-row step is one full
-    adder; a two-row step folds (a, b, c) and then (s, p, g).  A one-row
+    by sum or, in the xor variant, by xor.  A one-row step is one
+    carry-save step whose carry row moves up one column (a full adder);
+    a two-row step folds (a, b, c) and then (s, p, g).  A one-row
     step's top carry goes to the counter at once, so it never stays in
     the top slot.  Returns the overflow count added.
     """
@@ -138,15 +206,15 @@ def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -
             overflow += (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
             sw &= mask
             cw &= mask
-            if ops_b is None:
-                sw, cw = _full_adder(sw, a, cw)
-            else:
-                sw, cw = _full_adder(sw, *_full_adder(a, b, cw))
+            if ops_b is not None:
+                a, g = _carry_save(a, b, cw)
+                cw = g << 1
+            sw, cw = _carry_save(sw, a, cw)
+            cw <<= 1
     if ops_b is None and ops_a.shape[0]:
         overflow += cw >> n
         cw &= mask
-    s[:] = unpack_row(sw, s.shape[0])
-    c[:] = unpack_row(cw, c.shape[0])
+    s[:], c[:] = unpack_rows((sw, cw), n + 1)
     return overflow
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .codes import MultiRowCode, pack_rows, scale_fraction, stack_rows
+from .codes import MultiRowCode, pack_rows, scale_fraction, unpack_rows
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def _operand_bits(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> np
         raise ValueError(f"expected a {rows}-row operand, got {operand.rows}")
     if operand.width > acc.width:
         raise ValueError("operand wider than the accumulator grid")
-    return stack_rows((operand.digits,), acc.width)
+    return unpack_rows(operand.packed, acc.width)
 
 
 def _check_bits(name: str, arr: np.ndarray) -> None:

@@ -177,7 +177,7 @@ def _rows_from_lines(text: str, width: int | None):
     for i, row in enumerate(rows):
         if len(row) > w:
             raise ValueError(f"operand row {i + 1} wider than --width {w}")
-    return np.array([codes.unpack_row(int(row, 2), w) for row in rows])
+    return codes.unpack_rows([int(row, 2) for row in rows], w)
 
 
 def _cmd_accumulate(args) -> int:

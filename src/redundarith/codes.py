@@ -6,7 +6,9 @@ plain weighted sum over all rows, so a number has many representations
 and addition can be done without carry propagation (see reducer).
 
 Columns are indexed LSB-first internally; the text format prints rows
-MSB-first because that is what humans expect to read.
+MSB-first because that is what humans expect to read.  A binary code
+holds each row as one int, bit j in column j, and builds its digit
+matrix only when it is read; the numpy matrix is the storage at radix > 2.
 """
 
 from __future__ import annotations
@@ -58,17 +60,27 @@ def _as_digit_matrix(digits, rows: int, width: int, radix: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class MultiRowCode:
-    """Immutable m x n digit matrix with per-column weights q**(j + lsb_exp)."""
+    """Immutable m x n digit matrix with per-column weights q**(j + lsb_exp).
+
+    A radix-2 code holds its rows as ints in `packed`, bit j in column j,
+    and builds the read-only int64 `digits` matrix from them on first
+    read.  At any other radix `packed` is None and `digits` is the matrix
+    itself.  The constructor takes a digit matrix at every radix.
+    """
 
     rows: int
     width: int
     radix: int
     lsb_exp: int
-    digits: np.ndarray
+    packed: tuple | None
+
+    def __init__(self, rows: int, width: int, radix: int, lsb_exp: int, digits):
+        vars(self).update(rows=rows, width=width, radix=radix, lsb_exp=lsb_exp, _digits=digits)
+        self.__post_init__()
 
     def __post_init__(self):
+        # the constructor's checks; a code built from packed rows skips them
         if self.rows < 1:
             raise ValueError("rows must be >= 1")
         if self.width < 0:
@@ -82,11 +94,18 @@ class MultiRowCode:
                 f"{self.rows} rows at radix {self.radix}: column sums can "
                 f"exceed 2**63 - 1"
             )
-        object.__setattr__(
-            self,
-            "digits",
-            _as_digit_matrix(self.digits, self.rows, self.width, self.radix),
-        )
+        digits = _as_digit_matrix(self._digits, self.rows, self.width, self.radix)
+        packed = tuple(pack_rows(digits)) if self.radix == 2 else None
+        vars(self).update(packed=packed, _digits=digits)
+
+    @property
+    def digits(self) -> np.ndarray:
+        if self._digits is None:
+            vars(self)["_digits"] = unpack_rows(self.packed, self.width)
+        return self._digits
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultiRowCode is immutable: cannot set {name}")
 
     @classmethod
     def from_digits(cls, digits, radix: int = 2, lsb_exp: int = 0) -> "MultiRowCode":
@@ -101,6 +120,8 @@ class MultiRowCode:
     def zero(
         cls, rows: int, width: int, radix: int = 2, lsb_exp: int = 0
     ) -> "MultiRowCode":
+        if radix == 2 and rows >= 1 and width >= 0:
+            return packed_code((0,) * rows, width, lsb_exp)
         return cls(rows, width, radix, lsb_exp, np.zeros((rows, width), np.int64))
 
     def __eq__(self, other) -> bool:
@@ -118,29 +139,38 @@ class MultiRowCode:
         )
 
 
-def stack_rows(blocks, width: int | None = None) -> np.ndarray:
-    """The rows of each 2-D digit block, in order, as one int64 matrix.
+def packed_code(rows, width: int, lsb_exp: int = 0) -> MultiRowCode:
+    """A radix-2 code over the given rows, each an int below 2**width with
+    bit j in column j.  The engines that call it keep that range by
+    construction, so it is not checked and no digit matrix is built."""
+    code = object.__new__(MultiRowCode)
+    vars(code).update(rows=len(rows), width=width, radix=2, lsb_exp=lsb_exp,
+                      packed=tuple(rows), _digits=None)
+    return code
 
-    Every row is zero-padded on the MSB side to the widest block, or to
-    `width` if that is wider.  A (k, 0) block adds k zero rows.
+
+def stack_codes(parts, width: int = 0) -> MultiRowCode:
+    """The rows of codes of one radix and lsb_exp, in order, as one code.
+
+    It is as wide as the widest part, or `width` if that is wider; every
+    row is zero-padded on the MSB side.
     """
-    height, w = 0, width or 0
-    for block in blocks:
-        rows, cols = block.shape
-        height += rows
-        w = max(w, cols)
-    out = np.zeros((height, w), dtype=np.int64)
+    first = parts[0]
+    width = max(width, *(part.width for part in parts))
+    if first.radix == 2:
+        return packed_code([row for part in parts for row in part.packed], width, first.lsb_exp)
+    digits = np.zeros((sum(part.rows for part in parts), width), dtype=np.int64)
     top = 0
-    for block in blocks:
-        rows, cols = block.shape
-        out[top : top + rows, :cols] = block
-        top += rows
-    return out
+    for part in parts:
+        digits[top : top + part.rows, : part.width] = part.digits
+        top += part.rows
+    return MultiRowCode.from_digits(digits, first.radix, first.lsb_exp)
 
 
 def pack_rows(bits) -> list:
     """Each row of a 0/1 matrix as one int, bit j in column j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
+    # np.packbits runs several times faster on uint8 than on int64 input
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1, bitorder="little")
     rows, nbytes = packed.shape
     if nbytes <= 8:
         # one uint64 word per row: a single view and tolist for tall chunks
@@ -151,16 +181,21 @@ def pack_rows(bits) -> list:
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, rows * nbytes, nbytes)]
 
 
-def unpack_row(value: int, width: int) -> np.ndarray:
-    """Bits 0 .. width-1 of a non-negative int as a 0/1 row, bit j in column j."""
-    raw = value.to_bytes(-(-width // 8), "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=width, bitorder="little")
+def unpack_rows(ints, width: int) -> np.ndarray:
+    """Bits 0 .. width-1 of each non-negative int as one row of a read-only
+    int64 0/1 matrix, bit j in column j: the inverse of pack_rows."""
+    nbytes = -(-width // 8)
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in ints), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(ints), nbytes), axis=1, count=width, bitorder="little")
+    out = bits.astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def scaled_value(code: MultiRowCode) -> int:
     """Exact integer value ignoring lsb_exp: sum of digit * radix**j."""
     if code.radix == 2:
-        return sum(pack_rows(code.digits))
+        return sum(code.packed)
     total = 0
     for d in reversed(code.digits.sum(axis=0, dtype=np.int64).tolist()):
         total = total * code.radix + d
@@ -236,8 +271,10 @@ def make_from_value(
     width = max(ndigits, 1) if width is None else width
     if ndigits > width:
         raise WidthOverflowError(f"{_echo(value)} does not fit in width {width} at radix {radix}")
+    if radix == 2:
+        return packed_code((n,) + (0,) * (rows - 1), width, lsb_exp)
     digits = np.zeros((rows, width), dtype=np.int64)
-    digits[0] = unpack_row(n, width) if radix == 2 else row + [0] * (width - ndigits)
+    digits[0] = row + [0] * (width - ndigits)
     return MultiRowCode(rows, width, radix, lsb_exp, digits)
 
 
@@ -336,18 +373,25 @@ def to_text(code: MultiRowCode) -> str:
 
 
 def from_text(text: str) -> MultiRowCode:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse the text format.  The header is the first non-blank line and
+    the next `rows` lines are the rows, which are empty at width 0; any
+    later line must be blank."""
+    lines = text.splitlines()
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
         raise CodeFormatError("empty input")
-    head = lines[0].split()
+    head = lines[start].split()
     if len(head) != 5 or head[0] != "mrc":
-        raise CodeFormatError(f"bad header: {lines[0]!r}")
+        raise CodeFormatError(f"bad header: {lines[start]!r}")
     try:
         rows, width, radix, lsb_exp = (int(x) for x in head[1:])
     except ValueError as exc:
-        raise CodeFormatError(f"bad header numbers: {lines[0]!r}") from exc
+        raise CodeFormatError(f"bad header numbers: {lines[start]!r}") from exc
+    body = lines[start + 1 :]
+    # a non-blank line past the rows counts as one more row
+    body = body[: max(rows, 0)] + [ln for ln in body[max(rows, 0) :] if ln.strip()]
     digits = []
-    for i, ln in enumerate(lines[1:]):
+    for i, ln in enumerate(body):
         try:
             digits.append([int(p) for p in (ln.strip() if radix <= 10 else ln.split())])
         except ValueError as exc:

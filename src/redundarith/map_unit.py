@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .codes import MultiRowCode, pack_rows, scale_fraction, scaled_value, stack_rows
+from .codes import MultiRowCode, packed_code, scale_fraction, scaled_value, stack_codes
 from .compressor import oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
 from .reducer import next_row_count, reduce_to_two, stage_plan, trapezoid_geometry
@@ -81,8 +79,8 @@ def _check_additive(cfg: MapConfig, name: str, code: MultiRowCode) -> None:
 
 
 def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
-    """Collect the digit blocks of the matrix, in row order, plus the bias
-    units introduced by complement encodings."""
+    """Collect the codes whose rows make up the matrix, in row order, plus
+    the bias units introduced by complement encodings."""
     gw = cfg.grid_width
     blocks = []
     bias = 0
@@ -106,7 +104,7 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
             if a.width > cfg.width or b.width > cfg.width:
                 raise ValueError(f"product operands wider than {cfg.width}")
             ppm = pp_matrix_unsigned(a, b)
-        blocks.append(ppm.matrix.digits)
+        blocks.append(ppm.matrix)
 
     for name in ADDITIVE_OPERANDS:
         code = operands.get(name)
@@ -120,18 +118,18 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
                 )
             if code.width < 1:
                 raise ValueError(f"operand {name}: no sign digit to extend")
-            sign = int(code.digits[0, code.width - 1])
-            ext = np.full((1, gw), sign, dtype=np.int64)
-            ext[:, : code.width - 1] = code.digits[:, : code.width - 1]
-            blocks.append(ext)
+            row = code.packed[0]
+            sign = row >> (code.width - 1)
+            # the two's-complement value modulo 2**gw: the row sign-extended
+            blocks.append(packed_code(((row - (sign << code.width)) % (1 << gw),), gw, cfg.lsb_exp))
             bias += sign
         else:
-            blocks.append(code.digits)
+            blocks.append(code)
 
     if feedback is not None:
         if feedback.width > gw:
             raise ValueError("feedback wider than the grid")
-        blocks.append(feedback.digits)
+        blocks.append(feedback)
 
     return blocks, bias
 
@@ -140,11 +138,11 @@ def _reduce_to_state(cfg: MapConfig, state: MapState, blocks, bias: int) -> MapS
     gw = cfg.grid_width
     if not blocks:
         return state
-    # the stack is at least gw wide, so the reduced F is too
-    stacked = stack_rows(blocks, gw)
-    digits = reduce_to_two(MultiRowCode.from_digits(stacked, 2, cfg.lsb_exp)).digits
-    overflow = state.overflow_count + sum(pack_rows(digits[:, gw:]))
-    f = MultiRowCode(2, gw, 2, cfg.lsb_exp, digits[:, :gw])
+    # the stack is at least gw wide, so the reduced F is too; digits past
+    # the grid go to the overflow counter
+    rows = reduce_to_two(stack_codes(blocks, gw)).packed
+    overflow = state.overflow_count + sum(row >> gw for row in rows)
+    f = packed_code([row & ((1 << gw) - 1) for row in rows], gw, cfg.lsb_exp)
     return MapState(
         config=cfg,
         f=f,

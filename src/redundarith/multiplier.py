@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import _kernels
-from .codes import MultiRowCode, scale_fraction, scaled_value, stack_rows
+from .codes import MultiRowCode, packed_code, scale_fraction, scaled_value, stack_codes
 from .reducer import reduce_delay, reduce_once, reduce_to_two, stage_plan
 
 
@@ -44,19 +42,22 @@ def _check_operand(code: MultiRowCode, min_width: int = 1) -> None:
 def signed_operand_value(code: MultiRowCode) -> Fraction:
     """Two's-complement reading of a one-row code: top digit weighs negative."""
     _check_operand(code, min_width=2)
-    sign = int(code.digits[0, code.width - 1])
-    raw = scaled_value(code)
+    raw = code.packed[0]
+    sign = raw >> (code.width - 1)
     return scale_fraction(raw - (sign << code.width), 2, code.lsb_exp)
+
+
+def _partial_products(x: int, y: int, count: int) -> list:
+    """Row j is x shifted j columns where bit j of y is set, else 0."""
+    return [x << j if y >> j & 1 else 0 for j in range(count)]
 
 
 def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
     """Partial products of two unsigned one-row codes; value = a*b."""
     _check_operand(a)
     _check_operand(b)
-    out = _kernels.pp_unsigned_digits(a.digits[0], b.digits[0])
-    matrix = MultiRowCode(
-        out.shape[0], out.shape[1], 2, a.lsb_exp + b.lsb_exp, out
-    )
+    rows = _partial_products(a.packed[0], b.packed[0], b.width)
+    matrix = packed_code(rows, a.width + b.width - 1, a.lsb_exp + b.lsb_exp)
     return PartialProductMatrix(matrix=matrix, bias_scaled=0)
 
 
@@ -72,21 +73,17 @@ def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
     _check_operand(b, min_width=2)
     if a.width != b.width:
         raise ValueError("signed operands must share a width")
-    w = a.width
-    n = w - 1
-    abits = a.digits[0]
-    bbits = b.digits[0]
-    a_sign = int(abits[n])
-    b_sign = int(bbits[n])
-    width = 2 * n + 1
-    rows = np.zeros((n + 3, width), dtype=np.int64)
+    n = a.width - 1
+    ones = (1 << n) - 1
+    a_sign, b_sign = a.packed[0] >> n, b.packed[0] >> n
+    a_mag, b_mag = a.packed[0] & ones, b.packed[0] & ones
     # magnitude * magnitude, the unsigned partial products of n digits
-    rows[:n, : 2 * n - 1] = _kernels.pp_unsigned_digits(abits[:n], bbits[:n])
-    rows[n, n : 2 * n] = 1 - a_sign * bbits[:n]  # -(sign_a * mag_b), inverted
-    rows[n, 2 * n] = a_sign * b_sign  # sign * sign
-    rows[n + 1, n : 2 * n] = 1 - b_sign * abits[:n]  # -(sign_b * mag_a), inverted
-    rows[n + 2, n + 1] = 1  # constant correction
-    matrix = MultiRowCode(n + 3, width, 2, a.lsb_exp + b.lsb_exp, rows)
+    rows = _partial_products(a_mag, b_mag, n)
+    # -(sign_a * mag_b), inverted, and sign * sign
+    rows.append((ones ^ b_mag * a_sign) << n | (a_sign & b_sign) << 2 * n)
+    rows.append((ones ^ a_mag * b_sign) << n)  # -(sign_b * mag_a), inverted
+    rows.append(1 << (n + 1))  # constant correction
+    matrix = packed_code(rows, 2 * n + 1, a.lsb_exp + b.lsb_exp)
     return PartialProductMatrix(matrix=matrix, bias_scaled=1 << (2 * n + 1))
 
 
@@ -159,8 +156,7 @@ def fused_mac(
     mat = ppm.matrix
     for _ in range(s):
         mat = reduce_once(mat)
-    stacked = stack_rows((mat.digits, f_prev.digits))
-    return reduce_to_two(MultiRowCode.from_digits(stacked, 2, f_prev.lsb_exp))
+    return reduce_to_two(stack_codes((mat, f_prev)))
 
 
 def mul_delay(n: int, accounting: str = "aggregate") -> int:

@@ -17,11 +17,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import SHAPE_CACHE_SIZE, next_row_count
-from .codes import MultiRowCode, QuadSignedCode, quad_negate, stack_rows
+from .codes import MultiRowCode, QuadSignedCode, packed_code, quad_negate, stack_codes
 from .compressor import FINAL_3TO2_LEVELS, T_CC_REDUCE_TOTAL, oca_delay, tree_depth
-
-# a row of no digits, which stack_rows pads to a zero row
-_EMPTY_ROW = np.zeros((1, 0), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -60,17 +57,16 @@ def reduce_once(code: MultiRowCode) -> MultiRowCode:
     """One reduction stage.  Requires at least 3 rows."""
     if code.rows < 3:
         raise ValueError("reduce_once requires >= 3 rows")
+    if code.radix == 2:
+        return packed_code(*_kernels.reduce_once_packed(code.packed, code.width), code.lsb_exp)
     out = _kernels.reduce_once_digits(code.digits, code.radix)
-    return MultiRowCode(
-        out.shape[0], out.shape[1], code.radix, code.lsb_exp, out
-    )
+    return MultiRowCode.from_digits(out, code.radix, code.lsb_exp)
 
 
 def _pad_to_two(code: MultiRowCode) -> MultiRowCode:
     if code.rows >= 2:
         return code
-    digits = stack_rows((code.digits, _EMPTY_ROW))
-    return MultiRowCode(2, code.width, code.radix, code.lsb_exp, digits)
+    return stack_codes((code, MultiRowCode.zero(1, 0, code.radix, code.lsb_exp)))
 
 
 def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
@@ -78,22 +74,27 @@ def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
     code = _pad_to_two(code)
     if code.rows == 2:
         return code
-    out, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
+    if code.radix == 2:
+        rows, width, stages = _kernels.reduce_to_two_packed(code.packed, code.width)
+        out = packed_code(rows, width, code.lsb_exp)
+    else:
+        digits, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
+        out = MultiRowCode.from_digits(digits, code.radix, code.lsb_exp)
     planned = stage_plan(code.rows, code.radix).stages
     if stages != planned:
         raise RuntimeError(f"reduction ran {stages} stages, stage_plan gives {planned}")
-    return MultiRowCode(2, out.shape[1], code.radix, code.lsb_exp, out)
+    return out
 
 
 def _trim_msb_zeros(code: MultiRowCode, min_width: int) -> MultiRowCode:
+    if code.radix == 2:
+        keep = max(min_width, *(row.bit_length() for row in code.packed))
+        return code if keep == code.width else packed_code(code.packed, keep, code.lsb_exp)
     nonzero = np.nonzero(code.digits.any(axis=0))[0]
-    used = int(nonzero[-1]) + 1 if nonzero.size else 0
-    keep = max(used, min_width)
+    keep = max(int(nonzero[-1]) + 1 if nonzero.size else 0, min_width)
     if keep == code.width:
         return code
-    return MultiRowCode(
-        code.rows, keep, code.radix, code.lsb_exp, code.digits[:, :keep].copy()
-    )
+    return MultiRowCode.from_digits(code.digits[:, :keep], code.radix, code.lsb_exp)
 
 
 def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
@@ -109,10 +110,8 @@ def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
         raise ValueError("radix mismatch")
     if a.lsb_exp != b.lsb_exp:
         raise ValueError("lsb_exp mismatch; align operands explicitly first")
-    w = max(a.width, b.width)
-    stacked = stack_rows((a.digits, b.digits))
-    out = reduce_to_two(MultiRowCode(4, w, a.radix, a.lsb_exp, stacked))
-    return _trim_msb_zeros(out, w)
+    out = reduce_to_two(stack_codes((a, b)))
+    return _trim_msb_zeros(out, max(a.width, b.width))
 
 
 def quad_add(x: QuadSignedCode, y: QuadSignedCode) -> QuadSignedCode:

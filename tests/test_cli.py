@@ -88,19 +88,19 @@ def test_reduce_trace_reduces_once(capsys, tmp_path, monkeypatch):
     plan = reducer.stage_plan(9, 2)
     want = codes.to_text(reducer.reduce_to_two(codes.from_text(text)))
     stages = []
-    once, to_two = _kernels.reduce_once_digits, _kernels.reduce_to_two_digits
+    once, to_two = _kernels.reduce_once_packed, _kernels.reduce_to_two_packed
 
-    def count_once(digits, q):
+    def count_once(rows, width):
         stages.append(1)
-        return once(digits, q)
+        return once(rows, width)
 
-    def count_to_two(digits, q):
-        out, n = to_two(digits, q)
+    def count_to_two(rows, width):
+        out, out_width, n = to_two(rows, width)
         stages.append(n)
-        return out, n
+        return out, out_width, n
 
-    monkeypatch.setattr(_kernels, "reduce_once_digits", count_once)
-    monkeypatch.setattr(_kernels, "reduce_to_two_digits", count_to_two)
+    monkeypatch.setattr(_kernels, "reduce_once_packed", count_once)
+    monkeypatch.setattr(_kernels, "reduce_to_two_packed", count_to_two)
     code, out, _ = run(capsys, "reduce", str(f), "--trace")
     assert code == 0
     assert sum(stages) == plan.stages
@@ -555,7 +555,7 @@ def test_map_json_equals_library(data, width, tc, addends):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from((2, 3)), st.integers(1, 9), st.integers(1, 40),
+@given(st.data(), st.sampled_from((2, 3)), st.integers(1, 9), st.integers(0, 40),
        st.integers(-3, 3), st.booleans())
 def test_reduce_json_equals_library(data, radix, rows, width, lsb_exp, json_in):
     digits = data.draw(st.lists(st.lists(st.integers(0, radix - 1), min_size=width,

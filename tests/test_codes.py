@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redundarith import codes, map_unit
 from redundarith.codes import (
     GranularityError,
     MultiRowCode,
@@ -20,13 +21,14 @@ from redundarith.codes import (
     quad_negate,
     quad_value,
     scaled_value,
-    stack_rows,
-    unpack_row,
+    stack_codes,
+    unpack_rows,
     value_of,
     with_lsb_exp,
 )
+from redundarith.multiplier import fused_mac, multiply, signed_product_value
 from redundarith.oracle import exact_scaled_value
-from redundarith.reducer import reduce_to_two
+from redundarith.reducer import add_two_row, reduce_to_two
 
 from conftest import random_code
 
@@ -34,10 +36,9 @@ from conftest import random_code
 def test_construction_validates_shape_and_digits():
     with pytest.raises(ValueError):
         MultiRowCode(2, 3, 2, 0, np.zeros((3, 3), dtype=np.int64))
-    with pytest.raises(ValueError):
-        MultiRowCode(1, 2, 2, 0, np.array([[0, 2]], dtype=np.int64))
-    with pytest.raises(ValueError):
-        MultiRowCode(1, 2, 2, 0, np.array([[0, -1]], dtype=np.int64))
+    for bad in (2, -1):  # radix 2 packs its rows, after the same check
+        with pytest.raises(ValueError, match=r"^digits out of range for radix 2$"):
+            MultiRowCode(1, 2, 2, 0, np.array([[0, bad]], dtype=np.int64))
     with pytest.raises(ValueError):
         MultiRowCode(1, 2, 1, 0, np.zeros((1, 2), dtype=np.int64))
     for digit in (2**64 - 1, 2**70):  # too wide for int64
@@ -66,6 +67,53 @@ def test_digits_are_read_only():
     code = MultiRowCode.zero(2, 4, 2, 0)
     with pytest.raises(ValueError):
         code.digits[0, 0] = 1
+    with pytest.raises(AttributeError):
+        code.width = 3
+
+
+def test_binary_engines_build_no_digit_matrix(monkeypatch):
+    calls = []
+    real = codes.unpack_rows
+
+    def counting(ints, width):
+        calls.append(width)
+        return real(ints, width)
+
+    monkeypatch.setattr(codes, "unpack_rows", counting)
+    for w in (1, 8, 24, 64):
+        a, b = make_from_value(2**w - 1, 1, w), make_from_value(w, 1, w)
+        assert value_of(multiply(a, b)) == (2**w - 1) * w
+        if w > 1:
+            assert signed_product_value(multiply(a, b, signed=True), w) == -w
+        f = make_from_value(3, 2, 2 * w)
+        assert value_of(fused_mac(f, a, b)) == (2**w - 1) * w + 3
+        assert value_of(add_two_row(f, f)) == 6
+        if w > 1:
+            state = map_unit.map_eval(map_unit.MapConfig(w), a=a, b=b, c=a)
+            assert map_unit.map_total(state) == (2**w - 1) * (w + 1)
+    assert calls == []
+    out = multiply(a, b)
+    assert out.digits is out.digits  # built on the first read only
+    assert calls == [out.width]
+
+
+def test_lazy_digits_equal_the_constructed_matrix(rng):
+    for width in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+        for rows in (1, 2, 5):
+            value = int.from_bytes(rng.bytes(17), "little") % 2**width
+            lazy = make_from_value(value, rows, width)
+            digits = lazy.digits
+            assert digits.dtype == np.int64 and digits.shape == (rows, width)
+            assert not digits.flags.writeable and digits.flags.c_contiguous
+            built = np.zeros((rows, width), dtype=np.int64)
+            built[0] = [value >> j & 1 for j in range(width)]
+            code = MultiRowCode(rows, width, 2, 0, built)
+            np.testing.assert_array_equal(digits, code.digits)
+            assert code.packed == lazy.packed
+    for _ in range(20):  # a reduced code's rows, packed again from its digits
+        out = reduce_to_two(random_code(rng, int(rng.integers(3, 40)), int(rng.integers(0, 70))))
+        again = MultiRowCode(2, out.width, 2, 0, out.digits)
+        assert again.packed == out.packed and again.digits.dtype == np.int64
 
 
 def test_value_matches_slow_reference(rng):
@@ -95,7 +143,8 @@ def test_pack_rows_and_unpack_row_round_trip(rng):
                 assert len(ints) == rows
                 assert sum(ints) == exact_scaled_value(bits.tolist(), 2)
                 assert all(x < 1 << width for x in ints)
-                back = np.array([unpack_row(x, width) for x in ints]).reshape(rows, width)
+                back = unpack_rows(ints, width)
+                assert back.shape == (rows, width) and back.dtype == np.int64
                 assert np.array_equal(back, bits)
 
 
@@ -221,15 +270,16 @@ def test_scaled_value_hypothesis(rows, width, radix, data):
     assert scaled_value(code) == exact_scaled_value(digits, radix)
 
 
-def test_stack_rows_pads_each_block_on_the_msb_side():
-    a = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
-    b = np.array([[7]], dtype=np.int64)
-    empty = np.zeros((1, 0), dtype=np.int64)
-    assert stack_rows((a, b)).tolist() == [[1, 2, 3], [4, 5, 6], [7, 0, 0]]
-    assert stack_rows((b, empty, a), 4).tolist() == [
-        [7, 0, 0, 0], [0, 0, 0, 0], [1, 2, 3, 0], [4, 5, 6, 0],
-    ]
-    # a width below the widest block does not cut it
-    assert stack_rows((a,), 1).tolist() == a.tolist()
-    out = stack_rows((a,))
-    assert out.dtype == np.int64 and out is not a
+def test_stack_codes_pads_each_part_on_the_msb_side():
+    for radix in (2, 3):
+        a = MultiRowCode(2, 3, radix, -1, [[1, 0, 1], [0, 1, 1]])
+        b = MultiRowCode(1, 1, radix, -1, [[1]])
+        empty = MultiRowCode.zero(1, 0, radix, -1)
+        out = stack_codes((a, b))
+        assert (out.radix, out.lsb_exp) == (radix, -1)
+        assert out.digits.tolist() == [[1, 0, 1], [0, 1, 1], [1, 0, 0]]
+        out = stack_codes((b, empty, a), 4)
+        assert out.digits.tolist() == [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]]
+        assert value_of(out) == value_of(a) + value_of(b)
+        # a width below the widest part does not cut it
+        assert stack_codes((a,), 1).digits.tolist() == a.digits.tolist()

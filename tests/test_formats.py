@@ -31,6 +31,20 @@ def test_text_round_trip(rng):
             assert np.array_equal(again.digits, code.digits)
 
 
+def test_width_zero_text_round_trip():
+    # each row of a width-0 code is an empty line, which the reader keeps
+    for radix, rows in ((2, 1), (2, 2), (3, 4), (16, 3)):
+        code = MultiRowCode.zero(rows, 0, radix, 2)
+        text = to_text(code)
+        assert text == f"mrc {rows} 0 {radix} 2\n" + "\n" * rows
+        for framed in (text, "\n \n" + text + "\n\n"):
+            again = from_text(framed)
+            assert (again.rows, again.width, again.radix, again.lsb_exp) == (rows, 0, radix, 2)
+            assert again.digits.shape == (rows, 0)
+    with pytest.raises(CodeFormatError):
+        from_text("mrc 2 0 2 0\n\n\n1\n")  # a line past the rows
+
+
 def test_text_is_msb_first():
     code = make_from_value(6, 1, 4, 2)
     assert to_text(code).splitlines()[1] == "0110"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from redundarith import _kernels
 from redundarith.codes import MultiRowCode, make_from_value, scaled_value, value_of
 from redundarith.multiplier import (
     fused_mac,
@@ -21,6 +22,38 @@ from redundarith.multiplier import (
 def _row(bits, lsb_exp=0):
     arr = np.array([bits], dtype=np.int64)
     return MultiRowCode(1, arr.shape[1], 2, lsb_exp, arr)
+
+
+def _signed_pp_reference(abits, bbits):
+    # cell by cell, the layout in pp_matrix_signed's docstring
+    n = len(abits) - 1
+    rows = np.zeros((n + 3, 2 * n + 1), dtype=np.int64)
+    for j in range(n):
+        for i in range(n):
+            rows[j, i + j] = abits[i] * bbits[j]  # magnitude * magnitude
+        rows[n, n + j] = 1 - abits[n] * bbits[j]  # -(sign_a * mag_b), inverted
+        rows[n + 1, n + j] = 1 - bbits[n] * abits[j]  # -(sign_b * mag_a), inverted
+    rows[n, 2 * n] = abits[n] * bbits[n]  # sign * sign
+    rows[n + 2, n + 1] = 1  # constant correction
+    return rows
+
+
+def test_packed_partial_products_match_the_references(rng):
+    for w in range(2, 65):
+        ones = np.ones(w, dtype=np.int64)
+        pairs = [(rng.integers(0, 2, w), rng.integers(0, 2, w)) for _ in range(3)]
+        pairs += [(ones, ones), (ones, rng.integers(0, 2, w)), (rng.integers(0, 2, w), ones)]
+        for abits, bbits in pairs:
+            a, b = _row(abits), _row(bbits)
+            short = _row(bbits[: max(1, w // 3)])  # unsigned operands may differ in width
+            for x, y in ((a, b), (a, short), (short, a)):
+                m = pp_matrix_unsigned(x, y).matrix
+                assert all(row >> m.width == 0 for row in m.packed)
+                np.testing.assert_array_equal(
+                    m.digits, _kernels.pp_unsigned_digits(x.digits[0], y.digits[0]))
+            m = pp_matrix_signed(a, b).matrix
+            assert all(row >> m.width == 0 for row in m.packed)
+            np.testing.assert_array_equal(m.digits, _signed_pp_reference(abits, bbits))
 
 
 def test_unsigned_pp_matrix_shape_and_value():

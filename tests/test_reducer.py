@@ -9,9 +9,11 @@ from redundarith import _kernels, trace
 from redundarith.codes import (
     MultiRowCode,
     make_from_value,
+    pack_rows,
     quad_from_value,
     quad_value,
     scaled_value,
+    unpack_rows,
     value_of,
 )
 from redundarith.reducer import (
@@ -133,21 +135,59 @@ def _reference_stage(digits, q):
     return out
 
 
+def _check_stage_bodies(digits, radix):
+    # one stage and a full reduction of the numpy body, and at radix 2 of
+    # the packed stage, against the per-row reference: digit for digit,
+    # in width and in stage count
+    want_once = _reference_stage(digits, radix)
+    want, want_stages = digits, 0
+    while want.shape[0] > 2:
+        want = _reference_stage(want, radix)
+        want_stages += 1
+    assert want_stages == stage_plan(digits.shape[0], radix).stages
+    np.testing.assert_array_equal(_kernels.reduce_once_digits(digits, radix), want_once)
+    got, stages = _kernels.reduce_to_two_digits(digits, radix)
+    assert stages == want_stages
+    np.testing.assert_array_equal(got, want)
+    if radix != 2:
+        return
+    packed = pack_rows(digits)
+    once, width = _kernels.reduce_once_packed(packed, digits.shape[1])
+    assert all(row >> width == 0 for row in once)
+    np.testing.assert_array_equal(unpack_rows(once, width), want_once)
+    two, width, stages = _kernels.reduce_to_two_packed(packed, digits.shape[1])
+    assert stages == want_stages and len(two) == 2
+    assert all(row >> width == 0 for row in two)
+    np.testing.assert_array_equal(unpack_rows(two, width), want)
+
+
 def test_stage_body_matches_per_row_reference(rng):
     for radix in (2, 3, 7, 10, 2**20):
         for rows in (3, 4, 5, 9, 63, 127):
             for width in (1, 2, 64):  # width 1 and 2 are below m2 for most shapes
                 full = np.full((rows, width), radix - 1, dtype=np.int64)
                 for digits in (random_code(rng, rows, width, radix).digits, full):
-                    once = _kernels.reduce_once_digits(digits, radix)
-                    np.testing.assert_array_equal(once, _reference_stage(digits, radix))
-                    want, want_stages = digits, 0
-                    while want.shape[0] > 2:
-                        want = _reference_stage(want, radix)
-                        want_stages += 1
-                    got, stages = _kernels.reduce_to_two_digits(digits, radix)
-                    assert stages == want_stages == stage_plan(rows, radix).stages
-                    np.testing.assert_array_equal(got, want)
+                    _check_stage_bodies(digits, radix)
+    # the packed binary stage over many more shapes, every seventh all ones
+    for i in range(1000):
+        rows, width = int(rng.integers(3, 130)), int(rng.integers(0, 200))
+        if i % 7 == 0:
+            digits = np.ones((rows, width), dtype=np.int64)
+        else:
+            digits = rng.integers(0, 2, size=(rows, width), dtype=np.int64)
+        _check_stage_bodies(digits, 2)
+
+
+def test_packed_stage_reports_the_numpy_stage_events(rng):
+    for rows, width in ((3, 1), (9, 4), (64, 0), (127, 33)):
+        digits = rng.integers(0, 2, size=(rows, width), dtype=np.int64)
+        with trace.record() as want:
+            _kernels.reduce_to_two_digits(digits, 2)
+        with trace.record() as got:
+            _kernels.reduce_to_two_packed(pack_rows(digits), width)
+        assert [e["digits"].dtype for e in got] == [np.int64] * len(want)
+        listed = [[{**e, "digits": e["digits"].tolist()} for e in events] for events in (got, want)]
+        assert listed[0] == listed[1]
 
 
 def test_reduce_handles_degenerate_inputs():
