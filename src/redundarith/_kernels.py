@@ -3,8 +3,15 @@
 Binary rows are Python ints, bit j in column j (`MultiRowCode.packed`).
 One carry-save step, `_carry_save`, folds three rows into a sum row and
 a carry row over whole words.  The binary reduction stage is a
-bit-sliced column counter built from it; the accumulator streams take
-one or two per step, on rows packed by `codes.pack_rows`.
+bit-sliced column counter built from it.  An accumulator stream of T
+steps on an n-column grid runs it in one of two bodies.  Up to 4n steps,
+the row loop takes one or two carry-save steps per step, on operand rows
+packed by `codes.pack_rows`.  Beyond that, the column body walks the n
+columns once, each column's operand bits over all T steps packed into
+one T-bit int: no carry moves within a step, so a column's sum bits are
+a prefix xor over time, and its carry-save majorities are the carries
+into the next column.  Each column costs a few us whatever T is, which
+short streams would not win back.
 
 Radix > 2 digit matrices are int64 arrays of shape (rows, width), column
 j holding the digits of weight radix**j, reduced by one numpy stage
@@ -24,8 +31,10 @@ import numpy as np
 from . import trace
 from .codes import pack_rows, unpack_rows
 
-# operand rows packed into ints at a time by the accumulator streams
-_CHUNK = 1 << 12
+# accumulator streams of up to this many steps per grid column run step
+# by step; longer ones run column by column, whose fixed cost of a few us
+# per column is more than such short streams save
+_ROW_STEPS_PER_COLUMN = 4
 # distinct shapes kept by each per-shape cache (digit weights, stage
 # plans, MAC injection stages)
 SHAPE_CACHE_SIZE = 1024
@@ -185,6 +194,73 @@ def popcount_batch(bits: np.ndarray) -> np.ndarray:
     return counts[:, 0]
 
 
+def _row_stream(ops_a, ops_b, sw: int, cw: int, n: int, xor_variant: bool) -> tuple:
+    """The stream step by step, on whole rows: (sw, cw, overflow)."""
+    mask = (1 << n) - 1
+    rows_a = pack_rows(ops_a)
+    rows_b = rows_a if ops_b is None else pack_rows(ops_b)
+    overflow = 0
+    for a, b in zip(rows_a, rows_b):
+        overflow += (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
+        sw &= mask
+        cw &= mask
+        if ops_b is not None:
+            a, g = _carry_save(a, b, cw)
+            cw = g << 1
+        sw, cw = _carry_save(sw, a, cw)
+        cw <<= 1
+    if ops_b is None and rows_a:
+        overflow += cw >> n
+        cw &= mask
+    return sw, cw, overflow
+
+
+def _column_stream(ops_a, ops_b, sw: int, cw: int, n: int, xor_variant: bool) -> tuple:
+    """The same stream column by column, over time: (sw, cw, overflow).
+
+    Bit t of a column's series is that column at step t.  No carry moves
+    within a step, so a column's sum bit at step t is its first bit xor
+    the xor of the column's inputs over steps 0 .. t-1: a prefix xor over
+    time, in ceil(log2 T) word-wide steps.  The carry-save majorities of
+    column j are the carries into column j + 1 one step later; a two-row
+    step's layer-1 majorities reach it in the same step.  Column n is the
+    counter: at every step after the first it receives the top slots the
+    previous step left, which are the majorities of column n - 1.
+    """
+    steps = ops_a.shape[0]
+    ones = (1 << steps) - 1
+    last = steps - 1
+    cols_a = pack_rows(ops_a.T)
+    cols_b = cols_a if ops_b is None else pack_rows(ops_b.T)
+    overflow = (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
+    s_end = c_end = 0
+    m = g = 0  # the previous column's majority series (layer 2, layer 1)
+    for j in range(n):
+        c = (m << 1 & ones) | (cw >> j & 1)  # carries into column j
+        a = cols_a[j]
+        if ops_b is not None:
+            a, g_j = _carry_save(a, cols_b[j], c)
+            c, g = g, g_j
+        x = a ^ c
+        k = 1
+        while k < steps:
+            x ^= x << k
+            k <<= 1
+        s = (x << 1 & ones) ^ (ones if sw >> j & 1 else 0)
+        s, m = _carry_save(s, a, c)
+        s_end |= (s >> last & 1) << j
+        c_end |= (m >> last & 1) << j + 1
+    if ops_b is None:
+        # the one-row flush: every top carry reaches the counter
+        return s_end, c_end & ((1 << n) - 1), overflow + m.bit_count()
+    early = ones >> 1  # top slots of steps 0 .. T-2, counted by the next step
+    if xor_variant:
+        overflow += ((g ^ m) & early).bit_count()
+    else:
+        overflow += (g & early).bit_count() + (m & early).bit_count()
+    return s_end | (g >> last & 1) << n, c_end, overflow
+
+
 def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -> int:
     """Carry-save steps over the (n+1)-slot rows s and c, in place.
 
@@ -196,24 +272,9 @@ def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -
     the top slot.  Returns the overflow count added.
     """
     n = s.shape[0] - 1
-    mask = (1 << n) - 1
     sw, cw = pack_rows((s, c))
-    overflow = 0
-    for start in range(0, ops_a.shape[0], _CHUNK):
-        rows_a = pack_rows(ops_a[start : start + _CHUNK])
-        rows_b = rows_a if ops_b is None else pack_rows(ops_b[start : start + _CHUNK])
-        for a, b in zip(rows_a, rows_b):
-            overflow += (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
-            sw &= mask
-            cw &= mask
-            if ops_b is not None:
-                a, g = _carry_save(a, b, cw)
-                cw = g << 1
-            sw, cw = _carry_save(sw, a, cw)
-            cw <<= 1
-    if ops_b is None and ops_a.shape[0]:
-        overflow += cw >> n
-        cw &= mask
+    body = _row_stream if ops_a.shape[0] <= _ROW_STEPS_PER_COLUMN * n else _column_stream
+    sw, cw, overflow = body(ops_a, ops_b, sw, cw, n, xor_variant)
     s[:], c[:] = unpack_rows((sw, cw), n + 1)
     return overflow
 

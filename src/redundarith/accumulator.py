@@ -11,6 +11,13 @@ never write it; two-row steps park the two top carries there and the
 next step feeds them to the counter.  The counter feed is exact by
 default (adds both bits); the "xor" mode combines them modulo two,
 which the tests demonstrate to be lossy when both bits are set.
+
+`acc_run` hands a whole stream to one kernel call.  Because no carry
+moves within a step, a stream of T steps can also run column by column:
+column j's sum bits over time are a prefix xor of its inputs, and its
+carries are column j + 1's inputs one step later.  The kernel runs
+streams of more than 4n steps that way and shorter ones step by step
+(see `_kernels`); both leave the same rows, top slots and counter.
 """
 
 from __future__ import annotations

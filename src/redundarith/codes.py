@@ -169,11 +169,15 @@ def stack_codes(parts, width: int = 0) -> MultiRowCode:
 
 def pack_rows(bits) -> list:
     """Each row of a 0/1 matrix as one int, bit j in column j."""
-    # np.packbits runs several times faster on uint8 than on int64 input
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1, bitorder="little")
+    # np.packbits runs several times faster on uint8 than on int64 input,
+    # and on contiguous rows than on a transposed view's strided ones.  The
+    # cast goes first: it keeps a view's memory order, and a transposing
+    # copy of uint8 costs several times less than one that also casts
+    bits = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8))
+    packed = np.packbits(bits, axis=1, bitorder="little")
     rows, nbytes = packed.shape
     if nbytes <= 8:
-        # one uint64 word per row: a single view and tolist for tall chunks
+        # one uint64 word per row: a single view and tolist for tall matrices
         words = np.zeros((rows, 8), dtype=np.uint8)
         words[:, :nbytes] = packed
         return words.view("<u8").ravel().tolist()
@@ -287,16 +291,23 @@ def with_lsb_exp(code: MultiRowCode, lsb_exp: int) -> MultiRowCode:
     shift = code.lsb_exp - lsb_exp
     if shift == 0:
         return code
+    binary = code.radix == 2
+    if shift < 0:
+        cut = -shift
+        if cut > code.width or (
+            any(row & ((1 << cut) - 1) for row in code.packed) if binary else code.digits[:, :cut].any()
+        ):
+            raise GranularityError(
+                f"cannot raise lsb_exp to {lsb_exp}: low columns are not zero"
+            )
+    if binary:
+        rows = [row << shift if shift > 0 else row >> -shift for row in code.packed]
+        return packed_code(rows, code.width + shift, lsb_exp)
     if shift > 0:
         digits = np.zeros((code.rows, code.width + shift), dtype=np.int64)
         digits[:, shift:] = code.digits
     else:
-        cut = -shift
-        if cut > code.width or code.digits[:, :cut].any():
-            raise GranularityError(
-                f"cannot raise lsb_exp to {lsb_exp}: low columns are not zero"
-            )
-        digits = code.digits[:, cut:].copy()
+        digits = code.digits[:, -shift:].copy()
     return MultiRowCode(code.rows, digits.shape[1], code.radix, lsb_exp, digits)
 
 

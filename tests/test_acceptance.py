@@ -177,6 +177,16 @@ def test_criterion_07_accumulator_losslessness():
         ops_b = rng.integers(0, 2, size=(100_000, width), dtype=np.int64)
         acc2 = acc_run(acc_new(width), ops, ops_b)
         assert acc_total(acc2) == want + int((ops_b * weights).sum())
+        # the rows too: pieces of at most 4 * width steps run row by row,
+        # the whole streams column by column
+        for whole, b in ((acc, None), (acc2, ops_b)):
+            pieces = acc_new(width)
+            for at in range(0, ops.shape[0], 4 * width):
+                part_b = None if b is None else b[at : at + 4 * width]
+                pieces = acc_run(pieces, ops[at : at + 4 * width], part_b)
+            assert np.array_equal(pieces.sum_row, whole.sum_row)
+            assert np.array_equal(pieces.carry_row, whole.carry_row)
+            assert pieces.overflow_count == whole.overflow_count
 
 
 def test_criterion_08_divider_reconstruction():

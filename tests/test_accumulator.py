@@ -193,7 +193,9 @@ def _assert_same_state(got, s, c, overflow):
 @pytest.mark.parametrize("width", [1, 2, 8, 63, 64, 65, 130])
 def test_stream_kernel_matches_per_step_reference(width):
     rng = np.random.default_rng(width)
-    for steps in (0, 1, 2, 300):
+    # streams of up to 4 * width steps run row by row, longer ones column
+    # by column; 300 is above 64 and not a whole number of bytes
+    for steps in (0, 1, 2, 4 * width, 4 * width + 1, 300):
         for rows in (1, 2):
             for mode in ("exact", "xor"):
                 s0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
@@ -216,3 +218,38 @@ def test_stream_kernel_matches_per_step_reference(width):
                 _assert_same_state(stepped, *want)
                 if steps == 0:
                     _assert_same_state(acc_run(start, ops_a, ops_b), s0, c0, start.overflow_count)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("mode", ["exact", "xor"])
+def test_split_stream_matches_whole_stream(rows, mode):
+    """A long stream run whole equals the same stream cut into pieces of
+    0 to 12 * width steps, which mix the row and column bodies, and equals
+    single steps followed by the rest in one run: whichever body leaves
+    the top slots, the next one takes them over."""
+    rng = np.random.default_rng(rows * 2 + (mode == "xor"))
+    steps = 20_000
+    for width in (1, 5, 16, 64):
+        s0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
+        c0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
+        s0[width] = c0[width] = 1  # pending top carries
+        start = AccumulatorState(width, s0, c0, 3, counter_mode=mode)
+        ops_a = rng.integers(0, 2, size=(steps, width), dtype=np.uint8)
+        ops_b = rng.integers(0, 2, size=(steps, width), dtype=np.uint8) if rows == 2 else None
+        whole = acc_run(start, ops_a, ops_b)
+        pieces = start
+        at = 0
+        while at < steps:
+            end = min(steps, at + int(rng.integers(0, 12 * width + 1)))
+            pieces = acc_run(pieces, ops_a[at:end], None if ops_b is None else ops_b[at:end])
+            at = end
+        stepped = start
+        for i in range(3):
+            if rows == 1:
+                stepped = acc_step(stepped, MultiRowCode(1, width, 2, 0, ops_a[i : i + 1]))
+            else:
+                pair = np.stack([ops_a[i], ops_b[i]])
+                stepped = acc_step2(stepped, MultiRowCode(2, width, 2, 0, pair))
+        stepped = acc_run(stepped, ops_a[3:], None if ops_b is None else ops_b[3:])
+        for got in (pieces, stepped):
+            _assert_same_state(got, whole.sum_row, whole.carry_row, whole.overflow_count)

@@ -134,11 +134,13 @@ def test_value_matches_slow_reference(rng):
 
 
 def test_pack_rows_and_unpack_row_round_trip(rng):
-    # both packer branches (one uint64 word per row, from_bytes beyond it)
-    # and the chunk height of the accumulator streams
+    # both packer branches (one uint64 word per row, from_bytes beyond it),
+    # a tall matrix, and the transposed views that give the accumulator
+    # streams their operand columns
     for width in (0, 1, 7, 8, 9, 63, 64, 65, 130):
         for rows in (1, 2, 4096):
-            for bits in (rng.integers(0, 2, (rows, width)), np.ones((rows, width), np.int64)):
+            for bits in (rng.integers(0, 2, (rows, width)), np.ones((rows, width), np.int64),
+                         rng.integers(0, 2, (width, rows), dtype=np.uint8).T):
                 ints = pack_rows(bits)
                 assert len(ints) == rows
                 assert sum(ints) == exact_scaled_value(bits.tolist(), 2)
@@ -228,6 +230,30 @@ def test_with_lsb_exp_preserves_value():
     assert value_of(with_lsb_exp(lowered, 0)) == 13
     with pytest.raises(GranularityError):
         with_lsb_exp(make_from_value(13, 1, 6, 2), 1)
+
+
+@pytest.mark.parametrize("radix", [2, 3])
+def test_with_lsb_exp_moves_digit_columns(radix):
+    """Binary codes shift their packed rows; both radixes must match the
+    digit matrix with zero columns added or dropped on the LSB side."""
+    rng = np.random.default_rng(radix)
+    for _ in range(50):
+        rows, width, shift = int(rng.integers(1, 4)), int(rng.integers(0, 70)), int(rng.integers(1, 6))
+        digits = rng.integers(0, radix, size=(rows, width), dtype=np.int64)
+        code = MultiRowCode(rows, width, radix, 0, digits)
+        lowered = with_lsb_exp(code, -shift)
+        want = np.concatenate([np.zeros((rows, shift), dtype=np.int64), digits], axis=1)
+        assert (lowered.width, lowered.lsb_exp) == (width + shift, -shift)
+        assert np.array_equal(lowered.digits, want)
+        assert np.array_equal(with_lsb_exp(lowered, 0).digits, digits)
+        if width:
+            # a nonzero digit in any row's low columns blocks the raise
+            low = digits.copy()
+            low[-1, 0] = 1
+            with pytest.raises(GranularityError, match="low columns are not zero"):
+                with_lsb_exp(MultiRowCode(rows, width, radix, 0, low), 1)
+        with pytest.raises(GranularityError, match="low columns are not zero"):
+            with_lsb_exp(code, width + 1)
 
 
 def test_equality_is_by_value_not_layout():
