@@ -11,7 +11,9 @@ columns once, each column's operand bits over all T steps packed into
 one T-bit int: no carry moves within a step, so a column's sum bits are
 a prefix xor over time, and its carry-save majorities are the carries
 into the next column.  Each column costs a few us whatever T is, which
-short streams would not win back.
+short streams would not win back.  `acc_stream` picks the body and
+takes and returns the sum and carry rows as packed ints; `acc_stream1`
+and `acc_stream2` adapt it to int64 rows updated in place.
 
 Radix > 2 digit matrices are int64 arrays of shape (rows, width), column
 j holding the digits of weight radix**j, reduced by one numpy stage
@@ -194,24 +196,34 @@ def popcount_batch(bits: np.ndarray) -> np.ndarray:
     return counts[:, 0]
 
 
-def _row_stream(ops_a, ops_b, sw: int, cw: int, n: int, xor_variant: bool) -> tuple:
-    """The stream step by step, on whole rows: (sw, cw, overflow)."""
+def row_stream(rows_a, rows_b, sw: int, cw: int, n: int, xor_variant: bool) -> tuple:
+    """The stream step by step, on packed operand rows: (sw, cw, overflow).
+
+    rows_b is None for one-row operands.  Every step first moves the top
+    slots (weight 2**n) to the counter, by sum or, in the xor variant, by
+    xor.  A one-row step is one carry-save step whose carry row moves up
+    one column (a full adder); a two-row step folds (a, b, c) and then
+    (s, p, g).  A one-row step's top carry goes to the counter at once,
+    so it never stays in the top slot.
+    """
     mask = (1 << n) - 1
-    rows_a = pack_rows(ops_a)
-    rows_b = rows_a if ops_b is None else pack_rows(ops_b)
     overflow = 0
-    for a, b in zip(rows_a, rows_b):
+    for a, b in zip(rows_a, rows_a if rows_b is None else rows_b):
         overflow += (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
         sw &= mask
         cw &= mask
-        if ops_b is not None:
+        if rows_b is not None:
             a, g = _carry_save(a, b, cw)
             cw = g << 1
         sw, cw = _carry_save(sw, a, cw)
         cw <<= 1
-    if ops_b is None and rows_a:
+    if rows_b is None and rows_a:
         overflow += cw >> n
         cw &= mask
+    events = trace.sink()
+    if events is not None:
+        events.append({"op": "stream", "rows": 1 if rows_b is None else 2, "width": n,
+                       "steps": len(rows_a), "body": "row", "overflow": overflow})
     return sw, cw, overflow
 
 
@@ -252,41 +264,49 @@ def _column_stream(ops_a, ops_b, sw: int, cw: int, n: int, xor_variant: bool) ->
         c_end |= (m >> last & 1) << j + 1
     if ops_b is None:
         # the one-row flush: every top carry reaches the counter
-        return s_end, c_end & ((1 << n) - 1), overflow + m.bit_count()
-    early = ones >> 1  # top slots of steps 0 .. T-2, counted by the next step
-    if xor_variant:
-        overflow += ((g ^ m) & early).bit_count()
+        c_end &= (1 << n) - 1
+        overflow += m.bit_count()
     else:
-        overflow += (g & early).bit_count() + (m & early).bit_count()
-    return s_end | (g >> last & 1) << n, c_end, overflow
+        early = ones >> 1  # top slots of steps 0 .. T-2, counted by the next step
+        if xor_variant:
+            overflow += ((g ^ m) & early).bit_count()
+        else:
+            overflow += (g & early).bit_count() + (m & early).bit_count()
+        s_end |= (g >> last & 1) << n
+    events = trace.sink()
+    if events is not None:
+        events.append({"op": "stream", "rows": 1 if ops_b is None else 2, "width": n,
+                       "steps": steps, "body": "column", "overflow": overflow})
+    return s_end, c_end, overflow
 
 
-def _acc_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -> int:
-    """Carry-save steps over the (n+1)-slot rows s and c, in place.
+def acc_stream(ops_a, ops_b, sw: int, cw: int, n: int, xor_variant: bool) -> tuple:
+    """Run a stream of (steps, n) operand bit matrices over the packed
+    (n+1)-bit rows sw and cw: (sw, cw, overflow added).  ops_b is None
+    for one-row operands.  Each body reports one "stream" event to an
+    active `trace.record()`."""
+    if ops_a.shape[0] <= _ROW_STEPS_PER_COLUMN * n:
+        return row_stream(pack_rows(ops_a), None if ops_b is None else pack_rows(ops_b),
+                          sw, cw, n, xor_variant)
+    return _column_stream(ops_a, ops_b, sw, cw, n, xor_variant)
 
-    Every step first moves the top slots (weight 2**n) to the counter,
-    by sum or, in the xor variant, by xor.  A one-row step is one
-    carry-save step whose carry row moves up one column (a full adder);
-    a two-row step folds (a, b, c) and then (s, p, g).  A one-row
-    step's top carry goes to the counter at once, so it never stays in
-    the top slot.  Returns the overflow count added.
-    """
+
+def _array_stream(ops_a, ops_b, s: np.ndarray, c: np.ndarray, xor_variant: bool) -> int:
     n = s.shape[0] - 1
-    sw, cw = pack_rows((s, c))
-    body = _row_stream if ops_a.shape[0] <= _ROW_STEPS_PER_COLUMN * n else _column_stream
-    sw, cw, overflow = body(ops_a, ops_b, sw, cw, n, xor_variant)
+    sw, cw, overflow = acc_stream(ops_a, ops_b, *pack_rows((s, c)), n, xor_variant)
     s[:], c[:] = unpack_rows((sw, cw), n + 1)
     return overflow
 
 
 def acc_stream1(ops, s, c, xor_variant: bool) -> int:
-    """Absorb one operand row per step; mutates s and c, returns the overflow added."""
-    return _acc_stream(ops, None, s, c, xor_variant)
+    """acc_stream on int64 bit rows s and c of n+1 slots, updated in place;
+    returns the overflow added.  The library runs acc_stream itself."""
+    return _array_stream(ops, None, s, c, xor_variant)
 
 
 def acc_stream2(ops_a, ops_b, s, c, xor_variant: bool) -> int:
-    """Absorb the two-row operand (ops_a[i], ops_b[i]) per step; as acc_stream1."""
-    return _acc_stream(ops_a, ops_b, s, c, xor_variant)
+    """The two-row operand (ops_a[i], ops_b[i]) per step; as acc_stream1."""
+    return _array_stream(ops_a, ops_b, s, c, xor_variant)
 
 
 def pp_unsigned_digits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Carry-save accumulator over a fixed n-column binary grid.
 
-State is a sum row and a carry row plus an overflow counter.  Absorbing
-a one-row operand costs a single full-adder layer per step; a two-row
-operand costs two layers.  Carries never propagate: each layer stores
-its carry one column up, and whatever leaves column n-1 is charged to
-the overflow counter at weight 2**n.
+State is a sum row and a carry row plus an overflow counter, each row
+held as one int of n+1 bits, bit j in column j.  Absorbing a one-row
+operand costs a single full-adder layer per step; a two-row operand
+costs two layers.  Carries never propagate: each layer stores its carry
+one column up, and whatever leaves column n-1 is charged to the
+overflow counter at weight 2**n.
 
 Both registers keep one slot above the grid (index n).  One-row steps
 never write it; two-row steps park the two top carries there and the
@@ -12,17 +13,20 @@ next step feeds them to the counter.  The counter feed is exact by
 default (adds both bits); the "xor" mode combines them modulo two,
 which the tests demonstrate to be lossy when both bits are set.
 
-`acc_run` hands a whole stream to one kernel call.  Because no carry
-moves within a step, a stream of T steps can also run column by column:
-column j's sum bits over time are a prefix xor of its inputs, and its
-carries are column j + 1's inputs one step later.  The kernel runs
-streams of more than 4n steps that way and shorter ones step by step
-(see `_kernels`); both leave the same rows, top slots and counter.
+`acc_step` and `acc_step2` fold the operand's packed rows into the two
+ints with `_kernels.row_stream`, and `acc_run` hands a whole bit matrix
+to `_kernels.acc_stream`; no call converts the state to bit rows.
+Because no carry moves within a step, a stream of T steps can also run
+column by column: column j's sum bits over time are a prefix xor of its
+inputs, and its carries are column j + 1's inputs one step later.  The
+kernel runs streams of more than 4n steps that way and shorter ones
+step by step (see `_kernels`); both leave the same rows, top slots and
+counter.  Each call reports one "stream" event to an active
+`trace.record()`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,42 +35,92 @@ from . import _kernels
 from .codes import MultiRowCode, pack_rows, scale_fraction, unpack_rows
 
 
-@dataclass(frozen=True)
 class AccumulatorState:
-    width: int
-    sum_row: np.ndarray  # n+1 bits, LSB first
-    carry_row: np.ndarray  # n+1 bits; bit j has weight 2**(j + lsb_exp)
-    overflow_count: int
-    lsb_exp: int = 0
-    counter_mode: str = "exact"
+    """Immutable accumulator: a sum row and a carry row of n+1 bits, bit j
+    of weight 2**(j + lsb_exp), plus the overflow counter.
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        if self.counter_mode not in ("exact", "xor"):
-            raise ValueError("counter_mode must be 'exact' or 'xor'")
-        for name in ("sum_row", "carry_row"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            if arr.shape != (self.width + 1,):
+    `packed` holds the two rows as ints, (sum, carry); `sum_row` and
+    `carry_row` are read-only int64 arrays built from them on first read.
+    The constructor takes the rows as 0/1 arrays of n+1 slots.
+    """
+
+    width: int
+    packed: tuple
+    overflow_count: int
+    lsb_exp: int
+    counter_mode: str
+
+    def __init__(self, width: int, sum_row, carry_row, overflow_count: int,
+                 lsb_exp: int = 0, counter_mode: str = "exact"):
+        _check_fields(width, overflow_count, lsb_exp, counter_mode)
+        rows = []
+        for name, row in (("sum_row", sum_row), ("carry_row", carry_row)):
+            arr = np.asarray(row, dtype=np.int64)
+            if arr.shape != (width + 1,):
                 raise ValueError(f"{name} must have width+1 slots")
             _check_bits(name, arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            rows.append(arr)
+        _fill(self, width, tuple(pack_rows(rows)), overflow_count, lsb_exp, counter_mode)
+
+    def _rows(self) -> np.ndarray:
+        if self._bits is None:
+            vars(self)["_bits"] = unpack_rows(self.packed, self.width + 1)
+        return self._bits
+
+    @property
+    def sum_row(self) -> np.ndarray:
+        return self._rows()[0]
+
+    @property
+    def carry_row(self) -> np.ndarray:
+        return self._rows()[1]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AccumulatorState is immutable: cannot set {name}")
+
+    def __repr__(self) -> str:
+        return (
+            f"AccumulatorState(width={self.width}, packed={self.packed}, "
+            f"overflow_count={self.overflow_count}, lsb_exp={self.lsb_exp}, "
+            f"counter_mode={self.counter_mode!r})"
+        )
+
+
+def _fill(acc: AccumulatorState, width, packed, overflow_count, lsb_exp, counter_mode):
+    # the engines build states here unchecked: they keep every field in
+    # range by construction
+    vars(acc).update(width=width, packed=packed, overflow_count=overflow_count,
+                     lsb_exp=lsb_exp, counter_mode=counter_mode, _bits=None)
+    return acc
+
+
+def _check_fields(width, overflow_count, lsb_exp, counter_mode) -> None:
+    # bool is an int subclass; a float lsb_exp would make totals inexact
+    for name, value in (("width", width), ("overflow_count", overflow_count), ("lsb_exp", lsb_exp)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int")
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if overflow_count < 0:
+        raise ValueError("overflow_count must be >= 0")
+    if counter_mode not in ("exact", "xor"):
+        raise ValueError("counter_mode must be 'exact' or 'xor'")
 
 
 def acc_new(width: int, lsb_exp: int = 0, counter_mode: str = "exact") -> AccumulatorState:
-    zeros = np.zeros(width + 1, dtype=np.int64)
-    return AccumulatorState(
-        width=width,
-        sum_row=zeros,
-        carry_row=zeros.copy(),
-        overflow_count=0,
-        lsb_exp=lsb_exp,
-        counter_mode=counter_mode,
-    )
+    _check_fields(width, 0, lsb_exp, counter_mode)
+    return _fill(object.__new__(AccumulatorState), width, (0, 0), 0, lsb_exp, counter_mode)
 
 
-def _operand_bits(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> np.ndarray:
+def _advanced(acc: AccumulatorState, kernel, ops_a, ops_b) -> AccumulatorState:
+    """acc after `kernel` (`_kernels.row_stream` on packed operand rows or
+    `_kernels.acc_stream` on bit matrices) ran the operands over its rows."""
+    sw, cw, overflow = kernel(ops_a, ops_b, *acc.packed, acc.width, acc.counter_mode == "xor")
+    return _fill(object.__new__(AccumulatorState), acc.width, (sw, cw),
+                 acc.overflow_count + overflow, acc.lsb_exp, acc.counter_mode)
+
+
+def _operand_rows(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> tuple:
     if operand.radix != 2:
         raise ValueError("accumulator operands must be binary")
     if operand.lsb_exp != acc.lsb_exp:
@@ -75,7 +129,7 @@ def _operand_bits(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> np
         raise ValueError(f"expected a {rows}-row operand, got {operand.rows}")
     if operand.width > acc.width:
         raise ValueError("operand wider than the accumulator grid")
-    return unpack_rows(operand.packed, acc.width)
+    return operand.packed
 
 
 def _check_bits(name: str, arr: np.ndarray) -> None:
@@ -93,7 +147,7 @@ def _step_rows(name: str, rows, width: int) -> np.ndarray:
 
 def acc_step(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
     """Absorb a one-row operand: one full-adder layer."""
-    return acc_run(acc, _operand_bits(acc, operand, rows=1))
+    return _advanced(acc, _kernels.row_stream, _operand_rows(acc, operand, rows=1), None)
 
 
 def acc_step2(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
@@ -103,8 +157,8 @@ def acc_step2(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
     that into the sum row.  The two weight-2**n carries land in the top
     slots and reach the counter on the next flush.
     """
-    ab = _operand_bits(acc, operand, rows=2)
-    return acc_run(acc, ab[:1], ab[1:])
+    a, b = _operand_rows(acc, operand, rows=2)
+    return _advanced(acc, _kernels.row_stream, (a,), (b,))
 
 
 def acc_run(
@@ -119,22 +173,13 @@ def acc_run(
     acc_step and acc_step2 are the one-step streams.
     """
     ops = _step_rows("ops", ops, acc.width)
-    s = acc.sum_row.copy()
-    c = acc.carry_row.copy()
-    xor = acc.counter_mode == "xor"
-    if ops_b is None:
-        delta = _kernels.acc_stream1(ops, s, c, xor)
-    else:
+    if ops_b is not None:
         ops_b = _step_rows("ops_b", ops_b, acc.width)
         if ops_b.shape != ops.shape:
             raise ValueError("ops_b must match ops shape")
-        delta = _kernels.acc_stream2(ops, ops_b, s, c, xor)
-    return replace(
-        acc, sum_row=s, carry_row=c, overflow_count=acc.overflow_count + delta
-    )
+    return _advanced(acc, _kernels.acc_stream, ops, ops_b)
 
 
 def acc_total(acc: AccumulatorState) -> Fraction:
     """Exact accumulated value including the overflow counter weight."""
-    rows = sum(pack_rows((acc.sum_row, acc.carry_row)))
-    return scale_fraction((acc.overflow_count << acc.width) + rows, 2, acc.lsb_exp)
+    return scale_fraction((acc.overflow_count << acc.width) + sum(acc.packed), 2, acc.lsb_exp)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from redundarith import _kernels, trace
 from redundarith.accumulator import (
     AccumulatorState,
     acc_new,
@@ -13,7 +14,7 @@ from redundarith.accumulator import (
     acc_step2,
     acc_total,
 )
-from redundarith.codes import MultiRowCode, make_from_value
+from redundarith.codes import MultiRowCode, make_from_value, pack_rows
 from redundarith.oracle import exact_scaled_value
 
 
@@ -153,6 +154,41 @@ def test_state_rejects_non_bit_rows():
             AccumulatorState(width=4, overflow_count=0, **rows)
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda z: AccumulatorState(4, z, z, -3), "overflow_count must be >= 0"),
+        (lambda z: AccumulatorState(4, z, z, 1.5), "overflow_count must be an int"),
+        (lambda z: AccumulatorState(4, z, z, True), "overflow_count must be an int"),
+        (lambda z: AccumulatorState(True, z[:2], z[:2], 0), "width must be an int"),
+        (lambda z: AccumulatorState(4, z, z, 0, lsb_exp=0.5), "lsb_exp must be an int"),
+        (lambda z: acc_new(True), "width must be an int"),
+        (lambda z: acc_new(4.0), "width must be an int"),
+        (lambda z: acc_new(4, lsb_exp=0.5), "lsb_exp must be an int"),
+        (lambda z: acc_new(4, lsb_exp=False), "lsb_exp must be an int"),
+    ],
+)
+def test_state_rejects_non_int_fields(make, match):
+    # each of these once gave a wrong or inexact total, or failed only in acc_total
+    with pytest.raises(ValueError, match=match):
+        make(np.zeros(5, dtype=np.int64))
+
+
+def test_state_is_immutable():
+    rows = np.array([1, 0, 1, 0, 0], dtype=np.int64)
+    acc = AccumulatorState(4, rows, rows, 2)
+    rows[0] = 0  # the state keeps its own copy
+    assert acc.packed == (5, 5)
+    for name in ("width", "packed", "overflow_count", "lsb_exp", "counter_mode", "sum_row"):
+        with pytest.raises(AttributeError):
+            setattr(acc, name, getattr(acc, name))
+    for row in (acc.sum_row, acc.carry_row):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0
+    assert acc_total(acc) == 2 * 16 + 10
+
+
 def _reference_stream(ops_a, ops_b, s, c, xor_variant):
     """Literal per-step carry-save layers over int64 column vectors."""
     s = s.copy()
@@ -253,3 +289,82 @@ def test_split_stream_matches_whole_stream(rows, mode):
         stepped = acc_run(stepped, ops_a[3:], None if ops_b is None else ops_b[3:])
         for got in (pieces, stepped):
             _assert_same_state(got, whole.sum_row, whole.carry_row, whole.overflow_count)
+
+
+@pytest.mark.parametrize("width", [1, 8, 64, 65])
+@pytest.mark.parametrize("mode", ["exact", "xor"])
+def test_mixed_calls_match_reference(width, mode):
+    """A random sequence of acc_step, acc_step2 and acc_run calls, the runs
+    on both sides of the 4n-step crossover, leaves the reference state."""
+    rng = np.random.default_rng(width * 2 + (mode == "xor"))
+    acc = acc_new(width, counter_mode=mode)
+    s = np.zeros(width + 1, dtype=np.int64)
+    c = s.copy()
+    overflow = 0
+    for _ in range(30):
+        kind = int(rng.integers(0, 3))
+        if kind < 2:
+            rows = kind + 1
+            w = int(rng.integers(0, width + 1))  # operands may be narrower than the grid
+            bits = rng.integers(0, 2, size=(rows, w), dtype=np.int64)
+            ops = np.zeros((rows, 1, width), dtype=np.int64)
+            ops[:, 0, :w] = bits
+            step = acc_step if rows == 1 else acc_step2
+            acc = step(acc, MultiRowCode(rows, w, 2, 0, bits))
+            ops_a, ops_b = ops[0], ops[1] if rows == 2 else None
+        else:
+            steps = int(rng.choice([rng.integers(0, 4 * width), 4 * width, 4 * width + 1,
+                                    rng.integers(4 * width + 2, 8 * width + 3)]))
+            ops_a = rng.integers(0, 2, size=(steps, width), dtype=np.uint8)
+            ops_b = rng.integers(0, 2, size=(steps, width), dtype=np.uint8) if rng.integers(0, 2) else None
+            acc = acc_run(acc, ops_a, ops_b)
+        s, c, delta = _reference_stream(ops_a.astype(np.int64), None if ops_b is None else ops_b.astype(np.int64),
+                                        s, c, mode == "xor")
+        overflow += delta
+        _assert_same_state(acc, s, c, overflow)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_array_adapters_equal_packed_entry_point(rows):
+    rng = np.random.default_rng(rows)
+    for width in (1, 16, 64, 65):
+        for steps in (0, 3, 4 * width, 4 * width + 1, 1000):
+            for xor in (False, True):
+                s = rng.integers(0, 2, size=width + 1, dtype=np.int64)
+                c = rng.integers(0, 2, size=width + 1, dtype=np.int64)
+                ops_a = rng.integers(0, 2, size=(steps, width), dtype=np.int64)
+                ops_b = rng.integers(0, 2, size=(steps, width), dtype=np.int64) if rows == 2 else None
+                sw, cw, want = _kernels.acc_stream(ops_a, ops_b, *pack_rows((s, c)), width, xor)
+                if rows == 1:
+                    got = _kernels.acc_stream1(ops_a, s, c, xor)
+                else:
+                    got = _kernels.acc_stream2(ops_a, ops_b, s, c, xor)
+                assert got == want
+                assert pack_rows((s, c)) == [sw, cw]
+
+
+def test_each_call_reports_one_stream_event():
+    width = 8
+    ones = np.ones((4 * width + 1, width), dtype=np.uint8)
+    with trace.record() as events:
+        acc = acc_step(acc_new(width), make_from_value(50, 1, 6))
+        acc = acc_step2(acc, make_from_value(100, 2, 8))
+        acc = acc_run(acc, ones)
+        acc = acc_run(acc, ones[:3], ones[:3])
+    assert [(e["op"], e["rows"], e["width"], e["steps"], e["body"]) for e in events] == [
+        ("stream", 1, width, 1, "row"),
+        ("stream", 2, width, 1, "row"),
+        ("stream", 1, width, 4 * width + 1, "column"),
+        ("stream", 2, width, 3, "row"),
+    ]
+    assert sum(e["overflow"] for e in events) == acc.overflow_count > 0
+
+
+def test_untraced_stream_costs_one_sink_call(monkeypatch):
+    calls = []
+    sink = trace.sink
+    monkeypatch.setattr(trace, "sink", lambda: calls.append(1) or sink())
+    acc = acc_step(acc_new(4), make_from_value(9, 1, 4))
+    acc = acc_step2(acc, make_from_value(9, 2, 4))
+    acc_run(acc, np.ones((100, 4), dtype=np.uint8))  # the column body
+    assert len(calls) == 3

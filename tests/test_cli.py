@@ -116,7 +116,7 @@ TRACED_COMMANDS = {  # id: (argv, ops its trace holds)
     "mac": (("mac", "1000", "200", "131", "--width", "8", "--acc-width", "16"), {"reduce"}),
     "map": (("map", "a=200", "b=131", "c=77", "--width", "8"), {"reduce"}),
     "fuzz": (("fuzz", "--trials", "2", "--scope", "mul"), {"reduce"}),
-    "accumulate": (("accumulate", "{stream}"), set()),
+    "accumulate": (("accumulate", "{stream}"), {"stream"}),
     "report": (("report", "--table", "2.1"), set()),
 }
 
