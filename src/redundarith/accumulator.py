@@ -55,7 +55,7 @@ class AccumulatorState:
         _check_fields(width, overflow_count, lsb_exp, counter_mode)
         rows = []
         for name, row in (("sum_row", sum_row), ("carry_row", carry_row)):
-            arr = np.asarray(row, dtype=np.int64)
+            arr = np.asarray(row)
             if arr.shape != (width + 1,):
                 raise ValueError(f"{name} must have width+1 slots")
             _check_bits(name, arr)
@@ -133,7 +133,13 @@ def _operand_rows(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> tu
 
 
 def _check_bits(name: str, arr: np.ndarray) -> None:
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
+    # an integer array needs only its range checked; any other (0.5, "1")
+    # must hold exactly 0 or 1, since packing would truncate it
+    if arr.dtype.kind in "biu":
+        bad = arr.size and (arr.min() < 0 or arr.max() > 1)
+    else:
+        bad = not ((arr == 0) | (arr == 1)).all()
+    if bad:
         raise ValueError(f"{name} entries must be 0 or 1")
 
 

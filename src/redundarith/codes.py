@@ -370,32 +370,16 @@ def quad_from_value(
 # larger radixes separate digits with spaces.
 
 
-def _bit_lines(code: MultiRowCode) -> list:
-    """The rows of a radix-2 code as strings of 0 and 1, most significant
-    bit first, read off its packed ints."""
-    if not code.width:
-        return [""] * code.rows  # format(0, "00b") would give "0"
-    return [format(row, f"0{code.width}b") for row in code.packed]
-
-
-def msb_rows(rows) -> list:
-    """The rows of a code, or of a digit matrix, as lists of ints, most
-    significant digit first: the row order of the text, JSON and trace
-    formats (trace events carry digit matrices)."""
-    if not isinstance(rows, MultiRowCode):
-        return rows[:, ::-1].tolist()
-    if rows.radix == 2:
-        return [list(map(int, line)) for line in _bit_lines(rows)]
-    return rows.digits[:, ::-1].tolist()
+def msb_rows(digits: np.ndarray) -> list:
+    """A digit matrix as lists of ints, one per row, most significant digit
+    first: the row order of the text, JSON and trace formats."""
+    return digits[:, ::-1].tolist()
 
 
 def to_text(code: MultiRowCode) -> str:
+    sep = "" if code.radix <= 10 else " "
     lines = [f"mrc {code.rows} {code.width} {code.radix} {code.lsb_exp}"]
-    if code.radix == 2:
-        lines += _bit_lines(code)
-    else:
-        sep = "" if code.radix <= 10 else " "
-        lines += [sep.join(map(str, row)) for row in msb_rows(code)]
+    lines += [sep.join(map(str, row)) for row in msb_rows(code.digits)]
     return "\n".join(lines) + "\n"
 
 
@@ -417,12 +401,6 @@ def from_text(text: str) -> MultiRowCode:
     body = lines[start + 1 :]
     # a non-blank line past the rows counts as one more row
     body = body[: max(rows, 0)] + [ln for ln in body[max(rows, 0) :] if ln.strip()]
-    if radix == 2:
-        # well-formed binary rows become ints directly; anything else takes
-        # the digit path below, which reports the error
-        bits = [ln.strip() for ln in body]
-        if rows >= 1 and len(bits) == rows and all(len(ln) == width and set(ln) <= {"0", "1"} for ln in bits):
-            return packed_code([int(ln or "0", 2) for ln in bits], width, lsb_exp)
     digits = []
     for i, ln in enumerate(body):
         try:
@@ -462,7 +440,7 @@ def to_json_dict(code: MultiRowCode) -> dict:
         "width": code.width,
         "radix": code.radix,
         "lsb_exp": code.lsb_exp,
-        "digits": msb_rows(code),
+        "digits": msb_rows(code.digits),
     }
 
 

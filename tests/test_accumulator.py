@@ -137,8 +137,8 @@ def test_operand_validation():
 def test_stream_rejects_non_bit_operands():
     acc = acc_new(4)
     zeros = np.zeros((3, 4), dtype=np.int64)
-    for bad_value in (2, -1):
-        bad = zeros.copy()
+    for bad_value in (2, -1, 0.5):
+        bad = zeros.astype(type(bad_value))
         bad[1, 2] = bad_value
         with pytest.raises(ValueError, match="ops entries must be 0 or 1"):
             acc_run(acc, bad)
@@ -147,11 +147,15 @@ def test_stream_rejects_non_bit_operands():
 
 
 def test_state_rejects_non_bit_rows():
+    # a fraction must not be truncated to a bit on the way into the ints
     for name in ("sum_row", "carry_row"):
-        rows = {"sum_row": np.zeros(5, dtype=np.int64), "carry_row": np.zeros(5, dtype=np.int64)}
-        rows[name][4] = 2
-        with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
-            AccumulatorState(width=4, overflow_count=0, **rows)
+        for bad_value in (2, 0.5):
+            rows = {"sum_row": np.zeros(5), "carry_row": np.zeros(5)}
+            rows[name][4] = bad_value
+            with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
+                AccumulatorState(width=4, overflow_count=0, **rows)
+    ones = AccumulatorState(4, np.ones(5), [1, 0, 0, 0, 0], 0)
+    assert ones.packed == (0b11111, 1)
 
 
 @pytest.mark.parametrize(

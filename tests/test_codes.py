@@ -116,23 +116,6 @@ def test_lazy_digits_equal_the_constructed_matrix(rng):
         assert again.packed == out.packed and again.digits.dtype == np.int64
 
 
-def test_binary_formats_build_no_digit_matrix(rng):
-    # text and JSON rows of a binary code are read off its packed ints, and
-    # well-formed binary text is parsed straight into them
-    for width in (0, 1, 7, 64, 65):
-        for rows in (1, 3):
-            packed = [int.from_bytes(rng.bytes(9), "little") % 2**width for _ in range(rows)]
-            code = codes.packed_code(packed, width, -2)
-            text = codes.to_text(code)
-            obj = codes.to_json_dict(code)
-            again = from_text(text)
-            assert vars(code)["_digits"] is None and vars(again)["_digits"] is None
-            assert again.packed == code.packed and again.lsb_exp == -2
-            want = [[row >> j & 1 for j in reversed(range(width))] for row in packed]
-            assert obj["digits"] == want == codes.msb_rows(code.digits)
-            assert text.splitlines()[1:] == ["".join(map(str, row)) for row in want]
-
-
 def test_value_matches_slow_reference(rng):
     for radix in (2, 3, 10):
         for _ in range(50):
