@@ -10,19 +10,23 @@ The first iteration gets an extended scale of q**(k+1) entries because a
 normalized quotient can reach q - epsilon, so its leading digit carries
 the integer position too.
 
-Comparisons are modeled the way the hardware does them: the sign bit of
-entry - r is extracted through complement-code addition for every entry
-at once, giving a thermometer vector whose last set bit is the digit.  A
-binary search over the sorted entries gives the same answer faster; both
-paths are exposed and must agree.
+method="eager" compares the way the hardware does: every entry at once,
+each comparator reading the sign of r - d*z off a complement-code
+addition.  The comparator bank is one wide addition on one int (SWAR:
+Lamport, "Multiple Byte Processing with Full-Word Instructions", 1975).
+Field d, W+1 bits wide, holds the complement 2**W - d*z; adding r to
+every field at once and reading bit W-1 of each gives the thermometer
+vector, whose count of set flags is the digit plus one.  The scale is
+arithmetic, so method="bisect", the software fast path, is the floor
+division r // z.  Both paths are exposed and must agree.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import trace
 from .codes import int_string_limit
@@ -32,20 +36,50 @@ MAX_SCALE_ENTRIES = 1 << 20
 
 @dataclass(frozen=True)
 class ScaleTable:
-    """Multiples d*z for d = 0 .. size-1."""
+    """Multiples d*z for d = 0 .. size-1, listed by `entries` when read."""
 
     z: int
     k: int
     radix: int
-    entries: tuple
+    size: int
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple:
+        return tuple(range(0, self.size * self.z, self.z))
+
+    @cached_property
+    def _bank(self) -> tuple:
+        """(W, rep, bank): the comparison width, a 1 at the bottom of every
+        (W+1)-bit field, and field d holding the complement 2**W - d*z, so
+        bank = (rep << W) - z * sum(d << d*(W+1)).
+
+        Built by doubling over the bits of size, fields m .. 2m-1 being
+        fields 0 .. m-1 less m*z: linear in the bank's length, with no
+        per-field loop and no long division."""
+        width = _comparison_width(self)
+        field = width + 1
+        rep, bank, m = 1, 1 << width, 1  # fields 0 .. m-1
+        for bit in bin(self.size)[3:]:
+            bank |= (bank - m * self.z * rep) << m * field
+            rep |= rep << m * field
+            m *= 2
+            if bit == "1":
+                bank |= ((1 << width) - m * self.z) << m * field
+                rep |= 1 << m * field
+                m += 1
+        return width, rep, bank
+
+
+def _check_int(name: str, value) -> None:
+    # bool is an int subclass; a float makes the digits and residual inexact
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int")
 
 
 def build_scale(z: int, k: int, radix: int = 2, extended: bool = False) -> ScaleTable:
     """Scale of q**k (or q**(k+1) when extended) multiples of z."""
+    for name, value in (("divisor", z), ("k", k), ("radix", radix)):
+        _check_int(name, value)
     if z <= 0:
         raise ValueError("divisor must be positive")
     if k < 1:
@@ -57,20 +91,7 @@ def build_scale(z: int, k: int, radix: int = 2, extended: bool = False) -> Scale
     # limit at any radix: reject it before computing the power
     if exp >= MAX_SCALE_ENTRIES.bit_length() or radix**exp > MAX_SCALE_ENTRIES:
         raise ValueError(f"scale would need {radix}**{exp} entries (limit {MAX_SCALE_ENTRIES})")
-    size = radix**exp
-    return ScaleTable(z=z, k=k, radix=radix, entries=tuple(d * z for d in range(size)))
-
-
-def _sign_via_complement(entry: int, r: int, width: int) -> int:
-    """1 when entry <= r, computed as the sign bit of r - entry.
-
-    r - entry is formed by adding the two's complement of entry over a
-    fixed `width`-bit grid; the top bit read back is the sign.
-    """
-    mask = (1 << width) - 1
-    total = (r + ((~entry + 1) & mask)) & mask
-    sign = (total >> (width - 1)) & 1
-    return 1 - sign  # sign clear means entry <= r
+    return ScaleTable(z=z, k=k, radix=radix, size=radix**exp)
 
 
 def _comparison_width(scale: ScaleTable) -> int:
@@ -78,38 +99,51 @@ def _comparison_width(scale: ScaleTable) -> int:
     return max((bound - 1).bit_length(), 1) + 1  # one sign position above the magnitude
 
 
-def select_digit(
-    r: int, scale: ScaleTable, method: str = "bisect"
-) -> tuple[int, int]:
-    """Largest digit h with h*z <= r, and the shortage r - h*z.
-
-    method="eager" evaluates every scale entry through the complement
-    comparator and decodes the thermometer vector; method="bisect" is
-    the software fast path.  Both agree by construction.
-    """
+def _select(r: int, scale: ScaleTable, method: str) -> tuple:
+    """(h, flags): the digit `select_digit` returns and, for "eager", the
+    comparator flags as an int (flag d at bit d*(W+1)); None for "bisect"."""
+    _check_int("residual", r)
     if r < 0:
         raise ValueError("residual must be non-negative")
     if r >= scale.size * scale.z:
         raise ValueError("residual out of scale range")
     if method == "bisect":
-        h = bisect_right(scale.entries, r) - 1
-    elif method == "eager":
-        flags = thermometer_flags(r, scale)
-        if any(prev < cur for prev, cur in zip(flags, flags[1:])):
-            raise RuntimeError(f"comparator vector {flags} is not monotone")
-        h = sum(flags) - 1
-    else:
+        return r // scale.z, None
+    if method != "eager":
         raise ValueError("method must be 'bisect' or 'eager'")
-    return h, r - scale.entries[h]
+    width, rep, bank = scale._bank
+    # field d of the sum is 2**W + r - d*z, whose bit W-1 is the sign of
+    # r - d*z; the flag is its inverse, taken by xor with rep
+    flags = (((bank + r * rep) >> (width - 1)) & rep) ^ rep
+    h = flags.bit_count() - 1
+    if flags != rep & ((1 << (h + 1) * (width + 1)) - 1):
+        raise RuntimeError(f"comparator vector {_thermometer(flags, scale)} is not monotone")
+    return h, flags
+
+
+def select_digit(
+    r: int, scale: ScaleTable, method: str = "bisect"
+) -> tuple[int, int]:
+    """Largest digit h with h*z <= r, and the shortage r - h*z.
+
+    method="eager" runs every scale entry's complement comparator in one
+    wide addition and decodes the thermometer vector; method="bisect" is
+    the software fast path.  Both agree by construction.
+    """
+    h, _ = _select(r, scale, method)
+    return h, r - h * scale.z
+
+
+def _thermometer(flags: int, scale: ScaleTable) -> tuple:
+    """The flags int as one 0/1 entry per scale entry, entry 0 first."""
+    field = scale._bank[0] + 1
+    return tuple(map(int, format(flags, f"0{scale.size * field}b")[::-field]))
 
 
 def thermometer_flags(r: int, scale: ScaleTable) -> tuple:
-    """Per-entry comparator outputs (1 while entry <= r), MSB of a
+    """Per-entry comparator outputs (1 while entry <= r), the sign of a
     complement-code addition each."""
-    width = _comparison_width(scale)
-    return tuple(
-        _sign_via_complement(entry, r, width) for entry in scale.entries
-    )
+    return _thermometer(_select(r, scale, "eager")[1], scale)
 
 
 def divide(
@@ -128,11 +162,13 @@ def divide(
     with Q = sum of digits[j] * radix**(k*(iters-1-j)).  Each iteration
     reports a "divide" event to an active `trace.record()`.
     """
+    _check_int("iters", iters)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     # the scales check z, k and the radix, which the dividend range depends on
     first = build_scale(z, k, radix, extended=True)
     rest = build_scale(z, k, radix)
+    _check_int("dividend", x)
     if not 0 <= x < radix * z:
         raise ValueError("dividend out of range (need 0 <= x < radix*z)")
     step = rest.size  # radix**k
@@ -142,12 +178,12 @@ def divide(
     for it in range(1, iters + 1):
         scale = first if it == 1 else rest
         shifted = residual * step
-        h, residual = select_digit(shifted, scale, method)
+        h, flags = _select(shifted, scale, method)
+        residual = shifted - h * z
         digits.append(h)
         if events is not None:
-            flags = thermometer_flags(shifted, scale) if method == "eager" else None
             events.append({"op": "divide", "iteration": it, "digit": h, "residual": residual,
-                           "thermometer": flags})
+                           "thermometer": None if flags is None else _thermometer(flags, scale)})
     return digits, residual
 
 

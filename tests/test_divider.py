@@ -1,11 +1,13 @@
 """Table-driven division: digit selection, identities, worked example."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from redundarith import trace
 from redundarith.divider import (
+    _comparison_width,
     build_scale,
     divide,
     quotient_value,
@@ -142,3 +144,96 @@ def test_divide_rejects_out_of_range():
             divide(1, 3, 1, 4, radix=radix)
     with pytest.raises(ValueError, match=r"^k must be >= 1$"):
         divide(20, 3, 0, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: divide(2.5, 7, 1, 3),  # gave a float residual 6.0
+    lambda: divide(1, 7.5, 1, 3),  # gave a residual of 0.5
+    lambda: divide(1, True, 1, 3),
+    lambda: divide(True, 7, 1, 3),
+    lambda: divide(1, 7, 1.0, 3),
+    lambda: divide(1, 7, 1, 3.0),
+    lambda: divide(1, 7, 1, 3, radix=2.0),
+    lambda: build_scale(2.5, 1),  # built float entries
+    lambda: build_scale(7, 2.0),
+    lambda: build_scale(7, 1, radix=2.0),
+    lambda: build_scale(7, True),
+    lambda: select_digit(3.0, build_scale(7, 1)),
+    lambda: select_digit(True, build_scale(7, 1), method="eager"),
+])
+def test_divider_rejects_non_int_arguments(call):
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
+
+
+def _scales(z):
+    for radix, ks in ((2, (1, 2, 3)), (3, (1, 2)), (10, (1, 2))):
+        for k in ks:
+            for extended in (False, True):
+                yield build_scale(z, k, radix, extended=extended)
+
+
+def _oracle_digit(r, scale):
+    # one oracle iteration with k = e emits a group of e+1 radix-q digits;
+    # on divisor z*q**e that group is r // z, for r < q**(e+1) * z = size * z
+    e = 0
+    while scale.radix ** (e + 1) < scale.size:
+        e += 1
+    (h,), rest = restoring_division_digits(r, scale.z * scale.radix**e, e, 1, scale.radix)
+    return h, rest // scale.radix**e
+
+
+def test_eager_bisect_floor_and_oracle_agree(rng):
+    for z in (1, 2, 7, 1000, (1 << 23) | 0x2F1A35):
+        for scale in _scales(z):
+            top = scale.size * z
+            edges = [0, z - 1, z, top - 1]
+            for r in edges + [int(rng.integers(0, top)) for _ in range(8)]:
+                want = divmod(r, z)
+                assert select_digit(r, scale, "eager") == want
+                assert select_digit(r, scale, "bisect") == want
+                assert _oracle_digit(r, scale) == want
+                assert thermometer_flags(r, scale) == tuple(int(e <= r) for e in scale.entries)
+
+
+def test_divide_matches_oracle_at_dividend_edges():
+    for radix in (2, 3, 10):
+        for z in (1, 7, 1000):
+            for x in (0, z - 1, z, radix * z - 1):
+                for k in (1, 2):
+                    want = restoring_division_digits(x, z, k, 3, radix)
+                    for method in ("bisect", "eager"):
+                        assert divide(x, z, k, 3, radix=radix, method=method) == want
+
+
+def test_eager_at_the_largest_scale():
+    z = (1 << 23) | 0x2F1A35
+    scale = build_scale(z, 19, 2, extended=True)
+    assert scale.size == 1 << 20
+    for r in (0, z - 1, z, scale.size * z - 1, 123456 * z + 17):
+        want = divmod(r, z)
+        assert select_digit(r, scale, "eager") == want
+        assert select_digit(r, scale, "bisect") == want
+        assert _oracle_digit(r, scale) == want
+
+
+def test_bank_equals_closed_form():
+    # field d holds 2**W - d*z: bank = (rep << W) - z * sum(d * B**d)
+    for z in (1, 7, 1000):
+        for scale in _scales(z):
+            w, n = _comparison_width(scale), scale.size
+            b = 1 << (w + 1)
+            rep = (b**n - 1) // (b - 1)
+            idx = (b - n * b**n + (n - 1) * b ** (n + 1)) // (b - 1) ** 2
+            assert scale._bank == (w, rep, (rep << w) - z * idx)
+
+
+def test_build_scale_allocates_no_table():
+    tracemalloc.start()
+    try:
+        scale = build_scale((1 << 23) | 0x2F1A35, 19, extended=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scale.size == 1 << 20
+    assert peak < 64 * 1024

@@ -36,7 +36,7 @@ def test_nested_recorder_takes_over_until_it_exits():
 
 def test_untraced_engines_build_no_event_fields(monkeypatch):
     # the fields an event would carry are computed only under a recorder
-    calls = {"quad_value": 0, "thermometer_flags": 0}
+    calls = {"quad_value": 0, "thermometer_flags": 0, "_thermometer": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -46,17 +46,18 @@ def test_untraced_engines_build_no_event_fields(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(evalexpr, "quad_value", counting("quad_value", evalexpr.quad_value))
-    monkeypatch.setattr(
-        divider, "thermometer_flags", counting("thermometer_flags", divider.thermometer_flags)
-    )
+    for name in ("thermometer_flags", "_thermometer"):
+        monkeypatch.setattr(divider, name, counting(name, getattr(divider, name)))
     evalexpr.evaluate("1 + 2 + 3")
     divider.divide(5, 7, 4, 2, method="eager")
-    # evaluate reads its final value once; select_digit needs one vector per iteration
-    assert calls == {"quad_value": 1, "thermometer_flags": 2}
+    # evaluate reads its final value once; eager selection reads the
+    # flags int and unpacks no vector
+    assert calls == {"quad_value": 1, "thermometer_flags": 0, "_thermometer": 0}
     with trace.record():
         evalexpr.evaluate("1 + 2 + 3")
         divider.divide(5, 7, 4, 2, method="eager")
-    assert calls == {"quad_value": 1 + 1 + 2 * 3, "thermometer_flags": 2 + 2 * 2}
+    # one vector per iteration, unpacked from the flags that chose the digit
+    assert calls == {"quad_value": 1 + 1 + 2 * 3, "thermometer_flags": 0, "_thermometer": 2}
 
 
 def test_trace_is_exported():
