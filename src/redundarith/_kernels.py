@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import trace
-from .codes import pack_rows, unpack_rows
+from .codes import check_int, pack_rows, unpack_rows
 
 # accumulator streams of up to this many steps per grid column run step
 # by step; longer ones run column by column, whose fixed cost of a few us
@@ -44,6 +44,8 @@ SHAPE_CACHE_SIZE = 1024
 
 def next_row_count(m: int, q: int = 2) -> int:
     """Rows needed to re-express any column sum of an m-row radix-q code."""
+    check_int("m", m)
+    check_int("q", q)
     if m < 1:
         raise ValueError("m must be >= 1")
     if q < 2:

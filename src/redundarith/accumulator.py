@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .codes import MultiRowCode, pack_rows, scale_fraction, unpack_rows
+from .codes import MultiRowCode, _as_digit_matrix, check_int, pack_rows, scale_fraction, unpack_rows
 
 
 class AccumulatorState:
@@ -53,13 +53,8 @@ class AccumulatorState:
     def __init__(self, width: int, sum_row, carry_row, overflow_count: int,
                  lsb_exp: int = 0, counter_mode: str = "exact"):
         _check_fields(width, overflow_count, lsb_exp, counter_mode)
-        rows = []
-        for name, row in (("sum_row", sum_row), ("carry_row", carry_row)):
-            arr = np.asarray(row)
-            if arr.shape != (width + 1,):
-                raise ValueError(f"{name} must have width+1 slots")
-            _check_bits(name, arr)
-            rows.append(arr)
+        rows = [_as_digit_matrix(row, (width + 1,), 2, name)
+                for name, row in (("sum_row", sum_row), ("carry_row", carry_row))]
         _fill(self, width, tuple(pack_rows(rows)), overflow_count, lsb_exp, counter_mode)
 
     def _rows(self) -> np.ndarray:
@@ -95,10 +90,8 @@ def _fill(acc: AccumulatorState, width, packed, overflow_count, lsb_exp, counter
 
 
 def _check_fields(width, overflow_count, lsb_exp, counter_mode) -> None:
-    # bool is an int subclass; a float lsb_exp would make totals inexact
     for name, value in (("width", width), ("overflow_count", overflow_count), ("lsb_exp", lsb_exp)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int")
+        check_int(name, value)
     if width < 1:
         raise ValueError("width must be >= 1")
     if overflow_count < 0:
@@ -132,25 +125,6 @@ def _operand_rows(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> tu
     return operand.packed
 
 
-def _check_bits(name: str, arr: np.ndarray) -> None:
-    # an integer array needs only its range checked; any other (0.5, "1")
-    # must hold exactly 0 or 1, since packing would truncate it
-    if arr.dtype.kind in "biu":
-        bad = arr.size and (arr.min() < 0 or arr.max() > 1)
-    else:
-        bad = not ((arr == 0) | (arr == 1)).all()
-    if bad:
-        raise ValueError(f"{name} entries must be 0 or 1")
-
-
-def _step_rows(name: str, rows, width: int) -> np.ndarray:
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"{name} must be (steps, width)")
-    _check_bits(name, rows)
-    return rows
-
-
 def acc_step(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
     """Absorb a one-row operand: one full-adder layer."""
     return _advanced(acc, _kernels.row_stream, _operand_rows(acc, operand, rows=1), None)
@@ -178,11 +152,9 @@ def acc_run(
     ops_b present, each step absorbs the two-row operand (ops[i], ops_b[i]).
     acc_step and acc_step2 are the one-step streams.
     """
-    ops = _step_rows("ops", ops, acc.width)
+    ops = _as_digit_matrix(ops, ("steps", acc.width), 2, "ops")
     if ops_b is not None:
-        ops_b = _step_rows("ops_b", ops_b, acc.width)
-        if ops_b.shape != ops.shape:
-            raise ValueError("ops_b must match ops shape")
+        ops_b = _as_digit_matrix(ops_b, ops.shape, 2, "ops_b")
     return _advanced(acc, _kernels.acc_stream, ops, ops_b)
 
 

@@ -40,24 +40,64 @@ class NumericDomainError(ValueError):
 
 # largest column sum the int64 kernels hold exactly
 MAX_COLUMN_SUM = (1 << 63) - 1
+_UNSIGNED = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
 
 
-def _as_digit_matrix(digits, rows: int, width: int, radix: int) -> np.ndarray:
-    try:
-        arr = np.asarray(digits, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"digits out of range for radix {radix}") from None
-    if arr.ndim != 2:
-        raise ValueError(f"digit matrix must be 2-D, got ndim={arr.ndim}")
-    if arr.shape != (rows, width):
-        raise ValueError(f"digit matrix shape {arr.shape} != ({rows}, {width})")
-    # read as uint64 a negative digit is >= 2**63, and the numeric-domain
-    # check keeps radix <= 2**63, so one max checks both ends of the range
-    if width and rows and int(arr.view(np.uint64).max()) >= radix:
-        raise ValueError(f"digits out of range for radix {radix}")
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
+def check_int(name: str, value) -> None:
+    """Reject anything but a plain int: bool is an int subclass, and a
+    float makes shapes, digits and totals inexact."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int")
+
+
+def _check_fields(rows, width, radix, lsb_exp) -> None:
+    # one test when all four are ints; the loop only names the culprit
+    if not type(rows) is type(width) is type(radix) is type(lsb_exp) is int:
+        for name, value in zip(("rows", "width", "radix", "lsb_exp"), (rows, width, radix, lsb_exp)):
+            check_int(name, value)
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
+    if width < 0:
+        raise ValueError("width must be >= 0")
+    if radix < 2:
+        raise ValueError("radix must be >= 2")
+    # the reduction kernels sum columns in int64; the largest stage
+    # weight radix**(m2 - 1) is at most the same worst column sum
+    if rows * (radix - 1) > MAX_COLUMN_SUM:
+        raise NumericDomainError(f"{rows} rows at radix {radix}: column sums can exceed 2**63 - 1")
+
+
+def _as_digit_matrix(values, shape: tuple, radix: int, name: str = "digits") -> np.ndarray:
+    """`values` as an integer array of `shape` (a str entry matches any
+    length) holding digits 0 .. radix-1.  Integer and bool arrays pass with
+    no copy; anything else is converted to int64, which must change no
+    entry, so 0.5 and "1" are rejected rather than truncated or parsed."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind not in "biu" or not arr.dtype.isnative:
+        try:
+            with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+                exact = arr.astype(np.int64) if kind in "fiuO" else None
+        except (OverflowError, TypeError, ValueError):
+            exact = None
+        if exact is None or not (exact == arr).all():
+            raise _entry_error(name, radix)
+        arr, kind = exact, "i"
+    if arr.shape != shape and (arr.ndim != len(shape) or any(
+            type(want) is int and want != got for want, got in zip(shape, arr.shape))):
+        raise ValueError(f"{name} shape {arr.shape} != ({', '.join(map(str, shape))})")
+    # read as unsigned, a negative entry is at least 2**(bits - 1) and every
+    # other signed entry is below it, so one max checks both ends
+    if kind != "b" and arr.size:
+        top = int(arr.view(_UNSIGNED[arr.itemsize]).max())
+        if top >= radix or kind == "i" and top >> 8 * arr.itemsize - 1:
+            raise _entry_error(name, radix)
     return arr
+
+
+def _entry_error(name: str, radix: int) -> ValueError:
+    return ValueError(f"{name} entries must be 0 or 1" if name != "digits" else
+                      f"digits out of range for radix {radix}")
 
 
 class MultiRowCode:
@@ -81,20 +121,10 @@ class MultiRowCode:
 
     def __post_init__(self):
         # the constructor's checks; a code built from packed rows skips them
-        if self.rows < 1:
-            raise ValueError("rows must be >= 1")
-        if self.width < 0:
-            raise ValueError("width must be >= 0")
-        if self.radix < 2:
-            raise ValueError("radix must be >= 2")
-        # the reduction kernels sum columns in int64; the largest stage
-        # weight radix**(m2 - 1) is at most the same worst column sum
-        if self.rows * (self.radix - 1) > MAX_COLUMN_SUM:
-            raise NumericDomainError(
-                f"{self.rows} rows at radix {self.radix}: column sums can "
-                f"exceed 2**63 - 1"
-            )
-        digits = _as_digit_matrix(self._digits, self.rows, self.width, self.radix)
+        _check_fields(self.rows, self.width, self.radix, self.lsb_exp)
+        digits = _as_digit_matrix(self._digits, (self.rows, self.width), self.radix)
+        digits = np.ascontiguousarray(digits, dtype=np.int64)
+        digits.flags.writeable = False
         packed = tuple(pack_rows(digits)) if self.radix == 2 else None
         vars(self).update(packed=packed, _digits=digits)
 
@@ -109,8 +139,6 @@ class MultiRowCode:
 
     @classmethod
     def from_digits(cls, digits, radix: int = 2, lsb_exp: int = 0) -> "MultiRowCode":
-        # the constructor converts to int64, so a digit too wide for it is
-        # reported as out of range
         arr = np.asarray(digits)
         if arr.ndim == 1:
             arr = arr[None, :]
@@ -120,7 +148,8 @@ class MultiRowCode:
     def zero(
         cls, rows: int, width: int, radix: int = 2, lsb_exp: int = 0
     ) -> "MultiRowCode":
-        if radix == 2 and rows >= 1 and width >= 0:
+        _check_fields(rows, width, radix, lsb_exp)
+        if radix == 2:
             return packed_code((0,) * rows, width, lsb_exp)
         return cls(rows, width, radix, lsb_exp, np.zeros((rows, width), np.int64))
 
@@ -243,12 +272,7 @@ def make_from_value(
     of radix**lsb_exp and fit in `width` columns.  `width=None` takes as
     few columns as the value needs, and at least one.
     """
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
-    if radix < 2:
-        raise ValueError("radix must be >= 2")
-    if width is not None and width < 0:
-        raise ValueError("width must be >= 0")
+    _check_fields(rows, 0 if width is None else width, radix, lsb_exp)
     if isinstance(value, int):
         num, den = value, 1
     else:
@@ -288,6 +312,7 @@ def with_lsb_exp(code: MultiRowCode, lsb_exp: int) -> MultiRowCode:
     Lowering the exponent widens the matrix with zero LSB columns.
     Raising it drops LSB columns, which is only legal when they are zero.
     """
+    check_int("lsb_exp", lsb_exp)
     shift = code.lsb_exp - lsb_exp
     if shift == 0:
         return code
@@ -413,20 +438,19 @@ def from_text(text: str) -> MultiRowCode:
 def _parsed_code(rows, width, radix, lsb_exp, msb_first) -> MultiRowCode:
     """Build a parsed code from its header fields and MSB-first digit rows.
 
-    Fields and digits must be ints (bool is not); anything malformed is a
-    format error, while a shape outside the numeric domain keeps its own
-    error.
+    The fields pass the constructor's checks first and the digits must be
+    ints (bool is not); anything malformed is a format error, while a shape
+    outside the numeric domain keeps its own error.
     """
-    if any(type(field) is not int for field in (rows, width, radix, lsb_exp)):
-        raise CodeFormatError("rows, width, radix and lsb_exp must be integers")
-    if not isinstance(msb_first, (list, tuple)) or len(msb_first) != rows:
-        raise CodeFormatError(f"expected a list of {rows} digit rows")
-    for i, row in enumerate(msb_first):
-        if not isinstance(row, (list, tuple)) or len(row) != width:
-            raise CodeFormatError(f"row {i}: expected {width} digits")
-        if any(type(d) is not int for d in row):
-            raise CodeFormatError(f"row {i}: digits must be integers")
     try:
+        _check_fields(rows, width, radix, lsb_exp)
+        if not isinstance(msb_first, (list, tuple)) or len(msb_first) != rows:
+            raise CodeFormatError(f"expected a list of {rows} digit rows")
+        for i, row in enumerate(msb_first):
+            if not isinstance(row, (list, tuple)) or len(row) != width:
+                raise CodeFormatError(f"row {i}: expected {width} digits")
+            if any(type(d) is not int for d in row):
+                raise CodeFormatError(f"row {i}: digits must be integers")
         return MultiRowCode(rows, width, radix, lsb_exp, [row[::-1] for row in msb_first])
     except NumericDomainError:
         raise

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
 from . import _kernels
+from .codes import _as_digit_matrix, check_int
 
 
 class UntabulatedCostError(LookupError):
@@ -75,6 +74,7 @@ def golden_costs() -> dict:
 
 def tree_depth(m: int) -> int:
     """Depth of the merge tree over m inputs: ceil(log2 m)."""
+    check_int("m", m)
     if m < 1:
         raise ValueError("m must be >= 1")
     return (m - 1).bit_length()
@@ -124,19 +124,15 @@ def popcount_tree(bits) -> int:
     2**t at every level t; violating that bound would mean a table
     overflow in hardware.
     """
-    arr = np.asarray(bits, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    m = arr.shape[0]
-    if not 1 <= m <= 2**30:
+    arr = _as_digit_matrix(bits, ("m",), 2, "bits")
+    if not 1 <= arr.shape[0] <= 2**30:
         raise ValueError("need 1 <= m <= 2**30 input bits")
-    if arr.min(initial=0) < 0 or arr.max(initial=0) > 1:
-        raise ValueError("inputs must be bits")
     return int(_kernels.popcount_batch(arr[None, :])[0])
 
 
 def delay_levels(m: int) -> int:
     """Golden banded level count for an m-input counting adder."""
+    check_int("m", m)
     for lo, hi, levels in golden_delay_bands():
         if lo <= m <= hi:
             return levels
@@ -167,6 +163,7 @@ def oca_cost_structural(m: int, cells: str = "square") -> int:
     which reproduces the golden sigma_and column except at its known
     m=30 anomaly.
     """
+    check_int("m", m)
     if m < 2:
         raise ValueError("m must be >= 2")
     if cells == "square":

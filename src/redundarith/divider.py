@@ -29,9 +29,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import trace
-from .codes import int_string_limit
+from .codes import check_int, int_string_limit
 
 MAX_SCALE_ENTRIES = 1 << 20
+MAX_BANK_BITS = 64 * MAX_SCALE_ENTRIES  # bits of one eager comparator bank (8 MiB)
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class ScaleTable:
         per-field loop and no long division."""
         width = _comparison_width(self)
         field = width + 1
+        if self.size * field > MAX_BANK_BITS:
+            raise ValueError(f"eager bank of {self.size} x {field} bits passes the limit of {MAX_BANK_BITS}")
         rep, bank, m = 1, 1 << width, 1  # fields 0 .. m-1
         for bit in bin(self.size)[3:]:
             bank |= (bank - m * self.z * rep) << m * field
@@ -70,16 +73,10 @@ class ScaleTable:
         return width, rep, bank
 
 
-def _check_int(name: str, value) -> None:
-    # bool is an int subclass; a float makes the digits and residual inexact
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int")
-
-
 def build_scale(z: int, k: int, radix: int = 2, extended: bool = False) -> ScaleTable:
     """Scale of q**k (or q**(k+1) when extended) multiples of z."""
     for name, value in (("divisor", z), ("k", k), ("radix", radix)):
-        _check_int(name, value)
+        check_int(name, value)
     if z <= 0:
         raise ValueError("divisor must be positive")
     if k < 1:
@@ -102,7 +99,7 @@ def _comparison_width(scale: ScaleTable) -> int:
 def _select(r: int, scale: ScaleTable, method: str) -> tuple:
     """(h, flags): the digit `select_digit` returns and, for "eager", the
     comparator flags as an int (flag d at bit d*(W+1)); None for "bisect"."""
-    _check_int("residual", r)
+    check_int("residual", r)
     if r < 0:
         raise ValueError("residual must be non-negative")
     if r >= scale.size * scale.z:
@@ -162,13 +159,13 @@ def divide(
     with Q = sum of digits[j] * radix**(k*(iters-1-j)).  Each iteration
     reports a "divide" event to an active `trace.record()`.
     """
-    _check_int("iters", iters)
+    check_int("iters", iters)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     # the scales check z, k and the radix, which the dividend range depends on
     first = build_scale(z, k, radix, extended=True)
     rest = build_scale(z, k, radix)
-    _check_int("dividend", x)
+    check_int("dividend", x)
     if not 0 <= x < radix * z:
         raise ValueError("dividend out of range (need 0 <= x < radix*z)")
     step = rest.size  # radix**k

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import MultiRowCode, packed_code, scale_fraction, scaled_value, stack_codes
+from .codes import MultiRowCode, check_int, packed_code, scale_fraction, scaled_value, stack_codes
 from .compressor import oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
 from .reducer import next_row_count, reduce_to_two, stage_plan, trapezoid_geometry
@@ -40,6 +40,8 @@ class MapConfig:
     lsb_exp: int = 0
 
     def __post_init__(self):
+        check_int("width", self.width)
+        check_int("lsb_exp", self.lsb_exp)
         if not 2 <= self.width <= 121:
             raise ValueError("width must be in 2..121")
         if self.mode not in ("one-shot", "accumulate"):

@@ -108,7 +108,7 @@ def signed_product_value(product: MultiRowCode, operand_width: int) -> Fraction:
     return scale_fraction(unbiased, product.radix, product.lsb_exp)
 
 
-@lru_cache(maxsize=_kernels.SHAPE_CACHE_SIZE)
+@lru_cache(maxsize=_kernels.SHAPE_CACHE_SIZE, typed=True)
 def mac_injection_stage(pp_rows: int, feedback_rows: int) -> tuple[int, int]:
     """Feedback injection stage: (stage index s, total stage count).
 

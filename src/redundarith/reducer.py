@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import SHAPE_CACHE_SIZE, next_row_count
-from .codes import MultiRowCode, QuadSignedCode, packed_code, quad_negate, stack_codes
+from .codes import MultiRowCode, QuadSignedCode, check_int, packed_code, quad_negate, stack_codes
 from .compressor import FINAL_3TO2_LEVELS, T_CC_REDUCE_TOTAL, oca_delay, tree_depth
 
 
@@ -34,6 +34,9 @@ class StagePlan:
 
     def __post_init__(self):
         counts = self.row_counts
+        check_int("radix", self.radix)
+        for m in counts:
+            check_int("row count", m)
         if not counts or counts[-1] != 2:
             raise ValueError("plan must end at 2 rows")
         for a, b in zip(counts, counts[1:]):
@@ -41,10 +44,10 @@ class StagePlan:
                 raise ValueError(f"inconsistent plan step {a} -> {b}")
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+@lru_cache(maxsize=SHAPE_CACHE_SIZE, typed=True)
 def stage_plan(m: int, q: int = 2) -> StagePlan:
     """Row counts of a full reduction of m rows; cached per shape, which is
-    safe because StagePlan is frozen."""
+    safe because StagePlan is frozen, and per type: 5.0 must not get 5's."""
     if m < 2:
         raise ValueError("m must be >= 2")
     counts = [m]
@@ -145,6 +148,8 @@ class TrapezoidGeometry:
 
 
 def trapezoid_geometry(n1: int, m2: int) -> TrapezoidGeometry:
+    check_int("n1", n1)
+    check_int("m2", m2)
     if n1 < 1 or m2 < 1:
         raise ValueError("n1 and m2 must be >= 1")
     n_max = n1 + m2 - 1

@@ -137,7 +137,7 @@ def test_operand_validation():
 def test_stream_rejects_non_bit_operands():
     acc = acc_new(4)
     zeros = np.zeros((3, 4), dtype=np.int64)
-    for bad_value in (2, -1, 0.5):
+    for bad_value in (2, -1, 0.5, 1 + 0j):
         bad = zeros.astype(type(bad_value))
         bad[1, 2] = bad_value
         with pytest.raises(ValueError, match="ops entries must be 0 or 1"):

@@ -192,6 +192,10 @@ def test_div_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # an eager comparator bank is capped before it is built
+    code, out, err = run(capsys, "div", "1", str(2**4000 + 1), "19", "1", "--method", "eager")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_accumulate_stdin_style(capsys, tmp_path):

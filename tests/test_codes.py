@@ -44,6 +44,15 @@ def test_construction_validates_shape_and_digits():
     for digit in (2**64 - 1, 2**70):  # too wide for int64
         with pytest.raises(ValueError):
             MultiRowCode.from_digits([[digit]], radix=2**63)
+    # each of these once built a code: an inexact value, 0.5 read as 0,
+    # "9" parsed as 9, a float width
+    with pytest.raises(ValueError, match=r"^lsb_exp must be an int$"):
+        MultiRowCode(2, 3, 2, 0.5, [[1, 0, 1], [0, 1, 1]])
+    for radix, digits in ((2, [[0.5, 1.5]]), (10, [["9", "1"]])):
+        with pytest.raises(ValueError, match=rf"^digits out of range for radix {radix}$"):
+            MultiRowCode(1, 2, radix, 0, digits)
+    with pytest.raises(ValueError, match=r"^width must be an int$"):
+        MultiRowCode.zero(2, 3.0)
 
 
 def test_column_sum_domain_is_enforced():
@@ -214,6 +223,11 @@ def test_make_from_value_rejects_bad_inputs():
         for width in (None, 8):
             with pytest.raises(ValueError, match=r"^radix must be >= 2$"):
                 make_from_value(5, 1, width, radix)
+    # a float radix, width or lsb_exp is not a plain int
+    for call in (lambda: make_from_value(6, 1, 4, 2.5), lambda: quad_from_value(3, 4.0),
+                 lambda: with_lsb_exp(make_from_value(4, 1, 4), 1.0)):
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
     # a long value is echoed by its size, not its text
     for value, err in ((2**20000 - 1, WidthOverflowError), (Fraction(1, 3**9000), GranularityError)):
         with pytest.raises(err, match=r"^a \d+-bit value") as info:

@@ -35,6 +35,11 @@ def test_tree_depth_is_ceil_log2():
         assert 2 ** (d - 1) < m <= 2**d
     with pytest.raises(ValueError):
         tree_depth(0)
+    # a row count that is not a plain int is refused, not rounded or looked up
+    for call in (lambda: tree_depth(True), lambda: plan_tree(4.0), lambda: oca_cost_structural(4.0),
+                 lambda: delay_levels(3.5), lambda: oca_delay(3.5)):
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
 
 
 def test_popcount_tree_counts_ones(rng):
@@ -47,8 +52,9 @@ def test_popcount_tree_counts_ones(rng):
 
 
 def test_popcount_tree_rejects_non_bits():
-    with pytest.raises(ValueError):
-        popcount_tree(np.array([0, 2], dtype=np.int64))
+    for bits in (np.array([0, 2], dtype=np.int64), [0.5, 1, 1.9]):
+        with pytest.raises(ValueError):
+            popcount_tree(bits)
 
 
 def test_delay_levels_golden_bands():

@@ -7,6 +7,7 @@ import pytest
 
 from redundarith import trace
 from redundarith.divider import (
+    MAX_BANK_BITS,
     _comparison_width,
     build_scale,
     divide,
@@ -226,6 +227,20 @@ def test_bank_equals_closed_form():
             rep = (b**n - 1) // (b - 1)
             idx = (b - n * b**n + (n - 1) * b ** (n + 1)) // (b - 1) ** 2
             assert scale._bank == (w, rep, (rep << w) - z * idx)
+
+
+def test_oversized_eager_bank_is_refused_before_it_is_built():
+    # 2**20 fields of about 4000 bits each would take about 500 MB
+    z = 2**4000 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"passes the limit of {MAX_BANK_BITS}"):
+            divide(1, z, 19, 1, method="eager")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert divide(1, z, 19, 1) == ([0], 1 << 19)
 
 
 def test_build_scale_allocates_no_table():

@@ -177,6 +177,9 @@ def test_config_validation():
         MapConfig(width=8, mode="bogus")
     with pytest.raises(ValueError):
         MapConfig(width=8, mode="one-shot", signedness="bogus")
+    for fields in ({"width": 8.0}, {"width": 8, "lsb_exp": 0.5}):
+        with pytest.raises(ValueError, match="must be an int"):
+            MapConfig(**fields)
     cfg = MapConfig(width=121, mode="one-shot")
     assert cfg.grid_width == 241
 

@@ -16,6 +16,7 @@ from redundarith.codes import (
     unpack_rows,
     value_of,
 )
+from redundarith.multiplier import mac_injection_stage, mul_delay
 from redundarith.reducer import (
     StagePlan,
     add_two_row,
@@ -62,6 +63,16 @@ def test_stage_plan_validates_chain():
         StagePlan(radix=2, row_counts=(63, 5, 3, 2))
     with pytest.raises(ValueError):
         StagePlan(radix=2, row_counts=(7, 3))
+    # a row count must be a plain int wherever it enters; 5.0 must not
+    # be served the cached plan of 5
+    assert stage_plan(5, 2).row_counts == (5, 3, 2)
+    assert mac_injection_stage(16, 2) == (1, 3)
+    for call in (lambda: stage_plan(5.0), lambda: stage_plan(5.0, 2), lambda: stage_plan(2.0),
+                 lambda: StagePlan((5.0, 3, 2), 2), lambda: next_row_count(9.5),
+                 lambda: trapezoid_geometry(2.5, 2), lambda: mac_injection_stage(8.5, 2),
+                 lambda: mac_injection_stage(16.0, 2), lambda: mul_delay(8.5)):
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
 
 
 def test_reduce_once_shifts_diagonally():
