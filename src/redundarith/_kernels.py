@@ -94,7 +94,7 @@ def _report_stage(events: list, rows_in: int, col: np.ndarray, q: int, out: np.n
 
 def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
     # reduce_to_two_digits loops over this body, not over the public
-    # reduce_once_digits, so one reduction is one entry-point call
+    # reduce_once_digits, so one reduction is one traced entry-point call
     col = digits.sum(axis=0, dtype=np.int64)
     # digit h of every column sum goes to row h, shifted h columns
     out = _skew(col // _digit_weights(digits.shape[0], q) % q)
@@ -151,8 +151,9 @@ def _column_planes(rows: list) -> list:
     return planes
 
 
-def _packed_stage(rows, width: int) -> tuple[list, int]:
-    """Plane h of the column sums, shifted h columns, is output row h.
+def packed_stage(rows, width: int) -> tuple[list, int]:
+    """One stage of packed binary rows, (rows, width): plane h of the
+    column sums, shifted h columns, is output row h.
 
     Zero rows add nothing to a column sum, so only the others are
     counted, and zero rows pad their planes to m.bit_length().
@@ -167,17 +168,12 @@ def _packed_stage(rows, width: int) -> tuple[list, int]:
     return out, out_width
 
 
-def reduce_once_packed(rows, width: int) -> tuple[list, int]:
-    """One reduction stage of packed binary rows; returns the rows and their width."""
-    return _packed_stage(rows, width)
-
-
 def reduce_to_two_packed(rows, width: int) -> tuple[list, int, int]:
     """Reduce packed binary rows until two remain; returns the rows, their
     width and the stage count."""
     stages = 0
     while len(rows) > 2:
-        rows, width = _packed_stage(rows, width)
+        rows, width = packed_stage(rows, width)
         stages += 1
     return rows, width, stages
 

@@ -162,7 +162,7 @@ def _cmd_div(args) -> int:
     return 0 if identity else 1
 
 
-def _rows_from_lines(text: str, width: int | None):
+def _rows_from_lines(text: str, width: int | None) -> np.ndarray:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -177,7 +177,9 @@ def _rows_from_lines(text: str, width: int | None):
     for i, row in enumerate(rows):
         if len(row) > w:
             raise ValueError(f"operand row {i + 1} wider than --width {w}")
-    return codes.unpack_rows([int(row, 2) for row in rows], w)
+    # the rows' characters, zero-padded: one (rows, w) 0/1 matrix, LSB column first
+    chars = np.frombuffer("".join(row.rjust(w, "0") for row in rows).encode(), np.uint8)
+    return chars.reshape(len(rows), w)[:, ::-1] - ord("0")
 
 
 def _cmd_accumulate(args) -> int:

@@ -103,10 +103,11 @@ def _entry_error(name: str, radix: int) -> ValueError:
 class MultiRowCode:
     """Immutable m x n digit matrix with per-column weights q**(j + lsb_exp).
 
-    A radix-2 code holds its rows as ints in `packed`, bit j in column j,
-    and builds the read-only int64 `digits` matrix from them on first
-    read.  At any other radix `packed` is None and `digits` is the matrix
-    itself.  The constructor takes a digit matrix at every radix.
+    The constructor checks a digit matrix and keeps one form of its own,
+    never the caller's array.  At radix 2 that is the rows as ints in
+    `packed`, bit j in column j, and the read-only int64 `digits` is built
+    from them on first read; above, `packed` is None and `digits` is a
+    read-only int64 copy.  Engine output is built by `made_code`.
     """
 
     rows: int
@@ -120,13 +121,10 @@ class MultiRowCode:
         self.__post_init__()
 
     def __post_init__(self):
-        # the constructor's checks; a code built from packed rows skips them
         _check_fields(self.rows, self.width, self.radix, self.lsb_exp)
         digits = _as_digit_matrix(self._digits, (self.rows, self.width), self.radix)
-        digits = np.ascontiguousarray(digits, dtype=np.int64)
-        digits.flags.writeable = False
-        packed = tuple(pack_rows(digits)) if self.radix == 2 else None
-        vars(self).update(packed=packed, _digits=digits)
+        rows = pack_rows(digits) if self.radix == 2 else digits.astype(np.int64)
+        vars(self).update(vars(made_code(rows, self.width, self.radix, self.lsb_exp)))
 
     @property
     def digits(self) -> np.ndarray:
@@ -140,18 +138,16 @@ class MultiRowCode:
     @classmethod
     def from_digits(cls, digits, radix: int = 2, lsb_exp: int = 0) -> "MultiRowCode":
         arr = np.asarray(digits)
+        if arr.ndim == 0:
+            raise ValueError("digits shape () is neither a row nor a matrix")
         if arr.ndim == 1:
             arr = arr[None, :]
         return cls(arr.shape[0], arr.shape[1], radix, lsb_exp, arr)
 
     @classmethod
-    def zero(
-        cls, rows: int, width: int, radix: int = 2, lsb_exp: int = 0
-    ) -> "MultiRowCode":
+    def zero(cls, rows: int, width: int, radix: int = 2, lsb_exp: int = 0) -> "MultiRowCode":
         _check_fields(rows, width, radix, lsb_exp)
-        if radix == 2:
-            return packed_code((0,) * rows, width, lsb_exp)
-        return cls(rows, width, radix, lsb_exp, np.zeros((rows, width), np.int64))
+        return make_from_value(0, rows, width, radix, lsb_exp)
 
     def __eq__(self, other) -> bool:
         # codes compare by represented value, not by digit layout
@@ -168,13 +164,18 @@ class MultiRowCode:
         )
 
 
-def packed_code(rows, width: int, lsb_exp: int = 0) -> MultiRowCode:
-    """A radix-2 code over the given rows, each an int below 2**width with
-    bit j in column j.  The engines that call it keep that range by
-    construction, so it is not checked and no digit matrix is built."""
+def made_code(rows, width: int, radix: int = 2, lsb_exp: int = 0) -> MultiRowCode:
+    """A code of engine output, unchecked: the one place that decides how a
+    code stores its rows.  At radix 2 `rows` are ints below 2**width, bit j
+    in column j; above, an int64 (rows, width) matrix of digits below
+    `radix` that the caller hands over.  The engines keep those ranges by
+    construction, and no digit matrix is built at radix 2."""
     code = object.__new__(MultiRowCode)
-    vars(code).update(rows=len(rows), width=width, radix=2, lsb_exp=lsb_exp,
-                      packed=tuple(rows), _digits=None)
+    binary = radix == 2
+    if not binary:
+        rows.flags.writeable = False
+    vars(code).update(rows=len(rows), width=width, radix=radix, lsb_exp=lsb_exp,
+                      packed=tuple(rows) if binary else None, _digits=None if binary else rows)
     return code
 
 
@@ -187,13 +188,13 @@ def stack_codes(parts, width: int = 0) -> MultiRowCode:
     first = parts[0]
     width = max(width, *(part.width for part in parts))
     if first.radix == 2:
-        return packed_code([row for part in parts for row in part.packed], width, first.lsb_exp)
+        return made_code([row for part in parts for row in part.packed], width, 2, first.lsb_exp)
     digits = np.zeros((sum(part.rows for part in parts), width), dtype=np.int64)
     top = 0
     for part in parts:
         digits[top : top + part.rows, : part.width] = part.digits
         top += part.rows
-    return MultiRowCode.from_digits(digits, first.radix, first.lsb_exp)
+    return made_code(digits, width, first.radix, first.lsb_exp)
 
 
 def pack_rows(bits) -> list:
@@ -259,6 +260,19 @@ def _echo(value) -> str:
     return f"value {value}" if bits <= 128 else f"a {bits}-bit value"
 
 
+def _exact_value(value):
+    """`value` as an int or Fraction.  Text is not parsed, bool is not a
+    number, and what Fraction cannot convert (None, complex, nan) fails."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (str, bool)):
+        try:
+            return Fraction(value)
+        except (OverflowError, TypeError, ValueError):
+            pass
+    raise ValueError(f"value must be a finite number, not {type(value).__name__}")
+
+
 def make_from_value(
     value,
     rows: int,
@@ -268,16 +282,13 @@ def make_from_value(
 ) -> MultiRowCode:
     """Encode a non-negative number canonically: digits in row 0, rest zero.
 
-    `value` may be an int or Fraction; it must be a non-negative multiple
-    of radix**lsb_exp and fit in `width` columns.  `width=None` takes as
-    few columns as the value needs, and at least one.
+    `value` is a number (see _exact_value); it must be a non-negative
+    multiple of radix**lsb_exp and fit in `width` columns.  `width=None`
+    takes as few columns as the value needs, and at least one.
     """
     _check_fields(rows, 0 if width is None else width, radix, lsb_exp)
-    if isinstance(value, int):
-        num, den = value, 1
-    else:
-        v = Fraction(value)  # keeps the type of a numpy integer's parts
-        num, den = int(v.numerator), int(v.denominator)
+    v = _exact_value(value)
+    num, den = int(v.numerator), int(v.denominator)  # a numpy integer's parts keep its type
     if num < 0:
         raise ValueError("value must be non-negative")
     if lsb_exp >= 0:
@@ -300,10 +311,10 @@ def make_from_value(
     if ndigits > width:
         raise WidthOverflowError(f"{_echo(value)} does not fit in width {width} at radix {radix}")
     if radix == 2:
-        return packed_code((n,) + (0,) * (rows - 1), width, lsb_exp)
+        return made_code((n,) + (0,) * (rows - 1), width, 2, lsb_exp)
     digits = np.zeros((rows, width), dtype=np.int64)
-    digits[0] = row + [0] * (width - ndigits)
-    return MultiRowCode(rows, width, radix, lsb_exp, digits)
+    digits[0, :ndigits] = row
+    return made_code(digits, width, radix, lsb_exp)
 
 
 def with_lsb_exp(code: MultiRowCode, lsb_exp: int) -> MultiRowCode:
@@ -327,13 +338,13 @@ def with_lsb_exp(code: MultiRowCode, lsb_exp: int) -> MultiRowCode:
             )
     if binary:
         rows = [row << shift if shift > 0 else row >> -shift for row in code.packed]
-        return packed_code(rows, code.width + shift, lsb_exp)
+        return made_code(rows, code.width + shift, 2, lsb_exp)
     if shift > 0:
         digits = np.zeros((code.rows, code.width + shift), dtype=np.int64)
         digits[:, shift:] = code.digits
     else:
         digits = code.digits[:, -shift:].copy()
-    return MultiRowCode(code.rows, digits.shape[1], code.radix, lsb_exp, digits)
+    return made_code(digits, digits.shape[1], code.radix, lsb_exp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,7 +390,7 @@ def quad_from_value(
     value, width: int | None, radix: int = 2, lsb_exp: int = 0
 ) -> QuadSignedCode:
     """Canonical quad code of a signed value; `width` as in make_from_value."""
-    v = Fraction(value)
+    v = _exact_value(value)
     mag = make_from_value(abs(v), 2, width, radix, lsb_exp)
     zero = MultiRowCode.zero(2, mag.width, radix, lsb_exp)
     if v >= 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import MultiRowCode, check_int, packed_code, scale_fraction, scaled_value, stack_codes
+from .codes import MultiRowCode, check_int, made_code, scale_fraction, scaled_value, stack_codes
 from .compressor import oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
 from .reducer import next_row_count, reduce_to_two, stage_plan, trapezoid_geometry
@@ -123,7 +123,7 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
             row = code.packed[0]
             sign = row >> (code.width - 1)
             # the two's-complement value modulo 2**gw: the row sign-extended
-            blocks.append(packed_code(((row - (sign << code.width)) % (1 << gw),), gw, cfg.lsb_exp))
+            blocks.append(made_code(((row - (sign << code.width)) % (1 << gw),), gw, 2, cfg.lsb_exp))
             bias += sign
         else:
             blocks.append(code)
@@ -144,7 +144,7 @@ def _reduce_to_state(cfg: MapConfig, state: MapState, blocks, bias: int) -> MapS
     # the grid go to the overflow counter
     rows = reduce_to_two(stack_codes(blocks, gw)).packed
     overflow = state.overflow_count + sum(row >> gw for row in rows)
-    f = packed_code([row & ((1 << gw) - 1) for row in rows], gw, cfg.lsb_exp)
+    f = made_code([row & ((1 << gw) - 1) for row in rows], gw, 2, cfg.lsb_exp)
     return MapState(
         config=cfg,
         f=f,

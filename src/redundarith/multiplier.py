@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels
-from .codes import MultiRowCode, packed_code, scale_fraction, scaled_value, stack_codes
+from .codes import MultiRowCode, check_int, made_code, scale_fraction, scaled_value, stack_codes
 from .reducer import reduce_delay, reduce_once, reduce_to_two, stage_plan
 
 
@@ -57,7 +57,7 @@ def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix
     _check_operand(a)
     _check_operand(b)
     rows = _partial_products(a.packed[0], b.packed[0], b.width)
-    matrix = packed_code(rows, a.width + b.width - 1, a.lsb_exp + b.lsb_exp)
+    matrix = made_code(rows, a.width + b.width - 1, 2, a.lsb_exp + b.lsb_exp)
     return PartialProductMatrix(matrix=matrix, bias_scaled=0)
 
 
@@ -83,7 +83,7 @@ def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
     rows.append((ones ^ b_mag * a_sign) << n | (a_sign & b_sign) << 2 * n)
     rows.append((ones ^ a_mag * b_sign) << n)  # -(sign_b * mag_a), inverted
     rows.append(1 << (n + 1))  # constant correction
-    matrix = packed_code(rows, 2 * n + 1, a.lsb_exp + b.lsb_exp)
+    matrix = made_code(rows, 2 * n + 1, 2, a.lsb_exp + b.lsb_exp)
     return PartialProductMatrix(matrix=matrix, bias_scaled=1 << (2 * n + 1))
 
 
@@ -103,6 +103,9 @@ def signed_product_value(product: MultiRowCode, operand_width: int) -> Fraction:
     `operand_width` is the shared width w of the two signed operands;
     the bias is 2**(2(w-1)+1) scaled cells.
     """
+    check_int("operand_width", operand_width)
+    if operand_width < 2:
+        raise ValueError("operand_width must be >= 2")
     n = operand_width - 1
     unbiased = scaled_value(product) - (1 << (2 * n + 1))
     return scale_fraction(unbiased, product.radix, product.lsb_exp)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import SHAPE_CACHE_SIZE, next_row_count
-from .codes import MultiRowCode, QuadSignedCode, check_int, packed_code, quad_negate, stack_codes
+from .codes import MultiRowCode, QuadSignedCode, check_int, made_code, quad_negate, stack_codes
 from .compressor import FINAL_3TO2_LEVELS, T_CC_REDUCE_TOTAL, oca_delay, tree_depth
 
 
@@ -61,9 +61,9 @@ def reduce_once(code: MultiRowCode) -> MultiRowCode:
     if code.rows < 3:
         raise ValueError("reduce_once requires >= 3 rows")
     if code.radix == 2:
-        return packed_code(*_kernels.reduce_once_packed(code.packed, code.width), code.lsb_exp)
+        return made_code(*_kernels.packed_stage(code.packed, code.width), 2, code.lsb_exp)
     out = _kernels.reduce_once_digits(code.digits, code.radix)
-    return MultiRowCode.from_digits(out, code.radix, code.lsb_exp)
+    return made_code(out, out.shape[1], code.radix, code.lsb_exp)
 
 
 def _pad_to_two(code: MultiRowCode) -> MultiRowCode:
@@ -79,10 +79,10 @@ def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
         return code
     if code.radix == 2:
         rows, width, stages = _kernels.reduce_to_two_packed(code.packed, code.width)
-        out = packed_code(rows, width, code.lsb_exp)
     else:
-        digits, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
-        out = MultiRowCode.from_digits(digits, code.radix, code.lsb_exp)
+        rows, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
+        width = rows.shape[1]
+    out = made_code(rows, width, code.radix, code.lsb_exp)
     planned = stage_plan(code.rows, code.radix).stages
     if stages != planned:
         raise RuntimeError(f"reduction ran {stages} stages, stage_plan gives {planned}")
@@ -92,12 +92,12 @@ def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
 def _trim_msb_zeros(code: MultiRowCode, min_width: int) -> MultiRowCode:
     if code.radix == 2:
         keep = max(min_width, *(row.bit_length() for row in code.packed))
-        return code if keep == code.width else packed_code(code.packed, keep, code.lsb_exp)
+        return code if keep == code.width else made_code(code.packed, keep, 2, code.lsb_exp)
     nonzero = np.nonzero(code.digits.any(axis=0))[0]
     keep = max(int(nonzero[-1]) + 1 if nonzero.size else 0, min_width)
     if keep == code.width:
         return code
-    return MultiRowCode.from_digits(code.digits[:, :keep], code.radix, code.lsb_exp)
+    return made_code(code.digits[:, :keep].copy(), keep, code.radix, code.lsb_exp)
 
 
 def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:

@@ -132,6 +132,10 @@ def test_operand_validation():
         acc_step(acc, make_from_value(1, 2, 4, 2))  # wrong row count for 1-row step
     with pytest.raises(ValueError):
         acc_step(acc, MultiRowCode(1, 4, 3, 0, np.zeros((1, 4), dtype=np.int64)))
+    with pytest.raises(ValueError, match="^width must be >= 1$"):
+        acc_new(0)
+    with pytest.raises(ValueError, match="^counter_mode must be 'exact' or 'xor'$"):
+        acc_new(4, counter_mode="bogus")
 
 
 def test_stream_rejects_non_bit_operands():

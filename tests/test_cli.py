@@ -88,22 +88,17 @@ def test_reduce_trace_reduces_once(capsys, tmp_path, monkeypatch):
     plan = reducer.stage_plan(9, 2)
     want = codes.to_text(reducer.reduce_to_two(codes.from_text(text)))
     stages = []
-    once, to_two = _kernels.reduce_once_packed, _kernels.reduce_to_two_packed
+    once = _kernels.packed_stage
 
     def count_once(rows, width):
-        stages.append(1)
+        stages.append(len(rows))
         return once(rows, width)
 
-    def count_to_two(rows, width):
-        out, out_width, n = to_two(rows, width)
-        stages.append(n)
-        return out, out_width, n
-
-    monkeypatch.setattr(_kernels, "reduce_once_packed", count_once)
-    monkeypatch.setattr(_kernels, "reduce_to_two_packed", count_to_two)
+    # every binary stage, alone or in a full reduction, runs the one stage body
+    monkeypatch.setattr(_kernels, "packed_stage", count_once)
     code, out, _ = run(capsys, "reduce", str(f), "--trace")
     assert code == 0
-    assert sum(stages) == plan.stages
+    assert stages == list(plan.row_counts[:-1])
     assert out == want
 
 
@@ -221,6 +216,12 @@ def test_accumulate_rejects_nonbinary(capsys, tmp_path):
     code, _, err = run(capsys, "accumulate", str(f))
     assert code == 2
     assert "binary" in err
+    for text, flags, message in (("# only a comment\n\n", (), "no operand rows found"),
+                                 ("101\n", ("--width", "2"), "operand row 1 wider than --width 2"),
+                                 ("11\n01\n10\n", ("--pairs",), "--pairs needs an even number of rows")):
+        f.write_text(text)
+        code, out, err = run(capsys, "accumulate", str(f), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_map_command(capsys):
@@ -688,3 +689,17 @@ def test_bad_argv_exits_two_without_traceback(argv):
         assert err.splitlines()[-1].startswith("redundarith") and ": error: " in err
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_file_and_stdin_operands_read_like_integers(tmp_path):
+    # an operand may be a code, in a file or on stdin, as text or JSON
+    seven = codes.make_from_value(7, 1, None)
+    for form in (codes.to_text(seven), codes.to_json(seven)):
+        path = tmp_path / "op.txt"
+        path.write_text(form)
+        for command in ("add", "mul"):
+            for out_flags in ((), ("--json",)):
+                want = call((command, "7", "5", *out_flags))
+                assert want[0] == 0
+                assert call((command, f"@{path}", "5", *out_flags)) == want
+                assert call((command, "5", "-", *out_flags), stdin=form) == call((command, "5", "7", *out_flags))

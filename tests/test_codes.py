@@ -1,5 +1,6 @@
 """Digit-matrix container: construction, values, canonical encoding."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,30 @@ def test_construction_validates_shape_and_digits():
             MultiRowCode(1, 2, radix, 0, digits)
     with pytest.raises(ValueError, match=r"^width must be an int$"):
         MultiRowCode.zero(2, 3.0)
+    # a 0-d input once failed with an IndexError
+    for scalar in (5, np.int64(5)):
+        with pytest.raises(ValueError, match=r"^digits shape \(\) "):
+            MultiRowCode.from_digits(scalar)
+
+
+def test_code_shares_no_memory_with_its_input():
+    # the constructor keeps one form of its own: later writes to the
+    # caller's array, or to the array it views, change no code
+    for radix in (2, 3, 10):
+        whole = np.zeros((1, 4), dtype=np.int64)
+        base = np.zeros((3, 4), dtype=np.int64)
+        view = base[:1]
+        for built, given, writes in ((MultiRowCode(1, 4, radix, 0, whole), whole, (whole,)),
+                                     (MultiRowCode.from_digits(view, radix), view, (view, base))):
+            assert given.flags.writeable and base.flags.writeable
+            assert built.digits is not given
+            assert not any(np.shares_memory(built.digits, arr) for arr in writes)
+            assert not built.digits.flags.writeable
+            for arr in writes:
+                arr[0, 0] = 1
+                assert value_of(built) == 0 and not built.digits.any()
+            if radix == 2:
+                assert built.packed == (0,)
 
 
 def test_column_sum_domain_is_enforced():
@@ -174,10 +199,13 @@ def test_make_from_value_round_trips(rng):
             assert value_of(code) == v
             assert code.digits[1:].sum() == 0
     # every accepted input type encodes the same digits
-    for v in (6, True, np.int64(6), Fraction(6)):
+    for v in (6, np.int64(6), np.uint8(6), Fraction(6), Decimal(6), 6.0):
         code = make_from_value(v, 2, 8, 2)
         assert value_of(code) == v
         assert code.digits[0].tolist() == [int(d) for d in format(int(v), "08b")[::-1]]
+    assert value_of(make_from_value(Decimal("1.25"), 1, 4, 2, -2)) == Fraction(5, 4)
+    assert value_of(make_from_value(0.375, 1, 4, 2, -3)) == Fraction(3, 8)
+    assert quad_value(quad_from_value(-0.5, 2, 2, -1)) == Fraction(-1, 2)
     for radix in (2, 3):
         assert value_of(make_from_value(radix**8 - 1, 1, 8, radix)) == radix**8 - 1
     assert value_of(make_from_value(Fraction(13, 8), 1, 5, 2, -3)) == Fraction(13, 8)
@@ -228,6 +256,16 @@ def test_make_from_value_rejects_bad_inputs():
                  lambda: with_lsb_exp(make_from_value(4, 1, 4), 1.0)):
         with pytest.raises(ValueError, match="must be an int"):
             call()
+    # text is not parsed and bool is not a number; what Fraction cannot
+    # convert is a ValueError too, not a TypeError or an OverflowError
+    bad_values = ("3", "1/2", b"3", True, np.True_, 1j, None, float("inf"), float("nan"),
+                  Decimal("NaN"), [3])
+    for value in bad_values:
+        for call in (lambda: make_from_value(value, 1, 4, 2, -1), lambda: quad_from_value(value, 4)):
+            with pytest.raises(ValueError, match=r"^value must be a finite number, not "):
+                call()
+    with pytest.raises(ValueError, match=r"^value must be a finite number, not str$"):
+        quad_from_value("-3", 4)
     # a long value is echoed by its size, not its text
     for value, err in ((2**20000 - 1, WidthOverflowError), (Fraction(1, 3**9000), GranularityError)):
         with pytest.raises(err, match=r"^a \d+-bit value") as info:
@@ -289,6 +327,10 @@ def test_quad_parts_must_be_two_rows():
     one_row = make_from_value(1, 1, 4, 2)
     with pytest.raises(ValueError):
         QuadSignedCode(pos=one_row, neg=one_row)
+    two_rows = make_from_value(1, 2, 4, 2)
+    for other in (make_from_value(1, 2, 4, 3), make_from_value(1, 2, 4, 2, -1)):
+        with pytest.raises(ValueError, match="^quad parts must share radix and lsb_exp$"):
+            QuadSignedCode(pos=two_rows, neg=other)
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,6 +40,15 @@ def test_tree_depth_is_ceil_log2():
                  lambda: delay_levels(3.5), lambda: oca_delay(3.5)):
         with pytest.raises(ValueError, match="must be an int"):
             call()
+    # and one inside each model's range
+    cases = ((lambda: popcount_tree([]), r"^need 1 <= m <= 2\*\*30 input bits$"),
+             (lambda: plan_tree(1), "^plan_tree requires 2 <= m <= 128$"),
+             (lambda: oca_delay(2), "^oca_delay requires 3 <= m <= 128$"),
+             (lambda: oca_cost_structural(4, cells="bogus"), "^cells must be 'square' or 'exact'$"),
+             (lambda: delay_levels(200), "^no delay band covers m=200$"))
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_popcount_tree_counts_ones(rng):

@@ -145,6 +145,15 @@ def test_divide_rejects_out_of_range():
             divide(1, 3, 1, 4, radix=radix)
     with pytest.raises(ValueError, match=r"^k must be >= 1$"):
         divide(20, 3, 0, 4)
+    # one digit selection takes a residual below size * z
+    scale = build_scale(7, 2)
+    cases = ((lambda: select_digit(-1, scale), "^residual must be non-negative$"),
+             (lambda: select_digit(scale.size * 7, scale, "eager"), "^residual out of scale range$"),
+             (lambda: select_digit(3, scale, method="bogus"), "^method must be 'bisect' or 'eager'$"),
+             (lambda: thermometer_flags(scale.size * 7, scale), "^residual out of scale range$"))
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("call", [

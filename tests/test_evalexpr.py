@@ -96,6 +96,12 @@ def test_error_positions():
     with pytest.raises(EvalError) as err:
         evaluate("frob(1)")
     assert err.value.pos == 0
+    for text, message in (("1 + mul(1)", "mul takes 2 arguments (at offset 4)"),
+                          ("1/", "expected integer after '/' (at offset 2)"),
+                          ("2 * 1/0", "zero denominator (at offset 6)")):
+        with pytest.raises(EvalError) as err:
+            evaluate(text)
+        assert str(err.value) == message
 
 
 def test_nesting_depth_is_capped():

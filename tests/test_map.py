@@ -49,8 +49,24 @@ def test_one_shot_partial_operands():
 
 def test_product_needs_both_factors():
     cfg = MapConfig(width=6, mode="one-shot")
-    with pytest.raises(ValueError):
-        map_eval(cfg, a=_bits(3, 6))
+    for operands in ({"a": _bits(3, 6)}, {"b": _bits(3, 6)}):
+        with pytest.raises(ValueError, match=r"^product needs both a and b \(or neither\)$"):
+            map_eval(cfg, **operands)
+    # every operand is checked against the grid before anything is stacked
+    tc = MapConfig(width=6, signedness="twos-complement")
+    cases = (
+        (cfg, {"c": make_from_value(3, 1, 6, 3)}, "^operand c must be binary$"),
+        (cfg, {"d": _bits(3, 6, -1)}, "^operand d lsb_exp must match the grid$"),
+        (cfg, {"e": make_from_value(3, 3, 6)}, "^operand e must have 1 or 2 rows$"),
+        (cfg, {"g": _bits(3, 7)}, "^operand g wider than 6$"),
+        (cfg, {"a": _bits(3, 7), "b": _bits(3, 6)}, "^product operands wider than 6$"),
+        (tc, {"a": _bits(3, 5), "b": _bits(3, 6)}, "^signed product operands must have the full width$"),
+    )
+    for config, operands, message in cases:
+        with pytest.raises(ValueError, match=message):
+            map_eval(config, **operands)
+    with pytest.raises(ValueError, match="^config mode must be 'accumulate'$"):
+        map_accumulate(cfg, [])
 
 
 def test_two_row_additive_operands_allowed_unsigned():

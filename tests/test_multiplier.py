@@ -138,6 +138,11 @@ def test_signed_requires_matching_widths():
         pp_matrix_signed(_row([1, 0, 1]), _row([1, 0, 1, 1]))
     with pytest.raises(ValueError):
         pp_matrix_signed(_row([1]), _row([1]))
+    # the operand width that reads a signed product is checked like any other
+    product = multiply(make_from_value(3, 1, 4), make_from_value(5, 1, 4), signed=True)
+    for width, message in ((1, ">= 2"), (0, ">= 2"), (True, "an int"), (2.0, "an int"), ("4", "an int")):
+        with pytest.raises(ValueError, match=rf"^operand_width must be {message}$"):
+            signed_product_value(product, width)
 
 
 def test_mac_injection_stage_prefers_stage_one():
@@ -165,6 +170,19 @@ def test_fused_mac_requires_aligned_feedback():
     f = make_from_value(5, 2, 8, 2, lsb_exp=-1)
     with pytest.raises(ValueError):
         fused_mac(f, make_from_value(3, 1, 4), make_from_value(3, 1, 4))
+    # operands are one binary row, feedback two or three binary rows
+    a = make_from_value(3, 1, 4)
+    cases = (
+        (lambda: multiply(make_from_value(3, 2, 4), a), "^multiplier operands must be one-row codes$"),
+        (lambda: multiply(a, make_from_value(3, 1, 4, 3)), "^multiplier operands must be binary$"),
+        (lambda: fused_mac(make_from_value(5, 1, 8), a, a), "^feedback must be a 2-row or 3-row code$"),
+        (lambda: fused_mac(make_from_value(5, 2, 8, 3), a, a), "^feedback must be binary$"),
+        (lambda: mul_delay(1), "^n must be >= 2$"),
+        (lambda: mac_injection_stage(0, 2), "^pp_rows must be >= 1$"),
+    )
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_mul_delay_reference_width():

@@ -73,6 +73,14 @@ def test_stage_plan_validates_chain():
                  lambda: mac_injection_stage(16.0, 2), lambda: mul_delay(8.5)):
         with pytest.raises(ValueError, match="must be an int"):
             call()
+    # and in range
+    cases = ((lambda: stage_plan(1), "^m must be >= 2$"),
+             (lambda: trapezoid_geometry(0, 2), "^n1 and m2 must be >= 1$"),
+             (lambda: next_row_count(0), "^m must be >= 1$"),
+             (lambda: next_row_count(3, 1), "^q must be >= 2$"))
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_reduce_once_shifts_diagonally():
@@ -163,7 +171,7 @@ def _check_stage_bodies(digits, radix):
     if radix != 2:
         return
     packed = pack_rows(digits)
-    once, width = _kernels.reduce_once_packed(packed, digits.shape[1])
+    once, width = _kernels.packed_stage(packed, digits.shape[1])
     assert all(row >> width == 0 for row in once)
     np.testing.assert_array_equal(unpack_rows(once, width), want_once)
     two, width, stages = _kernels.reduce_to_two_packed(packed, digits.shape[1])
@@ -226,6 +234,10 @@ def test_add_two_row_rejects_misaligned():
     c = make_from_value(3, 2, 4, 3)
     with pytest.raises(ValueError):
         add_two_row(a, c)
+    with pytest.raises(ValueError, match="^operands must be 2-row codes$"):
+        add_two_row(a, make_from_value(3, 3, 4))
+    with pytest.raises(ValueError, match=r"^reduce_once requires >= 3 rows$"):
+        reduce_once(a)
 
 
 def test_quad_add_sub():
