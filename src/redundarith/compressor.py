@@ -87,10 +87,6 @@ def _merge_nodes(m: int) -> tuple:
     A subtree over k leaf bits yields a partial count bounded by k; the
     merge of two subtrees sits one level above the deeper child.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return ()
 
     def build(k: int) -> tuple[int, tuple]:
         if k == 1:
@@ -148,6 +144,7 @@ def oca_delay(m: int) -> int:
 
 def oca_cost_lookup(m: int) -> int:
     """Golden total AND-gate count for an m-input counting adder."""
+    check_int("m", m)
     try:
         return golden_costs()[m]
     except KeyError:

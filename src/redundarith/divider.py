@@ -198,6 +198,12 @@ def check_printable(k: int, iters: int, radix: int = 2) -> None:
 def quotient_value(digits: list, k: int, radix: int = 2) -> Fraction:
     """Value of a digit string as a truncated quotient: digit j weighs
     radix**(-k*(j+1))."""
+    check_int("k", k)
+    check_int("radix", radix)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if radix < 2:
+        raise ValueError("radix must be >= 2")
     step = radix**k
     q = 0
     for d in digits:

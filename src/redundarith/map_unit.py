@@ -129,8 +129,6 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
             blocks.append(code)
 
     if feedback is not None:
-        if feedback.width > gw:
-            raise ValueError("feedback wider than the grid")
         blocks.append(feedback)
 
     return blocks, bias

@@ -122,8 +122,12 @@ def mac_injection_stage(pp_rows: int, feedback_rows: int) -> tuple[int, int]:
     band absorbs the extra rows wins.  If no stage keeps the bare stage
     count, the earliest stage with the smallest total is used.
     """
+    check_int("pp_rows", pp_rows)
+    check_int("feedback_rows", feedback_rows)
     if pp_rows < 1:
         raise ValueError("pp_rows must be >= 1")
+    if feedback_rows < 1:
+        raise ValueError("feedback_rows must be >= 1")
     plan = stage_plan(max(pp_rows, 2), 2)
     bare = plan.stages
     totals = [

@@ -195,6 +195,8 @@ def test_state_is_immutable():
         with pytest.raises(ValueError):
             row[0] = 0
     assert acc_total(acc) == 2 * 16 + 10
+    assert repr(acc) == ("AccumulatorState(width=4, packed=(5, 5), overflow_count=2, lsb_exp=0, "
+                         "counter_mode='exact')")
 
 
 def _reference_stream(ops_a, ops_b, s, c, xor_variant):

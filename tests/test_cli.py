@@ -231,6 +231,19 @@ def test_map_command(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["total"] == str(200 * 131 + 77)
+    # the delay and gate models, as nested JSON fields and as dotted text lines
+    code, out, _ = run(capsys, "map", "a=3", "b=5", "--width", "24", "--timing", "--gates", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["timing"]["source"] == "reference" and obj["timing"]["total"] == 14
+    assert set(obj["gates"]) == {"pp_and_gates", "counter_gates", "total"}
+    code, out, _ = run(capsys, "map", "a=3", "b=5", "--width", "24", "--timing", "--gates")
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "timing.total 14", "timing.source reference", "timing.derived_levels [5, 3, 2]",
+        "timing.derived_total 11", "gates.pp_and_gates 576", "gates.counter_gates 11636",
+        "gates.total 12212",
+    ]
 
 
 def test_map_rejects_unknown_operand(capsys):
@@ -260,6 +273,8 @@ def test_fuzz_rejects_negative_trials(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # a negative seed once failed inside numpy, with its message
+    assert run(capsys, "fuzz", "--seed", "-1") == (2, "", "error: seed must be >= 0, got -1\n")
 
 
 def test_fuzz_seed_flag_overrides_env(capsys, monkeypatch):

@@ -313,6 +313,11 @@ def test_equality_is_by_value_not_layout():
     b = MultiRowCode(2, 4, 2, 0, np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=np.int64))
     assert a == b
     assert a != make_from_value(7, 2, 4, 2)
+    # a 1-D row is a one-row code
+    assert MultiRowCode.from_digits([0, 1, 1]) == make_from_value(6, 1, 3)
+    # a code is not a number, whatever its value
+    assert (make_from_value(5, 1, 3) == 5) is False
+    assert repr(a) == "MultiRowCode(rows=2, width=4, radix=2, lsb_exp=0, value=6)"
 
 
 def test_quad_signed_arithmetic_identities():
@@ -321,6 +326,11 @@ def test_quad_signed_arithmetic_identities():
     assert quad_value(quad_negate(q)) == Fraction(11, 16)
     z = quad_from_value(0, 4)
     assert quad_value(z) == 0
+    # quad codes compare by value, across widths
+    assert quad_from_value(-3, 4) == quad_from_value(-3, 9)
+    assert quad_from_value(-3, 4) != quad_from_value(3, 4)
+    assert (quad_from_value(-3, 4) == -3) is False
+    assert repr(q) == "QuadSignedCode(value=-11/16)"
 
 
 def test_quad_parts_must_be_two_rows():

@@ -37,7 +37,8 @@ def test_tree_depth_is_ceil_log2():
         tree_depth(0)
     # a row count that is not a plain int is refused, not rounded or looked up
     for call in (lambda: tree_depth(True), lambda: plan_tree(4.0), lambda: oca_cost_structural(4.0),
-                 lambda: delay_levels(3.5), lambda: oca_delay(3.5)):
+                 lambda: delay_levels(3.5), lambda: oca_delay(3.5),
+                 lambda: oca_cost_lookup(3.0), lambda: oca_cost_lookup(True)):  # 3.0 once gave 10
         with pytest.raises(ValueError, match="must be an int"):
             call()
     # and one inside each model's range
@@ -45,6 +46,7 @@ def test_tree_depth_is_ceil_log2():
              (lambda: plan_tree(1), "^plan_tree requires 2 <= m <= 128$"),
              (lambda: oca_delay(2), "^oca_delay requires 3 <= m <= 128$"),
              (lambda: oca_cost_structural(4, cells="bogus"), "^cells must be 'square' or 'exact'$"),
+             (lambda: oca_cost_structural(1), "^m must be >= 2$"),
              (lambda: delay_levels(200), "^no delay band covers m=200$"))
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -64,6 +66,10 @@ def test_popcount_tree_rejects_non_bits():
     for bits in (np.array([0, 2], dtype=np.int64), [0.5, 1, 1.9]):
         with pytest.raises(ValueError):
             popcount_tree(bits)
+    # popcount_tree checks its bits first; a direct kernel call meets the
+    # per-level bound
+    with pytest.raises(ValueError, match=r"^partial count above 2\*\*1 at level 1: inputs must be bits$"):
+        _kernels.popcount_batch(np.array([[2, 2]]))
 
 
 def test_delay_levels_golden_bands():

@@ -145,6 +145,17 @@ def test_divide_rejects_out_of_range():
             divide(1, 3, 1, 4, radix=radix)
     with pytest.raises(ValueError, match=r"^k must be >= 1$"):
         divide(20, 3, 0, 4)
+    # quotient_value([1], 0) once read 1
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        quotient_value([1], 0)
+    with pytest.raises(ValueError, match=r"^radix must be >= 2$"):
+        quotient_value([1], 1, radix=1)
+    # the oracle rejects the same inputs
+    with pytest.raises(ZeroDivisionError, match="^divisor must be positive$"):
+        restoring_division_digits(5, 0, 2, 2)
+    for x in (14, -1):
+        with pytest.raises(ValueError, match=r"^dividend out of range \(need 0 <= x < radix\*z\)$"):
+            restoring_division_digits(x, 7, 2, 2)
     # one digit selection takes a residual below size * z
     scale = build_scale(7, 2)
     cases = ((lambda: select_digit(-1, scale), "^residual must be non-negative$"),
@@ -170,6 +181,8 @@ def test_divide_rejects_out_of_range():
     lambda: build_scale(7, True),
     lambda: select_digit(3.0, build_scale(7, 1)),
     lambda: select_digit(True, build_scale(7, 1), method="eager"),
+    lambda: quotient_value([1], 1.0),  # raised a TypeError
+    lambda: quotient_value([1], 1, radix=2.0),
 ])
 def test_divider_rejects_non_int_arguments(call):
     with pytest.raises(ValueError, match="must be an int"):
@@ -236,6 +249,15 @@ def test_bank_equals_closed_form():
             rep = (b**n - 1) // (b - 1)
             idx = (b - n * b**n + (n - 1) * b ** (n + 1)) // (b - 1) ** 2
             assert scale._bank == (w, rep, (rep << w) - z * idx)
+
+
+def test_non_monotone_comparator_vector_is_caught():
+    # clear field 0's flag: the bank then reads entry 0 as above every residual
+    scale = build_scale(7, 2)
+    w, rep, bank = scale._bank
+    vars(scale)["_bank"] = (w, rep, bank - (1 << (w - 1)))
+    with pytest.raises(RuntimeError, match=r"^comparator vector \(0, 1, 1, 0\) is not monotone$"):
+        select_digit(15, scale, "eager")
 
 
 def test_oversized_eager_bank_is_refused_before_it_is_built():

@@ -1,11 +1,12 @@
 """Matrix arithmetic unit: one-shot totals, accumulate stream, timing, gates."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from redundarith import trace
+from redundarith import map_unit, trace
 from redundarith.codes import MultiRowCode, make_from_value
 from redundarith.map_unit import (
     ADDITIVE_OPERANDS,
@@ -136,6 +137,15 @@ def test_twos_complement_signed_totals(rng):
         state = map_eval(cfg, **ops)
         want = vals["a"] * vals["b"] + sum(vals[k] for k in ADDITIVE_OPERANDS)
         assert map_signed_total(state) == want
+
+
+def test_signed_bias_drift_is_caught(monkeypatch):
+    real = map_unit.pp_matrix_signed
+    monkeypatch.setattr(map_unit, "pp_matrix_signed",
+                        lambda a, b: dataclasses.replace(real(a, b), bias_scaled=1 << 8))
+    cfg = MapConfig(width=4, signedness="twos-complement")
+    with pytest.raises(RuntimeError, match=r"^signed product bias 256 != 2\*\*7$"):
+        map_eval(cfg, a=_bits(5, 4), b=_bits(3, 4))
 
 
 def test_product_weight_is_the_sum_of_operand_lsb_exps():

@@ -179,6 +179,11 @@ def test_fused_mac_requires_aligned_feedback():
         (lambda: fused_mac(make_from_value(5, 2, 8, 3), a, a), "^feedback must be binary$"),
         (lambda: mul_delay(1), "^n must be >= 2$"),
         (lambda: mac_injection_stage(0, 2), "^pp_rows must be >= 1$"),
+        # these once returned (3, 3) and (1, 3)
+        (lambda: mac_injection_stage(8, -5), "^feedback_rows must be >= 1$"),
+        (lambda: mac_injection_stage(8, 0), "^feedback_rows must be >= 1$"),
+        (lambda: mac_injection_stage(8, 2.0), "^feedback_rows must be an int$"),
+        (lambda: mac_injection_stage(8, True), "^feedback_rows must be an int$"),
     )
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -189,3 +194,4 @@ def test_mul_delay_reference_width():
     assert mul_delay(63) == 14
     assert mul_delay(63, accounting="per-stage") == 15
     assert mul_delay(3) == 1 + 3 + 1  # AND + depth(3 rows -> two stages) + encoders
+    assert mul_delay(2) == 1  # two rows need no reduction: the AND level alone

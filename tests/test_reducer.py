@@ -113,6 +113,18 @@ def test_reduce_stage_count_matches_plan(rng):
         assert stages[-1]["rows_out"] == 2
 
 
+def test_stage_count_drift_is_caught(monkeypatch):
+    real = _kernels.reduce_to_two_packed
+
+    def one_stage_too_many(rows, width):
+        rows, width, stages = real(rows, width)
+        return rows, width, stages + 1
+
+    monkeypatch.setattr(_kernels, "reduce_to_two_packed", one_stage_too_many)
+    with pytest.raises(RuntimeError, match=r"^reduction ran 4 stages, stage_plan gives 3$"):
+        reduce_to_two(make_from_value(1, 9, 4))
+
+
 def test_traced_row_counts_equal_stage_plan(rng):
     # what the kernel actually ran, read back from the trace, against the
     # model of Table 2.1 for every binary shape and a few radix-3/10 ones
@@ -165,6 +177,7 @@ def _check_stage_bodies(digits, radix):
         want_stages += 1
     assert want_stages == stage_plan(digits.shape[0], radix).stages
     np.testing.assert_array_equal(_kernels.reduce_once_digits(digits, radix), want_once)
+    np.testing.assert_array_equal(reduce_once(MultiRowCode.from_digits(digits, radix)).digits, want_once)
     got, stages = _kernels.reduce_to_two_digits(digits, radix)
     assert stages == want_stages
     np.testing.assert_array_equal(got, want)
@@ -263,6 +276,8 @@ def test_reduce_delay_accountings():
     assert reduce_delay(plan) == 13
     assert reduce_delay(plan, accounting="aggregate") == 13
     assert reduce_delay(plan, accounting="per-stage") == 14
+    for accounting in ("aggregate", "per-stage"):  # a plan with no stages costs nothing
+        assert reduce_delay(stage_plan(2), accounting) == 0
     with pytest.raises(ValueError):
         reduce_delay(plan, accounting="bogus")
 

@@ -1,11 +1,17 @@
 """Report generation and the fuzz harness, including its self-test."""
 
+import copy
+import dataclasses
+import functools
 import json
+import operator
+from fractions import Fraction
 
 import pytest
 
-from redundarith import multiplier, report
-from redundarith.report import FuzzResult, fuzz_verify, report_tables
+from redundarith import accumulator, cli, divider, map_unit, multiplier, reducer, report
+from redundarith.codes import make_from_value, stack_codes
+from redundarith.report import FUZZ_OPS, FuzzResult, fuzz_verify, report_tables
 
 
 def test_all_tables_clean():
@@ -33,6 +39,36 @@ def test_report_serializations_are_deterministic():
     assert parsed["mismatches"] == []
 
 
+def _bumped(data, *path):
+    """A copy of golden JSON data with the number at `path` one higher."""
+    data = copy.deepcopy(data)
+    *head, last = path
+    functools.reduce(operator.getitem, head, data)[last] += 1
+    return data
+
+
+# each edits a copy: the golden readers behind report are lru_cached
+@pytest.mark.parametrize("kind, reader, edit, first", [
+    ("2.1", "load_golden", lambda data: _bumped(data, "bands", 2, "m2"),
+     "stage counts at m=8: derived (4, 3, 2, 3), golden (5, 3, 2, 3)"),
+    ("3.1", "golden_delay_bands", lambda bands: tuple((lo, hi, n + (lo == 17)) for lo, hi, n in bands),
+     "delay levels at m=17: band 6, tree depth 5"),
+    ("3.2", "golden_costs", lambda costs: {**costs, 16: costs[16] + 1},
+     "sigma_and at m=16: golden 200, exact-cell model 199"),
+    ("3.2", "load_golden", lambda data: _bumped(data, "m_counts", "1", 4),
+     "table counts at m=10: golden (6, 2, 1, 1, 0), derived (5, 2, 1, 1, 0)"),
+], ids=["2.1-m2", "3.1-levels", "3.2-sigma_and", "3.2-m_counts"])
+def test_report_catches_a_perturbed_golden_value(monkeypatch, capsys, kind, reader, edit, first):
+    real = getattr(report, reader)
+    monkeypatch.setattr(report, reader, lambda *args: edit(real(*args)))
+    rep = report_tables(kind)
+    assert rep.mismatches[0] == first
+    assert rep.exit_code == 1
+    assert f"MISMATCH: {first}\n" in rep.to_text()
+    assert cli.main(["report", "--table", kind]) == 1
+    assert f"MISMATCH: {first}\n" in capsys.readouterr().out
+
+
 def test_report_rejects_unknown_table():
     for kind in ("9.9", "table-2.1", "table 3.1"):  # exactly TABLE_KINDS
         with pytest.raises(ValueError):
@@ -54,31 +90,78 @@ def test_fuzz_scope_filters_ops():
         fuzz_verify(seed=1, trials=2, scope=("nonsense",))
     with pytest.raises(ValueError):
         fuzz_verify(seed=1, trials=-5)
+    # trials=True once ran one trial, a float raised a TypeError and a
+    # negative seed failed inside numpy's generator
+    for bad in ({"trials": True}, {"trials": 2.0}, {"seed": 1.5}, {"seed": True}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be an int$"):
+            fuzz_verify(**{"seed": 1, "trials": 2, **bad})
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        fuzz_verify(seed=-1, trials=0)
     assert fuzz_verify(seed=1, trials=0).passed == 0
 
 
-def test_fuzz_catches_injected_bug(monkeypatch):
-    """Self-test: a broken multiply must surface as a shrunk failure."""
+def _ulp_up(code):
+    """`code` with one more unit in its last place: an extra row holding
+    radix**lsb_exp."""
+    ulp = make_from_value(Fraction(code.radix) ** code.lsb_exp, 1, code.width, code.radix, code.lsb_exp)
+    return stack_codes((code, ulp))
 
-    real_multiply = multiplier.multiply
 
-    def broken(a, b, signed=False):
-        out = real_multiply(a, b, signed=signed)
-        if out.width >= 6:  # corrupt only wide products so shrinking matters
-            digits = out.digits.copy()
-            digits[0, 5] ^= 1
-            return type(out)(out.rows, out.width, out.radix, out.lsb_exp, digits)
-        return out
+def _last_digit_up(out):
+    digits, residual = out
+    return digits[:-1] + [digits[-1] + 1], residual
 
-    monkeypatch.setattr(report.multiplier, "multiply", broken)
+
+# op -> (module, engine or value reader its check calls, how to break the result)
+FAULTS = {
+    "reduce": (reducer, "reduce_to_two", _ulp_up),
+    "add": (reducer, "add_two_row", _ulp_up),
+    "mul": (multiplier, "multiply", _ulp_up),
+    "mac": (multiplier, "fused_mac", _ulp_up),
+    "div": (divider, "divide", _last_digit_up),
+    "map": (map_unit, "map_eval", lambda state: dataclasses.replace(state, f=_ulp_up(state.f))),
+    "acc": (accumulator, "acc_total", lambda total: total + 1),
+}
+# the two checks that a value one ulp off never reaches, with their messages
+EXTRA_FAULTS = {
+    "add-width": ("add", reducer, "add_two_row", lambda out: stack_codes((out,), out.width + 4), "add width"),
+    "div-identity": ("div", divider, "quotient_value", lambda q: q + Fraction(1, q.denominator),
+                     "div identity broken"),
+}
+
+
+@pytest.mark.parametrize("fault", [*FUZZ_OPS, *EXTRA_FAULTS])
+def test_fuzz_catches_injected_bug(monkeypatch, capsys, fault):
+    """Self-test: an engine one ulp off must surface as a shrunk failure
+    that names its op and keeps the seed."""
+    op, module, name, corrupt, message = (fault, *FAULTS[fault], fault) if fault in FAULTS else EXTRA_FAULTS[fault]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+    result = fuzz_verify(seed=3, trials=21, scope=(op,))
+    assert (result.seed, result.passed, result.exit_code) == (3, 0, 1)
+    assert [f["trial"] for f in result.failures] == list(range(21))
+    for failure in result.failures:
+        assert failure["op"] == op
+        assert message in failure["detail"]
+        # every width fails, so each failure shrinks to width 1
+        assert failure["width"] == 1
+    assert cli.main(["fuzz", "--scope", op, "--trials", "3"]) == 1
+    assert capsys.readouterr().out.count("FAIL op=") == 3
+
+
+def test_fuzz_shrinks_past_widths_that_pass(monkeypatch):
+    real = multiplier.multiply
+
+    def broken(a, b, signed=False):  # corrupt only wide products, so shrinking matters
+        out = real(a, b, signed=signed)
+        return _ulp_up(out) if out.width >= 6 else out
+
+    monkeypatch.setattr(multiplier, "multiply", broken)
     result = fuzz_verify(seed=3, trials=40, scope=("mul",))
     assert result.exit_code == 1
-    assert result.failures
-    for failure in result.failures:
-        assert failure["op"] == "mul"
-        assert failure["width"] <= 16
-    # shrinking drove at least one failure to a smaller width than the cap
-    assert min(f["width"] for f in result.failures) <= 8
+    widths = [f["width"] for f in result.failures]
+    # width 1 passes, so no failure shrinks to it; some shrink below the cap
+    assert widths and 1 < min(widths) <= 8 and max(widths) <= 16
 
 
 def test_fuzz_result_text_lists_failures():
