@@ -22,16 +22,23 @@ column sum fits in int64, and so does every digit weight radix**h of a
 stage, since radix**(m2 - 1) <= rows * (radix - 1).  The numpy body
 takes bit matrices too and is the tests' reference for the packed stage.
 Every stage reports a "reduce" event to an active `trace.record()`.
+
+The packed kernels run on ints alone.  numpy is imported inside the
+functions that use it: the digit-matrix stage, `popcount_batch`, a
+packed stage's event under a recorder, and `acc_stream` on a bit matrix
+(through `codes.pack_rows`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import trace
 from .codes import check_int, pack_rows, unpack_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # accumulator streams of up to this many steps per grid column run step
 # by step; longer ones run column by column, whose fixed cost of a few us
@@ -62,6 +69,8 @@ def next_row_count(m: int, q: int = 2) -> int:
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _digit_weights(m: int, q: int) -> np.ndarray:
     """Column vector q**h, h < next_row_count(m, q): one row per output digit."""
+    import numpy as np
+
     w = np.array([q**h for h in range(next_row_count(m, q))], dtype=np.int64)[:, None]
     w.flags.writeable = False
     return w
@@ -74,6 +83,8 @@ def _skew(block: np.ndarray) -> np.ndarray:
     with rows of n + r - 1 cells, row h of the flat buffer starts h cells
     later, and the cells before it fall on the zero padding.
     """
+    import numpy as np
+
     r, n = block.shape
     grid = np.zeros((r, n + r), dtype=np.int64)
     grid[:, :n] = block
@@ -95,7 +106,7 @@ def _report_stage(events: list, rows_in: int, col: np.ndarray, q: int, out: np.n
 def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
     # reduce_to_two_digits loops over this body, not over the public
     # reduce_once_digits, so one reduction is one traced entry-point call
-    col = digits.sum(axis=0, dtype=np.int64)
+    col = digits.sum(axis=0, dtype="int64")
     # digit h of every column sum goes to row h, shifted h columns
     out = _skew(col // _digit_weights(digits.shape[0], q) % q)
     events = trace.sink()
@@ -183,6 +194,8 @@ def popcount_batch(bits: np.ndarray) -> np.ndarray:
 
     A partial count above 2**t at tree level t means a non-bit input.
     """
+    import numpy as np
+
     b, m = bits.shape
     depth = (m - 1).bit_length()  # ceil(log2 m)
     counts = np.zeros((b, 1 << depth), dtype=np.int64)

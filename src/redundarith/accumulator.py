@@ -28,11 +28,13 @@ counter.  Each call reports one "stream" event to an active
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .codes import MultiRowCode, _as_digit_matrix, check_int, pack_rows, scale_fraction, unpack_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AccumulatorState:

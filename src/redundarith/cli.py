@@ -5,6 +5,10 @@ failures), 2 usage errors.  `--trace`, on every subcommand, leaves stdout
 unchanged and writes the command's trace events to stderr, one JSON
 object per line.  Inputs past the size caps below are usage errors,
 rejected before anything of their size is allocated.
+
+numpy loads on first use: the binary `mul`, `mac`, `add`, `div`, `eval`,
+`map` and `report` commands run without it, while `reduce`, `accumulate`,
+`fuzz`, any radix > 2 code and `--trace` import it.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import functools
 import json
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import accumulator, codes, divider, evalexpr, map_unit, multiplier, reducer, trace
 from .report import FUZZ_OPS, TABLE_KINDS, fuzz_verify, report_tables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SEED_ENV = "REDUNDARITH_SEED"
 # largest --width or --acc-width that add, mul, mac and accumulate take
@@ -163,23 +169,27 @@ def _cmd_div(args) -> int:
 
 
 def _rows_from_lines(text: str, width: int | None) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not set(line) <= {"0", "1"}:
-            raise ValueError(f"line {lineno}: operand rows must be binary")
-        rows.append(line)
-    if not rows:
+    import numpy as np
+
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
+    lines = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    if not lines:
         raise ValueError("no operand rows found")
-    w = width if width is not None else max(map(len, rows))
-    for i, row in enumerate(rows):
-        if len(row) > w:
-            raise ValueError(f"operand row {i + 1} wider than --width {w}")
-    # the rows' characters, zero-padded: one (rows, w) 0/1 matrix, LSB column first
-    chars = np.frombuffer("".join(row.rjust(w, "0") for row in rows).encode(), np.uint8)
-    return chars.reshape(len(rows), w)[:, ::-1] - ord("0")
+    linenos, rows = zip(*lines)
+    w = max(width or 0, *map(len, rows))
+    # the rows' characters less "0", zero-padded: one (rows, w) matrix,
+    # LSB column first.  A non-ASCII character encodes as one "?", and
+    # uint8 wraps every character below "0" past 1, so one comparison
+    # finds every row that is not binary
+    chars = "".join(row.rjust(w, "0") for row in rows).encode("ascii", "replace")
+    bits = np.frombuffer(chars, np.uint8).reshape(len(rows), w)[:, ::-1] - ord("0")
+    bad = (bits > 1).any(axis=1)
+    if bad.any():
+        raise ValueError(f"line {linenos[bad.argmax()]}: operand rows must be binary")
+    if width is not None and w > width:
+        first = next(i for i, row in enumerate(rows) if len(row) > width)
+        raise ValueError(f"operand row {first + 1} wider than --width {width}")
+    return bits
 
 
 def _cmd_accumulate(args) -> int:
@@ -367,9 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _event_field(value):
     """JSON form of an event field json.dumps cannot write: digit arrays
-    as MSB-first row lists (as in codes.to_json_dict), Fractions as strings."""
+    as MSB-first row lists (as `codes.msb_rows` writes a code), Fractions
+    as strings."""
+    import numpy as np
+
     if isinstance(value, np.ndarray):
-        return codes.msb_rows(value)
+        return value[:, ::-1].tolist()
     return str(value)
 
 

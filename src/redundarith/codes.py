@@ -9,6 +9,12 @@ Columns are indexed LSB-first internally; the text format prints rows
 MSB-first because that is what humans expect to read.  A binary code
 holds each row as one int, bit j in column j, and builds its digit
 matrix only when it is read; the numpy matrix is the storage at radix > 2.
+
+numpy is imported by the functions that use it, on their first call:
+binary codes are built, reduced, valued and written without it.  What
+loads it is a radix > 2 code, checked construction from a digit matrix
+(the constructor, `from_digits`, the text and JSON readers), a `digits`
+read, and `pack_rows` or `unpack_rows`.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class WidthOverflowError(ValueError):
@@ -40,7 +47,6 @@ class NumericDomainError(ValueError):
 
 # largest column sum the int64 kernels hold exactly
 MAX_COLUMN_SUM = (1 << 63) - 1
-_UNSIGNED = {n: np.dtype(f"u{n}") for n in (1, 2, 4, 8)}
 
 
 def check_int(name: str, value) -> None:
@@ -72,6 +78,8 @@ def _as_digit_matrix(values, shape: tuple, radix: int, name: str = "digits") -> 
     length) holding digits 0 .. radix-1.  Integer and bool arrays pass with
     no copy; anything else is converted to int64, which must change no
     entry, so 0.5 and "1" are rejected rather than truncated or parsed."""
+    import numpy as np
+
     arr = np.asarray(values)
     kind = arr.dtype.kind
     if kind not in "biu" or not arr.dtype.isnative:
@@ -89,7 +97,7 @@ def _as_digit_matrix(values, shape: tuple, radix: int, name: str = "digits") -> 
     # read as unsigned, a negative entry is at least 2**(bits - 1) and every
     # other signed entry is below it, so one max checks both ends
     if kind != "b" and arr.size:
-        top = int(arr.view(_UNSIGNED[arr.itemsize]).max())
+        top = int(arr.view(f"u{arr.itemsize}").max())
         if top >= radix or kind == "i" and top >> 8 * arr.itemsize - 1:
             raise _entry_error(name, radix)
     return arr
@@ -123,8 +131,8 @@ class MultiRowCode:
     def __post_init__(self):
         _check_fields(self.rows, self.width, self.radix, self.lsb_exp)
         digits = _as_digit_matrix(self._digits, (self.rows, self.width), self.radix)
-        rows = pack_rows(digits) if self.radix == 2 else digits.astype(np.int64)
-        vars(self).update(vars(made_code(rows, self.width, self.radix, self.lsb_exp)))
+        rows = pack_rows(digits) if self.radix == 2 else digits.astype("int64")
+        _store(self, rows, self.width, self.radix, self.lsb_exp)
 
     @property
     def digits(self) -> np.ndarray:
@@ -137,6 +145,8 @@ class MultiRowCode:
 
     @classmethod
     def from_digits(cls, digits, radix: int = 2, lsb_exp: int = 0) -> "MultiRowCode":
+        import numpy as np
+
         arr = np.asarray(digits)
         if arr.ndim == 0:
             raise ValueError("digits shape () is neither a row nor a matrix")
@@ -170,7 +180,11 @@ def made_code(rows, width: int, radix: int = 2, lsb_exp: int = 0) -> MultiRowCod
     in column j; above, an int64 (rows, width) matrix of digits below
     `radix` that the caller hands over.  The engines keep those ranges by
     construction, and no digit matrix is built at radix 2."""
-    code = object.__new__(MultiRowCode)
+    return _store(object.__new__(MultiRowCode), rows, width, radix, lsb_exp)
+
+
+def _store(code: MultiRowCode, rows, width: int, radix: int, lsb_exp: int) -> MultiRowCode:
+    """Fill `code` with rows in the one stored form (see made_code)."""
     binary = radix == 2
     if not binary:
         rows.flags.writeable = False
@@ -189,6 +203,8 @@ def stack_codes(parts, width: int = 0) -> MultiRowCode:
     width = max(width, *(part.width for part in parts))
     if first.radix == 2:
         return made_code([row for part in parts for row in part.packed], width, 2, first.lsb_exp)
+    import numpy as np
+
     digits = np.zeros((sum(part.rows for part in parts), width), dtype=np.int64)
     top = 0
     for part in parts:
@@ -199,6 +215,8 @@ def stack_codes(parts, width: int = 0) -> MultiRowCode:
 
 def pack_rows(bits) -> list:
     """Each row of a 0/1 matrix as one int, bit j in column j."""
+    import numpy as np
+
     # np.packbits runs several times faster on uint8 than on int64 input,
     # and on contiguous rows than on a transposed view's strided ones.  The
     # cast goes first: it keeps a view's memory order, and a transposing
@@ -218,6 +236,8 @@ def pack_rows(bits) -> list:
 def unpack_rows(ints, width: int) -> np.ndarray:
     """Bits 0 .. width-1 of each non-negative int as one row of a read-only
     int64 0/1 matrix, bit j in column j: the inverse of pack_rows."""
+    import numpy as np
+
     nbytes = -(-width // 8)
     raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in ints), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(ints), nbytes), axis=1, count=width, bitorder="little")
@@ -231,7 +251,7 @@ def scaled_value(code: MultiRowCode) -> int:
     if code.radix == 2:
         return sum(code.packed)
     total = 0
-    for d in reversed(code.digits.sum(axis=0, dtype=np.int64).tolist()):
+    for d in reversed(code.digits.sum(axis=0, dtype="int64").tolist()):
         total = total * code.radix + d
     return total
 
@@ -312,6 +332,8 @@ def make_from_value(
         raise WidthOverflowError(f"{_echo(value)} does not fit in width {width} at radix {radix}")
     if radix == 2:
         return made_code((n,) + (0,) * (rows - 1), width, 2, lsb_exp)
+    import numpy as np
+
     digits = np.zeros((rows, width), dtype=np.int64)
     digits[0, :ndigits] = row
     return made_code(digits, width, radix, lsb_exp)
@@ -340,6 +362,8 @@ def with_lsb_exp(code: MultiRowCode, lsb_exp: int) -> MultiRowCode:
         rows = [row << shift if shift > 0 else row >> -shift for row in code.packed]
         return made_code(rows, code.width + shift, 2, lsb_exp)
     if shift > 0:
+        import numpy as np
+
         digits = np.zeros((code.rows, code.width + shift), dtype=np.int64)
         digits[:, shift:] = code.digits
     else:
@@ -406,16 +430,32 @@ def quad_from_value(
 # larger radixes separate digits with spaces.
 
 
-def msb_rows(digits: np.ndarray) -> list:
-    """A digit matrix as lists of ints, one per row, most significant digit
-    first: the row order of the text, JSON and trace formats."""
-    return digits[:, ::-1].tolist()
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_texts(code: MultiRowCode) -> list:
+    """The rows of a binary code as MSB-first "0"/"1" strings, from `packed`.
+    The bit set at `width` makes format() write every column, none at width 0."""
+    top = 1 << code.width
+    return [format(row | top, "b")[1:] for row in code.packed]
+
+
+def msb_rows(code: MultiRowCode) -> list:
+    """The rows of a code as lists of digits, most significant first: the
+    row order of the text and JSON formats.  A binary code is written from
+    `packed`, with no digit matrix."""
+    if code.radix == 2:
+        return [list(text.encode().translate(_BIT_VALUES)) for text in _bit_texts(code)]
+    return code.digits[:, ::-1].tolist()
 
 
 def to_text(code: MultiRowCode) -> str:
-    sep = "" if code.radix <= 10 else " "
     lines = [f"mrc {code.rows} {code.width} {code.radix} {code.lsb_exp}"]
-    lines += [sep.join(map(str, row)) for row in msb_rows(code.digits)]
+    if code.radix == 2:
+        lines += _bit_texts(code)
+    else:
+        sep = "" if code.radix <= 10 else " "
+        lines += [sep.join(map(str, row)) for row in msb_rows(code)]
     return "\n".join(lines) + "\n"
 
 
@@ -475,7 +515,7 @@ def to_json_dict(code: MultiRowCode) -> dict:
         "width": code.width,
         "radix": code.radix,
         "lsb_exp": code.lsb_exp,
-        "digits": msb_rows(code.digits),
+        "digits": msb_rows(code),
     }
 
 

@@ -197,7 +197,9 @@ def check_printable(k: int, iters: int, radix: int = 2) -> None:
 
 def quotient_value(digits: list, k: int, radix: int = 2) -> Fraction:
     """Value of a digit string as a truncated quotient: digit j weighs
-    radix**(-k*(j+1))."""
+    radix**(-k*(j+1)).  Each digit is an int in the range `divide` gives
+    it: below radix**(k+1) for the first, which covers the integer
+    position too, and below radix**k after it."""
     check_int("k", k)
     check_int("radix", radix)
     if k < 1:
@@ -206,6 +208,9 @@ def quotient_value(digits: list, k: int, radix: int = 2) -> Fraction:
         raise ValueError("radix must be >= 2")
     step = radix**k
     q = 0
-    for d in digits:
+    for j, d in enumerate(digits):
+        check_int("quotient digit", d)
+        if not 0 <= d < (step * radix if j == 0 else step):
+            raise ValueError(f"quotient digit {j} is outside 0 .. {radix}**{k + (j == 0)} - 1")
         q = q * step + d
     return Fraction(q, step ** len(digits))

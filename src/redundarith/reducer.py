@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import _kernels
 from ._kernels import SHAPE_CACHE_SIZE, next_row_count
 from .codes import MultiRowCode, QuadSignedCode, check_int, made_code, quad_negate, stack_codes
@@ -93,7 +91,7 @@ def _trim_msb_zeros(code: MultiRowCode, min_width: int) -> MultiRowCode:
     if code.radix == 2:
         keep = max(min_width, *(row.bit_length() for row in code.packed))
         return code if keep == code.width else made_code(code.packed, keep, 2, code.lsb_exp)
-    nonzero = np.nonzero(code.digits.any(axis=0))[0]
+    nonzero = code.digits.any(axis=0).nonzero()[0]
     keep = max(int(nonzero[-1]) + 1 if nonzero.size else 0, min_width)
     if keep == code.width:
         return code

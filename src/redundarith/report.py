@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import accumulator, divider, map_unit, multiplier, oracle, reducer
 from .codes import MultiRowCode, check_int, make_from_value, value_of
 from .compressor import (
@@ -239,7 +237,7 @@ class FuzzResult:
 
 
 def _random_code(rng, rows: int, width: int, radix: int) -> MultiRowCode:
-    digits = rng.integers(0, radix, size=(rows, width), dtype=np.int64)
+    digits = rng.integers(0, radix, size=(rows, width))  # int64, the default
     return MultiRowCode(rows, width, radix, 0, digits)
 
 
@@ -330,7 +328,7 @@ def _check_map(rng, width: int):
 
 def _check_acc(rng, width: int):
     steps = 64
-    ops = rng.integers(0, 2, size=(steps, width), dtype=np.int64)
+    ops = rng.integers(0, 2, size=(steps, width))
     acc = accumulator.acc_new(width)
     acc = accumulator.acc_run(acc, ops)
     want = sum(oracle.exact_scaled_value([row.tolist()], 2) for row in ops)
@@ -353,6 +351,8 @@ FUZZ_OPS = tuple(_CHECKS)
 
 def fuzz_verify(seed: int = 0, trials: int = 100, scope=None) -> FuzzResult:
     """Randomized oracle checks; deterministic per (seed, trial index)."""
+    import numpy as np
+
     check_int("seed", seed)
     check_int("trials", trials)
     if seed < 0:

@@ -216,6 +216,14 @@ def test_accumulate_rejects_nonbinary(capsys, tmp_path):
     code, _, err = run(capsys, "accumulate", str(f))
     assert code == 2
     assert "binary" in err
+    # the line number counts blank and comment lines; a multi-byte or a
+    # control character is as wrong as a digit 2, and the first bad row
+    # wins over a row past --width
+    for text, flags, line in (("# head\n\n101\n1\u00e901\n0\n", (), 4),
+                              ("1\n1 0\n", (), 2), ("1\n\n0\t1\n", (), 3), ("1\x0001\n", (), 1),
+                              ("0101\n012\n", ("--width", "3"), 2), ("11\n\u20ac\n", ("--pairs",), 2)):
+        f.write_text(text, encoding="utf-8")
+        assert run(capsys, "accumulate", str(f), *flags) == (2, "", f"error: line {line}: operand rows must be binary\n")
     for text, flags, message in (("# only a comment\n\n", (), "no operand rows found"),
                                  ("101\n", ("--width", "2"), "operand row 1 wider than --width 2"),
                                  ("11\n01\n10\n", ("--pairs",), "--pairs needs an even number of rows")):

@@ -1,5 +1,6 @@
 """Table-driven division: digit selection, identities, worked example."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -150,6 +151,14 @@ def test_divide_rejects_out_of_range():
         quotient_value([1], 0)
     with pytest.raises(ValueError, match=r"^radix must be >= 2$"):
         quotient_value([1], 1, radix=1)
+    # digits outside divide's range: quotient_value([5], 1) once read 5/2
+    # and quotient_value([-1], 1) read -1/2
+    for digits, k, radix, j, bound in (([5], 1, 2, 0, "2**2"), ([-1], 1, 2, 0, "2**2"),
+                                       ([3, 2], 1, 2, 1, "2**1"), ([1, -1], 2, 10, 1, "10**2"),
+                                       ([7, 100, 3], 2, 10, 1, "10**2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'quotient digit {j} is outside 0 .. {bound} - 1')}$"):
+            quotient_value(digits, k, radix)
+    assert quotient_value([3, 1], 1) == Fraction(7, 4) and quotient_value([999, 99], 2, 10) == Fraction(99999, 10**4)
     # the oracle rejects the same inputs
     with pytest.raises(ZeroDivisionError, match="^divisor must be positive$"):
         restoring_division_digits(5, 0, 2, 2)
@@ -183,6 +192,9 @@ def test_divide_rejects_out_of_range():
     lambda: select_digit(True, build_scale(7, 1), method="eager"),
     lambda: quotient_value([1], 1.0),  # raised a TypeError
     lambda: quotient_value([1], 1, radix=2.0),
+    lambda: quotient_value([True], 1),  # read as 1
+    lambda: quotient_value([1.5], 1),  # raised a TypeError
+    lambda: quotient_value([0, 1.0], 1),
 ])
 def test_divider_rejects_non_int_arguments(call):
     with pytest.raises(ValueError, match="must be an int"):
