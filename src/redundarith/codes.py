@@ -347,8 +347,6 @@ def with_lsb_exp(code: MultiRowCode, lsb_exp: int) -> MultiRowCode:
     """
     check_int("lsb_exp", lsb_exp)
     shift = code.lsb_exp - lsb_exp
-    if shift == 0:
-        return code
     binary = code.radix == 2
     if shift < 0:
         cut = -shift
@@ -406,8 +404,16 @@ def quad_value(code: QuadSignedCode) -> Fraction:
     return value_of(code.pos) - value_of(code.neg)
 
 
+def made_quad(pos: MultiRowCode, neg: MultiRowCode) -> QuadSignedCode:
+    """A quad code of parts the library already holds as valid 2-row codes
+    of one radix and lsb_exp, unchecked: the quad counterpart of made_code."""
+    quad = object.__new__(QuadSignedCode)
+    vars(quad).update(pos=pos, neg=neg)
+    return quad
+
+
 def quad_negate(code: QuadSignedCode) -> QuadSignedCode:
-    return QuadSignedCode(pos=code.neg, neg=code.pos)
+    return made_quad(code.neg, code.pos)
 
 
 def quad_from_value(
@@ -417,9 +423,7 @@ def quad_from_value(
     v = _exact_value(value)
     mag = make_from_value(abs(v), 2, width, radix, lsb_exp)
     zero = MultiRowCode.zero(2, mag.width, radix, lsb_exp)
-    if v >= 0:
-        return QuadSignedCode(pos=mag, neg=zero)
-    return QuadSignedCode(pos=zero, neg=mag)
+    return made_quad(mag, zero) if v >= 0 else made_quad(zero, mag)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,13 @@ yields the truncated quotient.  Everything is radix 2, so literals must
 have power-of-two denominators.  Parentheses, unary minus and calls may
 nest at most MAX_DEPTH deep.
 
+Inside the parser a value is a quad code read as a scaled int, the sum
+of its rows in units of 2**lsb_exp: a literal is built from its integer
+numerator and lsb_exp, '*' reads its signs and magnitudes from the rows,
+and only the final value and a '/' literal go through Fraction.
+
 Each '+', '-' and '*' reports an "add", "sub" or "mul" event to an
-active `trace.record()`.
+active `trace.record()`; their Fraction fields are built only then.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .codes import (
     MultiRowCode,
     QuadSignedCode,
     int_string_limit,
-    make_from_value,
+    made_code,
+    made_quad,
     quad_from_value,
     quad_negate,
     quad_value,
@@ -48,34 +54,28 @@ class EvalError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
-
-
 # deepest atom nesting the recursive-descent parser accepts
 MAX_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/(),])")
+# one token after optional whitespace; every position matches, so the
+# matches tile the text up to the zero-width "end"
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/(),])|(?P<end>\Z)|(?P<bad>.))", re.S
+)
 
 
 def tokenize(text: str) -> list:
+    """(kind, text, pos) tuples, kind "num", "name" or "op", ending with
+    ("end", "", len(text))."""
     tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        match = _TOKEN_RE.match(text, i)
-        if match is None:
-            raise EvalError(f"unexpected character {text[i]!r}", i)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        tokens.append(Token(kind, match.group(), i))
-        i = match.end()
-    tokens.append(Token("end", "", len(text)))
-    return tokens
+        pos = match.start(kind)
+        if kind == "bad":
+            raise EvalError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((kind, match[kind], pos))
+        if kind == "end":
+            return tokens
 
 
 @dataclass
@@ -85,9 +85,9 @@ class EvalResult:
 
 
 def _requad(q: QuadSignedCode, lsb_exp: int) -> QuadSignedCode:
-    return QuadSignedCode(
-        pos=with_lsb_exp(q.pos, lsb_exp), neg=with_lsb_exp(q.neg, lsb_exp)
-    )
+    if q.pos.lsb_exp == lsb_exp:
+        return q
+    return made_quad(with_lsb_exp(q.pos, lsb_exp), with_lsb_exp(q.neg, lsb_exp))
 
 
 def _aligned(x: QuadSignedCode, y: QuadSignedCode):
@@ -95,42 +95,56 @@ def _aligned(x: QuadSignedCode, y: QuadSignedCode):
     return _requad(x, e), _requad(y, e)
 
 
-def _unsigned_row(value: Fraction) -> MultiRowCode:
-    """Canonical 1-row encoding of |value| at its natural alignment."""
-    mag = abs(value)
-    return make_from_value(mag, 1, None, 2, -(mag.denominator.bit_length() - 1))
+def _scaled(q: QuadSignedCode) -> int:
+    """The value of `q` in units of 2**q.pos.lsb_exp."""
+    return sum(q.pos.packed) - sum(q.neg.packed)
 
 
-def _literal(tok: Token) -> int:
+def _unsigned_row(mag: int, lsb_exp: int) -> MultiRowCode:
+    """Canonical 1-row encoding of mag * 2**lsb_exp (lsb_exp <= 0) at its
+    natural alignment, the lsb_exp of its reduced denominator."""
+    if not mag:
+        return made_code((0,), 1, 2, 0)
+    cut = min((mag & -mag).bit_length() - 1, -lsb_exp)  # trailing zero bits
+    return made_code((mag >> cut,), (mag >> cut).bit_length(), 2, lsb_exp + cut)
+
+
+def _literal(text: str, pos: int) -> int:
     """An integer literal's value; one past the int-string limit is an error."""
     limit = int_string_limit()
-    if 0 < limit < len(tok.text):
-        raise EvalError(f"integer literal has {len(tok.text)} digits, past Python's "
-                        f"limit of {limit}", tok.pos)
-    return int(tok.text)
+    if 0 < limit < len(text):
+        raise EvalError(f"integer literal has {len(text)} digits, past Python's "
+                        f"limit of {limit}", pos)
+    return int(text)
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Values are quad codes, read as
+    scaled ints: every code in the parser is radix 2 with lsb_exp <= 0."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0
 
     # token helpers ---------------------------------------------------
-    def _peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def _next(self) -> Token:
+    def _next(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def _expect_op(self, text: str) -> Token:
-        tok = self._next()
-        if tok.kind != "op" or tok.text != text:
-            raise EvalError(f"expected {text!r}, found {tok.text!r}", tok.pos)
-        return tok
+    def _take(self, *ops: str) -> str | None:
+        """The next token's text, consumed, if it is one of `ops`."""
+        text = self.tokens[self.i][1]
+        if text in ops:
+            self.i += 1
+            return text
+        return None
+
+    def _expect_op(self, op: str) -> None:
+        _, text, pos = self._next()
+        if text != op:
+            raise EvalError(f"expected {op!r}, found {text!r}", pos)
 
     # engine plumbing -------------------------------------------------
     def _add(self, x, y, sign: str) -> QuadSignedCode:
@@ -143,44 +157,38 @@ class _Parser:
         return out
 
     def _mul(self, x, y) -> QuadSignedCode:
-        vx, vy = quad_value(x), quad_value(y)
-        a = _unsigned_row(vx)
-        b = _unsigned_row(vy)
-        product = multiplier.multiply(a, b)
-        zero = MultiRowCode.zero(2, product.width, 2, product.lsb_exp)
-        negative = (vx < 0) != (vy < 0) and vx != 0 and vy != 0
-        out = (
-            QuadSignedCode(pos=zero, neg=product)
-            if negative
-            else QuadSignedCode(pos=product, neg=zero)
-        )
+        sx, sy = _scaled(x), _scaled(y)
+        product = multiplier.multiply(_unsigned_row(abs(sx), x.pos.lsb_exp),
+                                      _unsigned_row(abs(sy), y.pos.lsb_exp))
+        zero = made_code((0, 0), product.width, 2, product.lsb_exp)
+        out = made_quad(zero, product) if sx < 0 < sy or sy < 0 < sx else made_quad(product, zero)
         events = trace.sink()
         if events is not None:
-            events.append({"op": "mul", "x": vx, "y": vy, "result": quad_value(out)})
+            events.append({"op": "mul", "x": quad_value(x), "y": quad_value(y),
+                           "result": quad_value(out)})
         return out
 
     def _int_arg(self, q: QuadSignedCode, name: str, pos: int) -> int:
-        v = quad_value(q)
-        if v.denominator != 1 or v < 0:
-            raise EvalError(f"{name} requires non-negative integers, got {v}", pos)
-        return int(v)
+        v, rem = divmod(_scaled(q), 1 << -q.pos.lsb_exp)
+        if rem or v < 0:
+            raise EvalError(f"{name} requires non-negative integers, got {quad_value(q)}", pos)
+        return v
 
-    def _call(self, name: Token) -> QuadSignedCode:
+    def _call(self, name: str, pos: int) -> QuadSignedCode:
         self._expect_op("(")
-        argpos = [self._peek().pos]
+        argpos = [self.tokens[self.i][2]]
         args = [self.expr()]
-        while self._peek().kind == "op" and self._peek().text == ",":
-            self._next()
-            argpos.append(self._peek().pos)
+        while self._take(","):
+            argpos.append(self.tokens[self.i][2])
             args.append(self.expr())
         self._expect_op(")")
-        if name.text == "mul":
+        if name == "mul":
             if len(args) != 2:
-                raise EvalError("mul takes 2 arguments", name.pos)
+                raise EvalError("mul takes 2 arguments", pos)
             return self._mul(args[0], args[1])
-        if name.text == "div":
+        if name == "div":
             if len(args) != 4:
-                raise EvalError("div takes 4 arguments: x, z, k, iters", name.pos)
+                raise EvalError("div takes 4 arguments: x, z, k, iters", pos)
             x, z, k, iters = (
                 self._int_arg(a, "div", p) for a, p in zip(args, argpos)
             )
@@ -188,22 +196,20 @@ class _Parser:
                 divider.check_printable(k, iters)
                 digits, _ = divider.divide(x, z, k, iters)
             except ValueError as exc:
-                raise EvalError(str(exc), name.pos) from None
+                raise EvalError(str(exc), pos) from None
             return quad_from_value(divider.quotient_value(digits, k), None, 2, -k * iters)
-        raise EvalError(f"unknown function {name.text!r}", name.pos)
+        raise EvalError(f"unknown function {name!r}", pos)
 
     # grammar ---------------------------------------------------------
     def expr(self) -> QuadSignedCode:
         left = self.term()
-        while self._peek().kind == "op" and self._peek().text in "+-":
-            sign = self._next().text
+        while sign := self._take("+", "-"):
             left = self._add(left, self.term(), sign)
         return left
 
     def term(self) -> QuadSignedCode:
         left = self.atom()
-        while self._peek().kind == "op" and self._peek().text == "*":
-            self._next()
+        while self._take("*"):
             left = self._mul(left, self.atom())
         return left
 
@@ -212,49 +218,47 @@ class _Parser:
         # the interpreter's recursion limit
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise EvalError(f"expression nested deeper than {MAX_DEPTH}", self._peek().pos)
+            raise EvalError(f"expression nested deeper than {MAX_DEPTH}", self.tokens[self.i][2])
         try:
             return self._atom()
         finally:
             self.depth -= 1
 
     def _atom(self) -> QuadSignedCode:
-        tok = self._next()
-        if tok.kind == "num":
-            value = Fraction(_literal(tok))
-            if self._peek().kind == "op" and self._peek().text == "/":
-                self._next()
-                den = self._next()
-                if den.kind != "num":
-                    raise EvalError("expected integer after '/'", den.pos)
-                den_value = _literal(den)
-                if den_value == 0:
-                    raise EvalError("zero denominator", den.pos)
-                value /= den_value
-            if value.denominator & (value.denominator - 1):
-                raise EvalError(
-                    f"{value} is not representable at radix 2", tok.pos
-                )
-            return quad_from_value(value, None, 2, -(value.denominator.bit_length() - 1))
-        if tok.kind == "op" and tok.text == "-":
+        kind, text, pos = self._next()
+        if kind == "num":
+            num, lsb_exp = _literal(text, pos), 0
+            if self._take("/"):
+                den_kind, den_text, den_pos = self._next()
+                if den_kind != "num":
+                    raise EvalError("expected integer after '/'", den_pos)
+                den = _literal(den_text, den_pos)
+                if den == 0:
+                    raise EvalError("zero denominator", den_pos)
+                value = Fraction(num, den)
+                if value.denominator & (value.denominator - 1):
+                    raise EvalError(f"{value} is not representable at radix 2", pos)
+                num, lsb_exp = value.numerator, 1 - value.denominator.bit_length()
+            zero = made_code((0, 0), max(num.bit_length(), 1), 2, lsb_exp)
+            return made_quad(made_code((num, 0), zero.width, 2, lsb_exp), zero)
+        if text == "-":
             return quad_negate(self.atom())
-        if tok.kind == "op" and tok.text == "(":
+        if text == "(":
             inner = self.expr()
             self._expect_op(")")
             return inner
-        if tok.kind == "name":
-            return self._call(tok)
-        raise EvalError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        if kind == "name":
+            return self._call(text, pos)
+        raise EvalError(f"unexpected {text or 'end of input'!r}", pos)
 
     def parse(self) -> QuadSignedCode:
         out = self.expr()
-        tail = self._peek()
-        if tail.kind != "end":
-            raise EvalError(f"unexpected {tail.text!r} after expression", tail.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise EvalError(f"unexpected {text!r} after expression", pos)
         return out
 
 
 def evaluate(text: str) -> EvalResult:
-    parser = _Parser(text)
-    code = parser.parse()
+    code = _Parser(text).parse()
     return EvalResult(value=quad_value(code), code=code)

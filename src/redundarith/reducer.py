@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import _kernels
 from ._kernels import SHAPE_CACHE_SIZE, next_row_count
-from .codes import MultiRowCode, QuadSignedCode, check_int, made_code, quad_negate, stack_codes
+from .codes import MultiRowCode, QuadSignedCode, check_int, made_code, made_quad, quad_negate, stack_codes
 from .compressor import FINAL_3TO2_LEVELS, T_CC_REDUCE_TOTAL, oca_delay, tree_depth
 
 
@@ -80,22 +80,14 @@ def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
     else:
         rows, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
         width = rows.shape[1]
-    out = made_code(rows, width, code.radix, code.lsb_exp)
-    planned = stage_plan(code.rows, code.radix).stages
+    _check_stages(code.rows, code.radix, stages)
+    return made_code(rows, width, code.radix, code.lsb_exp)
+
+
+def _check_stages(rows: int, radix: int, stages: int) -> None:
+    planned = stage_plan(rows, radix).stages
     if stages != planned:
         raise RuntimeError(f"reduction ran {stages} stages, stage_plan gives {planned}")
-    return out
-
-
-def _trim_msb_zeros(code: MultiRowCode, min_width: int) -> MultiRowCode:
-    if code.radix == 2:
-        keep = max(min_width, *(row.bit_length() for row in code.packed))
-        return code if keep == code.width else made_code(code.packed, keep, 2, code.lsb_exp)
-    nonzero = code.digits.any(axis=0).nonzero()[0]
-    keep = max(int(nonzero[-1]) + 1 if nonzero.size else 0, min_width)
-    if keep == code.width:
-        return code
-    return made_code(code.digits[:, :keep].copy(), keep, code.radix, code.lsb_exp)
 
 
 def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
@@ -103,7 +95,8 @@ def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
 
     The structural reduction spreads two extra columns past the wider
     operand; anything beyond that is provably zero (the sum is below
-    q**(w+2)) and gets trimmed so the width bound holds.
+    q**(w+2)) and gets trimmed so the width bound holds.  At radix 2 the
+    four packed rows are reduced as they are, with no stacked code.
     """
     if a.rows != 2 or b.rows != 2:
         raise ValueError("operands must be 2-row codes")
@@ -111,14 +104,21 @@ def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
         raise ValueError("radix mismatch")
     if a.lsb_exp != b.lsb_exp:
         raise ValueError("lsb_exp mismatch; align operands explicitly first")
+    width = max(a.width, b.width)
+    if a.radix == 2:
+        rows, _, stages = _kernels.reduce_to_two_packed(a.packed + b.packed, width)
+        _check_stages(4, 2, stages)
+        return made_code(rows, max(width, *(row.bit_length() for row in rows)), 2, a.lsb_exp)
     out = reduce_to_two(stack_codes((a, b)))
-    return _trim_msb_zeros(out, max(a.width, b.width))
+    nonzero = out.digits.any(axis=0).nonzero()[0]
+    keep = max(int(nonzero[-1]) + 1 if nonzero.size else 0, width)
+    if keep == out.width:
+        return out
+    return made_code(out.digits[:, :keep].copy(), keep, out.radix, out.lsb_exp)
 
 
 def quad_add(x: QuadSignedCode, y: QuadSignedCode) -> QuadSignedCode:
-    return QuadSignedCode(
-        pos=add_two_row(x.pos, y.pos), neg=add_two_row(x.neg, y.neg)
-    )
+    return made_quad(add_two_row(x.pos, y.pos), add_two_row(x.neg, y.neg))
 
 
 def quad_sub(x: QuadSignedCode, y: QuadSignedCode) -> QuadSignedCode:

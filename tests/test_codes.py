@@ -280,6 +280,7 @@ def test_with_lsb_exp_preserves_value():
     assert lowered.width == 9
     assert value_of(lowered) == 13
     assert value_of(with_lsb_exp(lowered, 0)) == 13
+    assert with_lsb_exp(code, 0).packed == code.packed
     with pytest.raises(GranularityError):
         with_lsb_exp(make_from_value(13, 1, 6, 2), 1)
 
@@ -298,6 +299,7 @@ def test_with_lsb_exp_moves_digit_columns(radix):
         assert (lowered.width, lowered.lsb_exp) == (width + shift, -shift)
         assert np.array_equal(lowered.digits, want)
         assert np.array_equal(with_lsb_exp(lowered, 0).digits, digits)
+        assert np.array_equal(with_lsb_exp(code, 0).digits, digits)
         if width:
             # a nonzero digit in any row's low columns blocks the raise
             low = digits.copy()

@@ -1,5 +1,7 @@
 """The event sink: scope of a recorder, and no tracing work without one."""
 
+from fractions import Fraction
+
 import redundarith
 from redundarith import divider, evalexpr, trace
 from redundarith.codes import make_from_value
@@ -49,15 +51,21 @@ def test_untraced_engines_build_no_event_fields(monkeypatch):
     for name in ("thermometer_flags", "_thermometer"):
         monkeypatch.setattr(divider, name, counting(name, getattr(divider, name)))
     evalexpr.evaluate("1 + 2 + 3")
+    evalexpr.evaluate("2 * 3 - 1/2")
     divider.divide(5, 7, 4, 2, method="eager")
-    # evaluate reads its final value once; eager selection reads the
-    # flags int and unpacks no vector
-    assert calls == {"quad_value": 1, "thermometer_flags": 0, "_thermometer": 0}
+    # evaluate reads each final value once, and '*' reads its operands'
+    # signs from the rows; eager selection reads the flags int and
+    # unpacks no vector
+    assert calls == {"quad_value": 2, "thermometer_flags": 0, "_thermometer": 0}
     with trace.record():
         evalexpr.evaluate("1 + 2 + 3")
         divider.divide(5, 7, 4, 2, method="eager")
     # one vector per iteration, unpacked from the flags that chose the digit
-    assert calls == {"quad_value": 1 + 1 + 2 * 3, "thermometer_flags": 0, "_thermometer": 2}
+    assert calls == {"quad_value": 2 + 1 + 2 * 3, "thermometer_flags": 0, "_thermometer": 2}
+    with trace.record() as events:
+        evalexpr.evaluate("2 * 3 - 1/2")
+    steps = [(e["op"], e["x"], e["y"], e["result"]) for e in events if e["op"] != "reduce"]
+    assert steps == [("mul", 2, 3, 6), ("sub", 6, Fraction(1, 2), Fraction(11, 2))]
 
 
 def test_trace_is_exported():
