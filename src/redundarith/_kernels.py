@@ -51,12 +51,8 @@ SHAPE_CACHE_SIZE = 1024
 
 def next_row_count(m: int, q: int = 2) -> int:
     """Rows needed to re-express any column sum of an m-row radix-q code."""
-    check_int("m", m)
-    check_int("q", q)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    check_int("m", m, 1)
+    check_int("q", q, 2)
     bound = 1 + m * (q - 1)  # column sums range over 0 .. m*(q-1)
     t = 0
     p = 1

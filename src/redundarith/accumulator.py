@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _kernels
-from .codes import MultiRowCode, _as_digit_matrix, check_int, pack_rows, scale_fraction, unpack_rows
+from .codes import MultiRowCode, _as_digit_matrix, check_int, check_operand, pack_rows, scale_fraction, unpack_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,12 +92,9 @@ def _fill(acc: AccumulatorState, width, packed, overflow_count, lsb_exp, counter
 
 
 def _check_fields(width, overflow_count, lsb_exp, counter_mode) -> None:
-    for name, value in (("width", width), ("overflow_count", overflow_count), ("lsb_exp", lsb_exp)):
-        check_int(name, value)
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if overflow_count < 0:
-        raise ValueError("overflow_count must be >= 0")
+    check_int("width", width, 1)
+    check_int("overflow_count", overflow_count, 0)
+    check_int("lsb_exp", lsb_exp)
     if counter_mode not in ("exact", "xor"):
         raise ValueError("counter_mode must be 'exact' or 'xor'")
 
@@ -115,21 +112,14 @@ def _advanced(acc: AccumulatorState, kernel, ops_a, ops_b) -> AccumulatorState:
                  acc.overflow_count + overflow, acc.lsb_exp, acc.counter_mode)
 
 
-def _operand_rows(acc: AccumulatorState, operand: MultiRowCode, rows: int) -> tuple:
-    if operand.radix != 2:
-        raise ValueError("accumulator operands must be binary")
-    if operand.lsb_exp != acc.lsb_exp:
-        raise ValueError("lsb_exp mismatch; align the operand first")
-    if operand.rows != rows:
-        raise ValueError(f"expected a {rows}-row operand, got {operand.rows}")
-    if operand.width > acc.width:
-        raise ValueError("operand wider than the accumulator grid")
+def _operand_rows(acc: AccumulatorState, operand: MultiRowCode, rows: tuple) -> tuple:
+    check_operand(operand, "accumulator operand", rows, acc.lsb_exp, max_width=acc.width)
     return operand.packed
 
 
 def acc_step(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
     """Absorb a one-row operand: one full-adder layer."""
-    return _advanced(acc, _kernels.row_stream, _operand_rows(acc, operand, rows=1), None)
+    return _advanced(acc, _kernels.row_stream, _operand_rows(acc, operand, (1,)), None)
 
 
 def acc_step2(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
@@ -139,7 +129,7 @@ def acc_step2(acc: AccumulatorState, operand: MultiRowCode) -> AccumulatorState:
     that into the sum row.  The two weight-2**n carries land in the top
     slots and reach the counter on the next flush.
     """
-    a, b = _operand_rows(acc, operand, rows=2)
+    a, b = _operand_rows(acc, operand, (2,))
     return _advanced(acc, _kernels.row_stream, (a,), (b,))
 
 

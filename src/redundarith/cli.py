@@ -117,8 +117,6 @@ def _cmd_mul(args) -> int:
     width = _capped_width(args.width)
     a = _read_operand(args.a, width, 2)
     b = _read_operand(args.b, width, 2)
-    if args.signed and a.width != b.width:
-        raise ValueError("--signed needs equal operand widths")
     _check_matrix(a, b)
     out = multiplier.multiply(a, b, signed=args.signed)
     if args.signed:

@@ -49,11 +49,37 @@ class NumericDomainError(ValueError):
 MAX_COLUMN_SUM = (1 << 63) - 1
 
 
-def check_int(name: str, value) -> None:
-    """Reject anything but a plain int: bool is an int subclass, and a
-    float makes shapes, digits and totals inexact."""
+def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """Reject anything but a plain int in lo..hi (either end may be open;
+    `hi` needs `lo`): bool is an int subclass, and a float makes shapes,
+    digits and totals inexact."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int")
+    if lo is not None and value < lo or hi is not None and value > hi:
+        raise ValueError(_range_message(name, lo, hi))
+
+
+def _range_message(name: str, lo: int, hi: int | None) -> str:
+    if hi is None:
+        return f"{name} must be >= {lo}"
+    # a bound Python may refuse to print (a huge divisor's) is named by its size
+    shown = hi if hi.bit_length() <= 4096 else f"(a {hi.bit_length()}-bit bound)"
+    return f"{name} must be in {lo}..{shown}"
+
+
+def check_operand(code: MultiRowCode, name: str, rows: tuple | None = None, lsb_exp: int | None = None,
+                  min_width: int = 0, max_width: int | None = None) -> None:
+    """Reject a code an engine cannot take as its operand `name`: it must
+    be binary, have one of the row counts `rows`, sit on the grid of
+    `lsb_exp` and be min_width .. max_width columns wide (None: any)."""
+    if code.radix != 2:
+        raise ValueError(f"{name} must be binary")
+    if rows is not None and code.rows not in rows:
+        raise ValueError(f"{name} must be a {' or '.join(f'{r}-row' for r in rows)} code")
+    if lsb_exp is not None and code.lsb_exp != lsb_exp:
+        raise ValueError(f"{name} lsb_exp must be {lsb_exp}")
+    if code.width < min_width or max_width is not None and code.width > max_width:
+        raise ValueError(_range_message(f"{name} width", min_width, max_width))
 
 
 def _check_fields(rows, width, radix, lsb_exp) -> None:

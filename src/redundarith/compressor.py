@@ -74,9 +74,7 @@ def golden_costs() -> dict:
 
 def tree_depth(m: int) -> int:
     """Depth of the merge tree over m inputs: ceil(log2 m)."""
-    check_int("m", m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_int("m", m, 1)
     return (m - 1).bit_length()
 
 
@@ -103,8 +101,7 @@ def _merge_nodes(m: int) -> tuple:
 
 def plan_tree(m: int) -> OcaSpec:
     """Table counts per type for the counting adder over m inputs."""
-    if not 2 <= m <= 128:
-        raise ValueError("plan_tree requires 2 <= m <= 128")
+    check_int("m", m, 2, 128)
     levels = tree_depth(m)
     counts = [0] * levels
     for level, _, _ in _merge_nodes(m):
@@ -137,8 +134,7 @@ def delay_levels(m: int) -> int:
 
 def oca_delay(m: int) -> int:
     """Delay of one counting adder: its banded levels plus one encoder."""
-    if not 3 <= m <= 128:
-        raise ValueError("oca_delay requires 3 <= m <= 128")
+    check_int("m", m, 3, 128)
     return delay_levels(m) + T_CC_PER_STAGE
 
 
@@ -160,9 +156,7 @@ def oca_cost_structural(m: int, cells: str = "square") -> int:
     which reproduces the golden sigma_and column except at its known
     m=30 anomaly.
     """
-    check_int("m", m)
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    check_int("m", m, 2, 128)
     if cells == "square":
         return sum((2 ** (level - 1) + 1) ** 2 for level, _, _ in _merge_nodes(m))
     if cells == "exact":

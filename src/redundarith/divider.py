@@ -75,14 +75,9 @@ class ScaleTable:
 
 def build_scale(z: int, k: int, radix: int = 2, extended: bool = False) -> ScaleTable:
     """Scale of q**k (or q**(k+1) when extended) multiples of z."""
-    for name, value in (("divisor", z), ("k", k), ("radix", radix)):
-        check_int(name, value)
-    if z <= 0:
-        raise ValueError("divisor must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if radix < 2:
-        raise ValueError("radix must be >= 2")
+    check_int("divisor", z, 1)
+    check_int("k", k, 1)
+    check_int("radix", radix, 2)
     exp = k + 1 if extended else k
     # radix >= 2, so an exponent past the limit's bit count is over the
     # limit at any radix: reject it before computing the power
@@ -99,11 +94,7 @@ def _comparison_width(scale: ScaleTable) -> int:
 def _select(r: int, scale: ScaleTable, method: str) -> tuple:
     """(h, flags): the digit `select_digit` returns and, for "eager", the
     comparator flags as an int (flag d at bit d*(W+1)); None for "bisect"."""
-    check_int("residual", r)
-    if r < 0:
-        raise ValueError("residual must be non-negative")
-    if r >= scale.size * scale.z:
-        raise ValueError("residual out of scale range")
+    check_int("residual", r, 0, scale.size * scale.z - 1)
     if method == "bisect":
         return r // scale.z, None
     if method != "eager":
@@ -159,15 +150,11 @@ def divide(
     with Q = sum of digits[j] * radix**(k*(iters-1-j)).  Each iteration
     reports a "divide" event to an active `trace.record()`.
     """
-    check_int("iters", iters)
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    check_int("iters", iters, 1)
     # the scales check z, k and the radix, which the dividend range depends on
     first = build_scale(z, k, radix, extended=True)
     rest = build_scale(z, k, radix)
-    check_int("dividend", x)
-    if not 0 <= x < radix * z:
-        raise ValueError("dividend out of range (need 0 <= x < radix*z)")
+    check_int("dividend", x, 0, radix * z - 1)
     step = rest.size  # radix**k
     digits = []
     residual = x
@@ -200,17 +187,11 @@ def quotient_value(digits: list, k: int, radix: int = 2) -> Fraction:
     radix**(-k*(j+1)).  Each digit is an int in the range `divide` gives
     it: below radix**(k+1) for the first, which covers the integer
     position too, and below radix**k after it."""
-    check_int("k", k)
-    check_int("radix", radix)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if radix < 2:
-        raise ValueError("radix must be >= 2")
+    check_int("k", k, 1)
+    check_int("radix", radix, 2)
     step = radix**k
     q = 0
     for j, d in enumerate(digits):
-        check_int("quotient digit", d)
-        if not 0 <= d < (step * radix if j == 0 else step):
-            raise ValueError(f"quotient digit {j} is outside 0 .. {radix}**{k + (j == 0)} - 1")
+        check_int(f"quotient digit {j}", d, 0, (step * radix if j == 0 else step) - 1)
         q = q * step + d
     return Fraction(q, step ** len(digits))

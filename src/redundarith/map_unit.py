@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import MultiRowCode, check_int, made_code, scale_fraction, scaled_value, stack_codes
+from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value, stack_codes
 from .compressor import oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned
 from .reducer import next_row_count, reduce_to_two, stage_plan, trapezoid_geometry
 
 ADDITIVE_OPERANDS = ("c", "d", "e", "g", "h", "l")
+_LABELS = {name: f"operand {name}" for name in ADDITIVE_OPERANDS}  # error-message names
 REFERENCE_WIDTH = 24
 REFERENCE_LEVELS = (6, 4, 3)  # shipped stage levels for the 24-bit unit
 REFERENCE_GATES = 12500  # shipped "approximately" figure, informational
@@ -40,10 +41,8 @@ class MapConfig:
     lsb_exp: int = 0
 
     def __post_init__(self):
-        check_int("width", self.width)
+        check_int("width", self.width, 2, 121)
         check_int("lsb_exp", self.lsb_exp)
-        if not 2 <= self.width <= 121:
-            raise ValueError("width must be in 2..121")
         if self.mode not in ("one-shot", "accumulate"):
             raise ValueError("mode must be 'one-shot' or 'accumulate'")
         if self.signedness not in ("unsigned-direct", "twos-complement"):
@@ -69,21 +68,13 @@ def map_new(config: MapConfig) -> MapState:
     return MapState(config=config, f=f, overflow_count=0)
 
 
-def _check_additive(cfg: MapConfig, name: str, code: MultiRowCode) -> None:
-    if code.radix != 2:
-        raise ValueError(f"operand {name} must be binary")
-    if code.lsb_exp != cfg.lsb_exp:
-        raise ValueError(f"operand {name} lsb_exp must match the grid")
-    if code.rows not in (1, 2):
-        raise ValueError(f"operand {name} must have 1 or 2 rows")
-    if code.width > cfg.width:
-        raise ValueError(f"operand {name} wider than {cfg.width}")
-
-
 def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
     """Collect the codes whose rows make up the matrix, in row order, plus
     the bias units introduced by complement encodings."""
     gw = cfg.grid_width
+    tc = cfg.signedness == "twos-complement"
+    # a two's-complement addend is one row with a sign digit to extend
+    add_rows, add_min = ((1,), 1) if tc else ((1, 2), 0)
     blocks = []
     bias = 0
 
@@ -95,16 +86,16 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
         # the product's digits carry weight 2**(a.lsb_exp + b.lsb_exp)
         if a.lsb_exp + b.lsb_exp != cfg.lsb_exp:
             raise ValueError("a.lsb_exp + b.lsb_exp must equal the grid lsb_exp")
-        if cfg.signedness == "twos-complement":
-            if a.width != cfg.width or b.width != cfg.width:
-                raise ValueError("signed product operands must have the full width")
+        # signed products take operands of the full width, unsigned up to it
+        low = cfg.width if tc else 0
+        check_operand(a, "operand a", min_width=low, max_width=cfg.width)
+        check_operand(b, "operand b", min_width=low, max_width=cfg.width)
+        if tc:
             ppm = pp_matrix_signed(a, b)
             if ppm.bias_scaled != 1 << gw:
                 raise RuntimeError(f"signed product bias {ppm.bias_scaled} != 2**{gw}")
             bias += 1
         else:
-            if a.width > cfg.width or b.width > cfg.width:
-                raise ValueError(f"product operands wider than {cfg.width}")
             ppm = pp_matrix_unsigned(a, b)
         blocks.append(ppm.matrix)
 
@@ -112,14 +103,8 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
         code = operands.get(name)
         if code is None:
             continue
-        _check_additive(cfg, name, code)
-        if cfg.signedness == "twos-complement":
-            if code.rows != 1:
-                raise ValueError(
-                    f"operand {name}: two-row operands are not sign-extendable"
-                )
-            if code.width < 1:
-                raise ValueError(f"operand {name}: no sign digit to extend")
+        check_operand(code, _LABELS[name], add_rows, cfg.lsb_exp, add_min, cfg.width)
+        if tc:
             row = code.packed[0]
             sign = row >> (code.width - 1)
             # the two's-complement value modulo 2**gw: the row sign-extended

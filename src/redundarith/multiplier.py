@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels
-from .codes import MultiRowCode, check_int, made_code, scale_fraction, scaled_value, stack_codes
+from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value, stack_codes
 from .reducer import reduce_delay, reduce_once, reduce_to_two, stage_plan
 
 
@@ -30,18 +30,9 @@ class PartialProductMatrix:
     bias_scaled: int
 
 
-def _check_operand(code: MultiRowCode, min_width: int = 1) -> None:
-    if code.rows != 1:
-        raise ValueError("multiplier operands must be one-row codes")
-    if code.radix != 2:
-        raise ValueError("multiplier operands must be binary")
-    if code.width < min_width:
-        raise ValueError(f"operand width must be >= {min_width}")
-
-
 def signed_operand_value(code: MultiRowCode) -> Fraction:
     """Two's-complement reading of a one-row code: top digit weighs negative."""
-    _check_operand(code, min_width=2)
+    check_operand(code, "signed operand", (1,), min_width=2)
     raw = code.packed[0]
     sign = raw >> (code.width - 1)
     return scale_fraction(raw - (sign << code.width), 2, code.lsb_exp)
@@ -54,8 +45,8 @@ def _partial_products(x: int, y: int, count: int) -> list:
 
 def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
     """Partial products of two unsigned one-row codes; value = a*b."""
-    _check_operand(a)
-    _check_operand(b)
+    check_operand(a, "multiplier operand", (1,), min_width=1)
+    check_operand(b, "multiplier operand", (1,), min_width=1)
     rows = _partial_products(a.packed[0], b.packed[0], b.width)
     matrix = made_code(rows, a.width + b.width - 1, 2, a.lsb_exp + b.lsb_exp)
     return PartialProductMatrix(matrix=matrix, bias_scaled=0)
@@ -69,8 +60,8 @@ def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
     in columns n..2n-1, the sign product at column 2n and the constant
     correction bit at column n+1.  The scaled bias is 2**(2n+1).
     """
-    _check_operand(a, min_width=2)
-    _check_operand(b, min_width=2)
+    check_operand(a, "signed operand", (1,), min_width=2)
+    check_operand(b, "signed operand", (1,), min_width=2)
     if a.width != b.width:
         raise ValueError("signed operands must share a width")
     n = a.width - 1
@@ -103,9 +94,8 @@ def signed_product_value(product: MultiRowCode, operand_width: int) -> Fraction:
     `operand_width` is the shared width w of the two signed operands;
     the bias is 2**(2(w-1)+1) scaled cells.
     """
-    check_int("operand_width", operand_width)
-    if operand_width < 2:
-        raise ValueError("operand_width must be >= 2")
+    check_int("operand_width", operand_width, 2)
+    check_operand(product, "product")
     n = operand_width - 1
     unbiased = scaled_value(product) - (1 << (2 * n + 1))
     return scale_fraction(unbiased, product.radix, product.lsb_exp)
@@ -122,12 +112,8 @@ def mac_injection_stage(pp_rows: int, feedback_rows: int) -> tuple[int, int]:
     band absorbs the extra rows wins.  If no stage keeps the bare stage
     count, the earliest stage with the smallest total is used.
     """
-    check_int("pp_rows", pp_rows)
-    check_int("feedback_rows", feedback_rows)
-    if pp_rows < 1:
-        raise ValueError("pp_rows must be >= 1")
-    if feedback_rows < 1:
-        raise ValueError("feedback_rows must be >= 1")
+    check_int("pp_rows", pp_rows, 1)
+    check_int("feedback_rows", feedback_rows, 1)
     plan = stage_plan(max(pp_rows, 2), 2)
     bare = plan.stages
     totals = [
@@ -152,12 +138,7 @@ def fused_mac(
     picked by mac_injection_stage, so a feedback that fits the current
     stage-count band costs no extra stages over a bare multiply.
     """
-    if f_prev.rows not in (2, 3):
-        raise ValueError("feedback must be a 2-row or 3-row code")
-    if f_prev.radix != 2:
-        raise ValueError("feedback must be binary")
-    if f_prev.lsb_exp != a.lsb_exp + b.lsb_exp:
-        raise ValueError("feedback lsb_exp must match the product grid")
+    check_operand(f_prev, "feedback", (2, 3), a.lsb_exp + b.lsb_exp)
     ppm = pp_matrix_unsigned(a, b)
     s, _ = mac_injection_stage(ppm.matrix.rows, f_prev.rows)
     mat = ppm.matrix
@@ -169,6 +150,5 @@ def fused_mac(
 def mul_delay(n: int, accounting: str = "aggregate") -> int:
     """Multiply delay: one AND level to form partial products, then the
     reduction of the n-row matrix."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    check_int("n", n, 2)
     return 1 + reduce_delay(stage_plan(n, 2), accounting)

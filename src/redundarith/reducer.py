@@ -46,8 +46,7 @@ class StagePlan:
 def stage_plan(m: int, q: int = 2) -> StagePlan:
     """Row counts of a full reduction of m rows; cached per shape, which is
     safe because StagePlan is frozen, and per type: 5.0 must not get 5's."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    check_int("m", m, 2)
     counts = [m]
     while counts[-1] > 2:
         counts.append(next_row_count(counts[-1], q))
@@ -146,10 +145,8 @@ class TrapezoidGeometry:
 
 
 def trapezoid_geometry(n1: int, m2: int) -> TrapezoidGeometry:
-    check_int("n1", n1)
-    check_int("m2", m2)
-    if n1 < 1 or m2 < 1:
-        raise ValueError("n1 and m2 must be >= 1")
+    check_int("n1", n1, 1)
+    check_int("m2", m2, 1)
     n_max = n1 + m2 - 1
     heights = tuple(
         min(m2 - 1, c) - max(0, c - n1 + 1) + 1 for c in range(n_max)

@@ -353,12 +353,8 @@ def fuzz_verify(seed: int = 0, trials: int = 100, scope=None) -> FuzzResult:
     """Randomized oracle checks; deterministic per (seed, trial index)."""
     import numpy as np
 
-    check_int("seed", seed)
-    check_int("trials", trials)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    check_int("seed", seed, 0)
+    check_int("trials", trials, 0)
     scope = tuple(scope) if scope else FUZZ_OPS
     unknown = set(scope) - set(FUZZ_OPS)
     if unknown:

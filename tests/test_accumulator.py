@@ -124,14 +124,18 @@ def test_lsb_exp_scales_totals():
 
 def test_operand_validation():
     acc = acc_new(4)
-    with pytest.raises(ValueError):
-        acc_step(acc, make_from_value(1, 1, 5, 2))  # too wide
-    with pytest.raises(ValueError):
-        acc_step(acc, MultiRowCode(1, 4, 2, -1, np.zeros((1, 4), dtype=np.int64)))
-    with pytest.raises(ValueError):
-        acc_step(acc, make_from_value(1, 2, 4, 2))  # wrong row count for 1-row step
-    with pytest.raises(ValueError):
-        acc_step(acc, MultiRowCode(1, 4, 3, 0, np.zeros((1, 4), dtype=np.int64)))
+    cases = (
+        (lambda: acc_step(acc, make_from_value(1, 1, 5, 2)), r"^accumulator operand width must be in 0\.\.4$"),
+        (lambda: acc_step(acc, MultiRowCode(1, 4, 2, -1, np.zeros((1, 4), dtype=np.int64))),
+         "^accumulator operand lsb_exp must be 0$"),
+        (lambda: acc_step(acc, make_from_value(1, 2, 4, 2)), "^accumulator operand must be a 1-row code$"),
+        (lambda: acc_step2(acc, make_from_value(1, 1, 4, 2)), "^accumulator operand must be a 2-row code$"),
+        (lambda: acc_step(acc, MultiRowCode(1, 4, 3, 0, np.zeros((1, 4), dtype=np.int64))),
+         "^accumulator operand must be binary$"),
+    )
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
     with pytest.raises(ValueError, match="^width must be >= 1$"):
         acc_new(0)
     with pytest.raises(ValueError, match="^counter_mode must be 'exact' or 'xor'$"):

@@ -50,7 +50,7 @@ def test_mul_signed_text(capsys):
 def test_mul_signed_needs_equal_widths(capsys):
     code, _, err = run(capsys, "mul", "0b101", "0b1101", "--signed")
     assert code == 2
-    assert err == "error: --signed needs equal operand widths\n"
+    assert err == "error: signed operands must share a width\n"
 
 
 def test_add_and_reduce_round_trip(capsys, tmp_path):
@@ -260,6 +260,14 @@ def test_map_rejects_unknown_operand(capsys):
     assert "unknown operand" in err
 
 
+def test_map_operand_rule_is_one_error_line(capsys, tmp_path):
+    two = tmp_path / "two.txt"
+    two.write_text("mrc 2 4 2 0\n0001\n0010\n")
+    argv = ("map", "a=3", "b=5", f"c=@{two}", "--width", "4")
+    assert run(capsys, *argv, "--tc") == (2, "", "error: operand c must be a 1-row code\n")
+    assert run(capsys, *argv) == (0, "total 18\noverflow_count 0\n", "")
+
+
 def test_report_exit_zero_and_json(capsys):
     for table in ("2.1", "3.1", "3.2"):
         code, out, _ = run(capsys, "report", "--table", table, "--json")
@@ -282,7 +290,7 @@ def test_fuzz_rejects_negative_trials(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     # a negative seed once failed inside numpy, with its message
-    assert run(capsys, "fuzz", "--seed", "-1") == (2, "", "error: seed must be >= 0, got -1\n")
+    assert run(capsys, "fuzz", "--seed", "-1") == (2, "", "error: seed must be >= 0\n")
 
 
 def test_fuzz_seed_flag_overrides_env(capsys, monkeypatch):

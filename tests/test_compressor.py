@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import redundarith
-from redundarith import _kernels
+from redundarith import _kernels, compressor
 from redundarith.compressor import (
     UntabulatedCostError,
     delay_levels,
@@ -33,7 +33,7 @@ def test_tree_depth_is_ceil_log2():
     for m in range(2, 4097):
         d = tree_depth(m)
         assert 2 ** (d - 1) < m <= 2**d
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
         tree_depth(0)
     # a row count that is not a plain int is refused, not rounded or looked up
     for call in (lambda: tree_depth(True), lambda: plan_tree(4.0), lambda: oca_cost_structural(4.0),
@@ -43,10 +43,10 @@ def test_tree_depth_is_ceil_log2():
             call()
     # and one inside each model's range
     cases = ((lambda: popcount_tree([]), r"^need 1 <= m <= 2\*\*30 input bits$"),
-             (lambda: plan_tree(1), "^plan_tree requires 2 <= m <= 128$"),
-             (lambda: oca_delay(2), "^oca_delay requires 3 <= m <= 128$"),
+             (lambda: plan_tree(1), r"^m must be in 2\.\.128$"),
+             (lambda: oca_delay(2), r"^m must be in 3\.\.128$"),
              (lambda: oca_cost_structural(4, cells="bogus"), "^cells must be 'square' or 'exact'$"),
-             (lambda: oca_cost_structural(1), "^m must be >= 2$"),
+             (lambda: oca_cost_structural(1), r"^m must be in 2\.\.128$"),
              (lambda: delay_levels(200), "^no delay band covers m=200$"))
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -139,6 +139,18 @@ def test_structural_square_cells_upper_bounds_exact():
         assert oca_cost_structural(m, cells="square") >= oca_cost_structural(
             m, cells="exact"
         )
+
+
+def test_structural_cost_stays_in_the_counter_domain():
+    # any m >= 2 was once taken, and each kept a merge tree in the
+    # unbounded cache: m = 2..3000 held about 327 MB
+    for m in (129, 3000):
+        with pytest.raises(ValueError, match=r"^m must be in 2\.\.128$"):
+            oca_cost_structural(m)
+    for m in range(2, 129):
+        oca_cost_structural(m, cells="exact")
+        plan_tree(m)
+    assert compressor._merge_nodes.cache_info().currsize <= 127
 
 
 def test_popcount_bound_check_survives_optimize():

@@ -71,7 +71,7 @@ def test_div_argument_validation():
     with pytest.raises(EvalError):
         evaluate("div(22, 7, 2, 3)")  # dividend out of the divider's range
     # the divider's own checks, reported at the call
-    for text, message in (("div(5, 0, 1, 1)", "divisor must be positive (at offset 0)"),
+    for text, message in (("div(5, 0, 1, 1)", "divisor must be >= 1 (at offset 0)"),
                           ("1 + div(5, 7, 0, 1)", "k must be >= 1 (at offset 4)"),
                           ("div(5, 7, 1, 0)", "iters must be >= 1 (at offset 0)"),
                           ("div(5, 0, 0, 0)", "iters must be >= 1 (at offset 0)")):

@@ -57,11 +57,11 @@ def test_product_needs_both_factors():
     tc = MapConfig(width=6, signedness="twos-complement")
     cases = (
         (cfg, {"c": make_from_value(3, 1, 6, 3)}, "^operand c must be binary$"),
-        (cfg, {"d": _bits(3, 6, -1)}, "^operand d lsb_exp must match the grid$"),
-        (cfg, {"e": make_from_value(3, 3, 6)}, "^operand e must have 1 or 2 rows$"),
-        (cfg, {"g": _bits(3, 7)}, "^operand g wider than 6$"),
-        (cfg, {"a": _bits(3, 7), "b": _bits(3, 6)}, "^product operands wider than 6$"),
-        (tc, {"a": _bits(3, 5), "b": _bits(3, 6)}, "^signed product operands must have the full width$"),
+        (cfg, {"d": _bits(3, 6, -1)}, "^operand d lsb_exp must be 0$"),
+        (cfg, {"e": make_from_value(3, 3, 6)}, "^operand e must be a 1-row or 2-row code$"),
+        (cfg, {"g": _bits(3, 7)}, r"^operand g width must be in 0\.\.6$"),
+        (cfg, {"a": _bits(3, 7), "b": _bits(3, 6)}, r"^operand a width must be in 0\.\.6$"),
+        (tc, {"a": _bits(3, 5), "b": _bits(3, 6)}, r"^operand a width must be in 6\.\.6$"),
     )
     for config, operands, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -188,9 +188,9 @@ def test_misaligned_product_is_rejected():
 def test_twos_complement_additive_must_be_one_row():
     cfg = MapConfig(width=5, mode="one-shot", signedness="twos-complement")
     two = make_from_value(3, 2, 5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^operand c must be a 1-row code$"):
         map_eval(cfg, c=two)
-    with pytest.raises(ValueError, match="sign digit"):  # width 0: no sign to extend
+    with pytest.raises(ValueError, match=r"^operand c width must be in 1\.\.5$"):  # width 0: no sign to extend
         map_eval(cfg, c=make_from_value(0, 1, 0, 2))
 
 

@@ -168,15 +168,19 @@ def test_fused_mac_values(rng):
 
 def test_fused_mac_requires_aligned_feedback():
     f = make_from_value(5, 2, 8, 2, lsb_exp=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^feedback lsb_exp must be 0$"):
         fused_mac(f, make_from_value(3, 1, 4), make_from_value(3, 1, 4))
     # operands are one binary row, feedback two or three binary rows
     a = make_from_value(3, 1, 4)
     cases = (
-        (lambda: multiply(make_from_value(3, 2, 4), a), "^multiplier operands must be one-row codes$"),
-        (lambda: multiply(a, make_from_value(3, 1, 4, 3)), "^multiplier operands must be binary$"),
+        (lambda: multiply(make_from_value(3, 2, 4), a), "^multiplier operand must be a 1-row code$"),
+        (lambda: multiply(a, make_from_value(3, 1, 4, 3)), "^multiplier operand must be binary$"),
+        (lambda: multiply(a, make_from_value(0, 1, 0)), r"^multiplier operand width must be >= 1$"),
+        (lambda: multiply(a, make_from_value(1, 1, 1), signed=True), r"^signed operand width must be >= 2$"),
         (lambda: fused_mac(make_from_value(5, 1, 8), a, a), "^feedback must be a 2-row or 3-row code$"),
         (lambda: fused_mac(make_from_value(5, 2, 8, 3), a, a), "^feedback must be binary$"),
+        # a radix-3 product once read as -3
+        (lambda: signed_product_value(make_from_value(5, 1, 3, radix=3), 2), "^product must be binary$"),
         (lambda: mul_delay(1), "^n must be >= 2$"),
         (lambda: mac_injection_stage(0, 2), "^pp_rows must be >= 1$"),
         # these once returned (3, 3) and (1, 3)

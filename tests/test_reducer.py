@@ -75,7 +75,8 @@ def test_stage_plan_validates_chain():
             call()
     # and in range
     cases = ((lambda: stage_plan(1), "^m must be >= 2$"),
-             (lambda: trapezoid_geometry(0, 2), "^n1 and m2 must be >= 1$"),
+             (lambda: trapezoid_geometry(0, 2), "^n1 must be >= 1$"),
+             (lambda: trapezoid_geometry(2, 0), "^m2 must be >= 1$"),
              (lambda: next_row_count(0), "^m must be >= 1$"),
              (lambda: next_row_count(3, 1), "^q must be >= 2$"))
     for call, message in cases:

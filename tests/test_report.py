@@ -95,7 +95,7 @@ def test_fuzz_scope_filters_ops():
     for bad in ({"trials": True}, {"trials": 2.0}, {"seed": 1.5}, {"seed": True}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be an int$"):
             fuzz_verify(**{"seed": 1, "trials": 2, **bad})
-    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
         fuzz_verify(seed=-1, trials=0)
     assert fuzz_verify(seed=1, trials=0).passed == 0
 
