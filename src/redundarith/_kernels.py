@@ -2,11 +2,12 @@
 
 Binary rows are Python ints, bit j in column j (`MultiRowCode.packed`).
 One carry-save step, `_carry_save`, folds three rows into a sum row and
-a carry row over whole words.  The binary reduction stage is a
-bit-sliced column counter built from it.  An accumulator stream of T
-steps on an n-column grid runs it in one of two bodies.  Up to 4n steps,
-the row loop takes one or two carry-save steps per step, on operand rows
-packed by `codes.pack_rows`.  Beyond that, the column body walks the n
+a carry row over whole words.  Every binary reduction, one stage or all
+of them, runs in one loop, `reduce_packed`: a bit-sliced column counter
+built from it.  An accumulator stream of T steps on an n-column grid
+runs it in one of two bodies.  Up to 4n steps, the row loop takes one or
+two carry-save steps per step, on operand rows packed by
+`codes.pack_rows`.  Beyond that, the column body walks the n
 columns once, each column's operand bits over all T steps packed into
 one T-bit int: no carry moves within a step, so a column's sum bits are
 a prefix xor over time, and its carry-save majorities are the carries
@@ -20,7 +21,7 @@ j holding the digits of weight radix**j, reduced by one numpy stage
 body.  `MultiRowCode` rejects rows * (radix - 1) > 2**63 - 1, so every
 column sum fits in int64, and so does every digit weight radix**h of a
 stage, since radix**(m2 - 1) <= rows * (radix - 1).  The numpy body
-takes bit matrices too and is the tests' reference for the packed stage.
+takes bit matrices too and is the tests' reference for `reduce_packed`.
 Every stage reports a "reduce" event to an active `trace.record()`.
 
 The packed kernels run on ints alone.  numpy is imported inside the
@@ -131,56 +132,43 @@ def _carry_save(x: int, y: int, z: int) -> tuple[int, int]:
     The carry row stays in the columns it came from; its bits weigh
     twice those of the sum row.
     """
-    return x ^ y ^ z, (x & y) | (z & (x | y))
+    t = x ^ y
+    return t ^ z, (x & y) | (t & z)
 
 
-def _column_planes(rows: list) -> list:
-    """Plane h holds bit h of every column sum of the bit rows.
+def reduce_packed(rows, width: int, limit: int | None = None) -> tuple[list, int, int]:
+    """Reduce packed binary rows until two remain, or for `limit` stages:
+    (rows, width, stages).
 
-    Carry-save steps fold the rows of each weight three at a time, and a
-    half adder takes a last pair, until one row per weight is left.  Of
-    m rows, floor(m / 2**k) have weight 2**k, so there are m.bit_length()
-    planes: next_row_count(m, 2).
+    Row h of a stage's output is plane h, bit h of every column sum,
+    shifted h columns.  Carry-save steps fold the nonzero rows of each
+    weight into a running sum row two at a time, and only nonzero carries
+    go on to the next weight; zero rows pad the planes to
+    next_row_count(m, 2), which is m.bit_length().
     """
-    planes = []
-    while rows:
-        carries = []
-        while len(rows) > 2:
-            total, carry = _carry_save(rows.pop(), rows.pop(), rows.pop())
-            rows.append(total)
-            carries.append(carry)
-        if len(rows) == 2:
-            x, y = rows
-            rows = [x ^ y]
-            carries.append(x & y)
-        planes.append(rows[0])
-        rows = carries
-    return planes
-
-
-def packed_stage(rows, width: int) -> tuple[list, int]:
-    """One stage of packed binary rows, (rows, width): plane h of the
-    column sums, shifted h columns, is output row h.
-
-    Zero rows add nothing to a column sum, so only the others are
-    counted, and zero rows pad their planes to m.bit_length().
-    """
-    out = [plane << h for h, plane in enumerate(_column_planes([row for row in rows if row]))]
-    out += [0] * (len(rows).bit_length() - len(out))
-    out_width = width + len(out) - 1
     events = trace.sink()
-    if events is not None:
-        col = unpack_rows(rows, width).sum(axis=0)  # digit matrices only under a recorder
-        _report_stage(events, len(rows), col, 2, unpack_rows(out, out_width))
-    return out, out_width
-
-
-def reduce_to_two_packed(rows, width: int) -> tuple[list, int, int]:
-    """Reduce packed binary rows until two remain; returns the rows, their
-    width and the stage count."""
     stages = 0
-    while len(rows) > 2:
-        rows, width = packed_stage(rows, width)
+    while len(rows) > 2 and stages != limit:
+        out = []
+        level = [row for row in rows if row]
+        while level:
+            if not len(level) & 1:
+                level.append(0)  # the last pair meets a zero row: a half adder
+            rest = iter(level)
+            total = next(rest)
+            carries = []
+            for row in rest:
+                total, carry = _carry_save(total, row, next(rest))
+                if carry:
+                    carries.append(carry)
+            out.append(total << len(out))
+            level = carries
+        out += [0] * (len(rows).bit_length() - len(out))
+        out_width = width + len(out) - 1
+        if events is not None:
+            col = unpack_rows(rows, width).sum(axis=0)  # digit matrices only under a recorder
+            _report_stage(events, len(rows), col, 2, unpack_rows(out, out_width))
+        rows, width = out, out_width
         stages += 1
     return rows, width, stages
 

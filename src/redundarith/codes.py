@@ -23,6 +23,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -239,19 +240,32 @@ def stack_codes(parts, width: int = 0) -> MultiRowCode:
     return made_code(digits, width, first.radix, first.lsb_exp)
 
 
+@lru_cache(maxsize=65)
+def _bit_weights(width: int) -> np.ndarray:
+    """Read-only uint64 vector 1 << j, j < width <= 64."""
+    import numpy as np
+
+    w = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
+    w.flags.writeable = False
+    return w
+
+
 def pack_rows(bits) -> list:
     """Each row of a 0/1 matrix as one int, bit j in column j."""
     import numpy as np
 
-    # np.packbits runs several times faster on uint8 than on int64 input,
-    # and on contiguous rows than on a transposed view's strided ones.  The
-    # cast goes first: it keeps a view's memory order, and a transposing
-    # copy of uint8 costs several times less than one that also casts
-    bits = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8))
+    bits = np.asarray(bits)
+    rows, width = bits.shape
+    if width <= 64 and rows * width <= 1536:
+        # one product with the weights 1 << j.  Integer matmul has no BLAS path: from about 2048
+        # cells packbits wins, e.g. uint8 (32, 64) 3.8 against 4.2 us, (256, 64) 9.9 against 20.1 us
+        return (bits.astype(np.uint64, copy=False) @ _bit_weights(width)).tolist()
+    # packbits runs several times faster on contiguous uint8 rows than on int64 or strided ones
+    # (the cast goes first: a transposing uint8 copy is the cheap one); up to 8 bytes, a uint64 view
+    bits = np.ascontiguousarray(bits.astype(np.uint8, copy=False))
     packed = np.packbits(bits, axis=1, bitorder="little")
-    rows, nbytes = packed.shape
+    nbytes = packed.shape[1]
     if nbytes <= 8:
-        # one uint64 word per row: a single view and tolist for tall matrices
         words = np.zeros((rows, 8), dtype=np.uint8)
         words[:, :nbytes] = packed
         return words.view("<u8").ravel().tolist()

@@ -86,8 +86,8 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
         # the product's digits carry weight 2**(a.lsb_exp + b.lsb_exp)
         if a.lsb_exp + b.lsb_exp != cfg.lsb_exp:
             raise ValueError("a.lsb_exp + b.lsb_exp must equal the grid lsb_exp")
-        # signed products take operands of the full width, unsigned up to it
-        low = cfg.width if tc else 0
+        # signed products take operands of the full width, unsigned 1 up to it
+        low = cfg.width if tc else 1
         check_operand(a, "operand a", min_width=low, max_width=cfg.width)
         check_operand(b, "operand b", min_width=low, max_width=cfg.width)
         if tc:
@@ -119,21 +119,14 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
     return blocks, bias
 
 
-def _reduce_to_state(cfg: MapConfig, state: MapState, blocks, bias: int) -> MapState:
+def _reduce_to_state(cfg: MapConfig, blocks, overflow: int, bias_units: int) -> MapState:
     gw = cfg.grid_width
-    if not blocks:
-        return state
     # the stack is at least gw wide, so the reduced F is too; digits past
     # the grid go to the overflow counter
     rows = reduce_to_two(stack_codes(blocks, gw)).packed
-    overflow = state.overflow_count + sum(row >> gw for row in rows)
+    overflow += sum(row >> gw for row in rows)
     f = made_code([row & ((1 << gw) - 1) for row in rows], gw, 2, cfg.lsb_exp)
-    return MapState(
-        config=cfg,
-        f=f,
-        overflow_count=overflow,
-        bias_units=state.bias_units + bias,
-    )
+    return MapState(config=cfg, f=f, overflow_count=overflow, bias_units=bias_units)
 
 
 def map_eval(cfg: MapConfig, **operands) -> MapState:
@@ -142,7 +135,9 @@ def map_eval(cfg: MapConfig, **operands) -> MapState:
     if unknown:
         raise ValueError(f"unknown operands: {sorted(unknown)}")
     blocks, bias = _gather(cfg, operands, feedback=None)
-    return _reduce_to_state(cfg, map_new(cfg), blocks, bias)
+    if not blocks:
+        return map_new(cfg)
+    return _reduce_to_state(cfg, blocks, 0, bias)
 
 
 def map_accumulate(cfg: MapConfig, steps) -> MapState:
@@ -156,7 +151,7 @@ def map_accumulate(cfg: MapConfig, steps) -> MapState:
         if unknown:
             raise ValueError(f"accumulate steps take {'/'.join(names)} only, got {sorted(unknown)}")
         blocks, bias = _gather(cfg, operands, feedback=state.f)
-        state = _reduce_to_state(cfg, state, blocks, bias)
+        state = _reduce_to_state(cfg, blocks, state.overflow_count, state.bias_units + bias)
     return state
 
 

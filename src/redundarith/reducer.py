@@ -58,7 +58,8 @@ def reduce_once(code: MultiRowCode) -> MultiRowCode:
     if code.rows < 3:
         raise ValueError("reduce_once requires >= 3 rows")
     if code.radix == 2:
-        return made_code(*_kernels.packed_stage(code.packed, code.width), 2, code.lsb_exp)
+        rows, width, _ = _kernels.reduce_packed(code.packed, code.width, 1)
+        return made_code(rows, width, 2, code.lsb_exp)
     out = _kernels.reduce_once_digits(code.digits, code.radix)
     return made_code(out, out.shape[1], code.radix, code.lsb_exp)
 
@@ -75,7 +76,7 @@ def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
     if code.rows == 2:
         return code
     if code.radix == 2:
-        rows, width, stages = _kernels.reduce_to_two_packed(code.packed, code.width)
+        rows, width, stages = _kernels.reduce_packed(code.packed, code.width)
     else:
         rows, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
         width = rows.shape[1]
@@ -105,7 +106,7 @@ def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
         raise ValueError("lsb_exp mismatch; align operands explicitly first")
     width = max(a.width, b.width)
     if a.radix == 2:
-        rows, _, stages = _kernels.reduce_to_two_packed(a.packed + b.packed, width)
+        rows, _, stages = _kernels.reduce_packed(a.packed + b.packed, width)
         _check_stages(4, 2, stages)
         return made_code(rows, max(width, *(row.bit_length() for row in rows)), 2, a.lsb_exp)
     out = reduce_to_two(stack_codes((a, b)))

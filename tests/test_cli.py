@@ -87,18 +87,20 @@ def test_reduce_trace_reduces_once(capsys, tmp_path, monkeypatch):
     f.write_text(text)
     plan = reducer.stage_plan(9, 2)
     want = codes.to_text(reducer.reduce_to_two(codes.from_text(text)))
-    stages = []
-    once = _kernels.packed_stage
+    calls = []
+    real = _kernels.reduce_packed
 
-    def count_once(rows, width):
-        stages.append(len(rows))
-        return once(rows, width)
+    def counted(rows, width, limit=None):
+        out = real(rows, width, limit)
+        calls.append((len(rows), limit, out[2]))
+        return out
 
-    # every binary stage, alone or in a full reduction, runs the one stage body
-    monkeypatch.setattr(_kernels, "packed_stage", count_once)
-    code, out, _ = run(capsys, "reduce", str(f), "--trace")
+    # the whole binary reduction is one call of the one stage loop
+    monkeypatch.setattr(_kernels, "reduce_packed", counted)
+    code, out, err = run(capsys, "reduce", str(f), "--trace")
     assert code == 0
-    assert stages == list(plan.row_counts[:-1])
+    assert calls == [(9, None, plan.stages)]
+    assert [e["rows_in"] for e in events_of(err)] == list(plan.row_counts[:-1])
     assert out == want
 
 

@@ -168,20 +168,25 @@ def test_value_matches_slow_reference(rng):
 
 
 def test_pack_rows_and_unpack_row_round_trip(rng):
-    # both packer branches (one uint64 word per row, from_bytes beyond it),
-    # a tall matrix, and the transposed views that give the accumulator
-    # streams their operand columns
-    for width in (0, 1, 7, 8, 9, 63, 64, 65, 130):
-        for rows in (1, 2, 4096):
-            for bits in (rng.integers(0, 2, (rows, width)), np.ones((rows, width), np.int64),
-                         rng.integers(0, 2, (width, rows), dtype=np.uint8).T):
-                ints = pack_rows(bits)
-                assert len(ints) == rows
-                assert sum(ints) == exact_scaled_value(bits.tolist(), 2)
-                assert all(x < 1 << width for x in ints)
-                back = unpack_rows(ints, width)
-                assert back.shape == (rows, width) and back.dtype == np.int64
-                assert np.array_equal(back, bits)
+    # every packer branch (one matrix product up to 64 columns and 1536
+    # cells, np.packbits read as uint64 words for taller matrices, and
+    # from_bytes beyond 64 columns), every dtype the library packs, and the
+    # transposed views that give the accumulator streams their operand
+    # columns, row by row against a pure-int reference
+    for width in (0, 1, 7, 8, 9, 63, 64, 65, 128, 130):
+        for rows in (0, 1, 2, 24, 25, 33, 256, 4096):
+            bits = rng.integers(0, 2, (rows, width), dtype=np.uint8)
+            if rows:
+                bits[-1] = 1  # an all-ones row sets bit 63 of a 64-column word
+            want = [sum(int(b) << j for j, b in enumerate(row)) for row in bits.tolist()]
+            for dtype in (bool, np.uint8, np.int64):
+                for view in (bits.astype(dtype), np.ascontiguousarray(bits.T, dtype=dtype).T):
+                    ints = pack_rows(view)
+                    assert ints == want, (width, rows, dtype)
+                    assert all(type(x) is int for x in ints)
+                    back = unpack_rows(ints, width)
+                    assert back.shape == (rows, width) and back.dtype == np.int64
+                    assert np.array_equal(back, bits)
 
 
 def test_value_respects_lsb_exp():

@@ -60,7 +60,7 @@ def test_product_needs_both_factors():
         (cfg, {"d": _bits(3, 6, -1)}, "^operand d lsb_exp must be 0$"),
         (cfg, {"e": make_from_value(3, 3, 6)}, "^operand e must be a 1-row or 2-row code$"),
         (cfg, {"g": _bits(3, 7)}, r"^operand g width must be in 0\.\.6$"),
-        (cfg, {"a": _bits(3, 7), "b": _bits(3, 6)}, r"^operand a width must be in 0\.\.6$"),
+        (cfg, {"a": _bits(3, 7), "b": _bits(3, 6)}, r"^operand a width must be in 1\.\.6$"),
         (tc, {"a": _bits(3, 5), "b": _bits(3, 6)}, r"^operand a width must be in 6\.\.6$"),
     )
     for config, operands, message in cases:
@@ -68,6 +68,15 @@ def test_product_needs_both_factors():
             map_eval(config, **operands)
     with pytest.raises(ValueError, match="^config mode must be 'accumulate'$"):
         map_accumulate(cfg, [])
+
+
+def test_width0_product_operand_is_named():
+    # an unsigned product operand needs a digit; the grid's check names it
+    cfg = MapConfig(width=4)
+    zero, three = make_from_value(0, 1, 0), make_from_value(3, 1, 4)
+    for operands, name in (({"a": zero, "b": three}, "a"), ({"a": three, "b": zero}, "b")):
+        with pytest.raises(ValueError, match=rf"^operand {name} width must be in 1\.\.4$"):
+            map_eval(cfg, **operands)
 
 
 def test_two_row_additive_operands_allowed_unsigned():

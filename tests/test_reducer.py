@@ -115,13 +115,13 @@ def test_reduce_stage_count_matches_plan(rng):
 
 
 def test_stage_count_drift_is_caught(monkeypatch):
-    real = _kernels.reduce_to_two_packed
+    real = _kernels.reduce_packed
 
-    def one_stage_too_many(rows, width):
-        rows, width, stages = real(rows, width)
+    def one_stage_too_many(rows, width, limit=None):
+        rows, width, stages = real(rows, width, limit)
         return rows, width, stages + 1
 
-    monkeypatch.setattr(_kernels, "reduce_to_two_packed", one_stage_too_many)
+    monkeypatch.setattr(_kernels, "reduce_packed", one_stage_too_many)
     with pytest.raises(RuntimeError, match=r"^reduction ran 4 stages, stage_plan gives 3$"):
         reduce_to_two(make_from_value(1, 9, 4))
 
@@ -185,10 +185,11 @@ def _check_stage_bodies(digits, radix):
     if radix != 2:
         return
     packed = pack_rows(digits)
-    once, width = _kernels.packed_stage(packed, digits.shape[1])
+    once, width, stages = _kernels.reduce_packed(packed, digits.shape[1], 1)
+    assert stages == 1
     assert all(row >> width == 0 for row in once)
     np.testing.assert_array_equal(unpack_rows(once, width), want_once)
-    two, width, stages = _kernels.reduce_to_two_packed(packed, digits.shape[1])
+    two, width, stages = _kernels.reduce_packed(packed, digits.shape[1])
     assert stages == want_stages and len(two) == 2
     assert all(row >> width == 0 for row in two)
     np.testing.assert_array_equal(unpack_rows(two, width), want)
@@ -201,13 +202,20 @@ def test_stage_body_matches_per_row_reference(rng):
                 full = np.full((rows, width), radix - 1, dtype=np.int64)
                 for digits in (random_code(rng, rows, width, radix).digits, full):
                     _check_stage_bodies(digits, radix)
-    # the packed binary stage over many more shapes, every seventh all ones
+    # the packed binary loop over many more shapes: every seventh all
+    # ones, every fifth all zeros, every third with a random half of its
+    # rows zeroed
     for i in range(1000):
-        rows, width = int(rng.integers(3, 130)), int(rng.integers(0, 200))
+        rows = int(rng.integers(3, 301))
+        width = int(rng.choice((0, 1, 64, 127))) if i % 2 else int(rng.integers(0, 200))
         if i % 7 == 0:
             digits = np.ones((rows, width), dtype=np.int64)
         else:
             digits = rng.integers(0, 2, size=(rows, width), dtype=np.int64)
+        if i % 5 == 0:
+            digits[:] = 0
+        elif i % 3 == 0:
+            digits[rng.random(rows) < 0.5] = 0
         _check_stage_bodies(digits, 2)
 
 
@@ -217,10 +225,20 @@ def test_packed_stage_reports_the_numpy_stage_events(rng):
         with trace.record() as want:
             _kernels.reduce_to_two_digits(digits, 2)
         with trace.record() as got:
-            _kernels.reduce_to_two_packed(pack_rows(digits), width)
+            _kernels.reduce_packed(pack_rows(digits), width)
         assert [e["digits"].dtype for e in got] == [np.int64] * len(want)
         listed = [[{**e, "digits": e["digits"].tolist()} for e in events] for events in (got, want)]
         assert listed[0] == listed[1]
+
+
+def test_untraced_reduction_costs_one_sink_call(monkeypatch):
+    calls = []
+    sink = trace.sink
+    monkeypatch.setattr(trace, "sink", lambda: calls.append(1) or sink())
+    code = MultiRowCode.from_digits(np.ones((128, 8), dtype=np.int64))
+    assert stage_plan(128).stages == 4
+    assert value_of(reduce_to_two(code)) == value_of(code)
+    assert len(calls) == 1
 
 
 def test_reduce_handles_degenerate_inputs():
