@@ -11,9 +11,9 @@ operands must have lsb_exps summing to it.
 
 Unsigned-direct mode sums exactly.  Two's-complement mode reuses the
 signed partial-product matrix and sign-extends one-row additive operands
-across the grid; every complement row overshoots its true value by one
-grid unit 2**(2n-1), which is tallied in bias_units so the signed total
-stays exactly recoverable.
+across the grid; the signed product and every complement row overshoot
+their true value by one grid unit 2**(2n-1), which is tallied in
+bias_units so the signed total stays exactly recoverable.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value, stack_codes
+from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value
 from .compressor import oca_cost_structural, tree_depth
-from .multiplier import pp_matrix_signed, pp_matrix_unsigned
-from .reducer import next_row_count, reduce_to_two, stage_plan, trapezoid_geometry
+from .multiplier import pp_matrix_signed, pp_matrix_unsigned, signed_bias
+from .reducer import next_row_count, reduce_rows, stage_plan, trapezoid_geometry
 
 ADDITIVE_OPERANDS = ("c", "d", "e", "g", "h", "l")
 _LABELS = {name: f"operand {name}" for name in ADDITIVE_OPERANDS}  # error-message names
@@ -69,13 +69,13 @@ def map_new(config: MapConfig) -> MapState:
 
 
 def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
-    """Collect the codes whose rows make up the matrix, in row order, plus
+    """Collect the packed rows that make up the matrix, in row order, plus
     the bias units introduced by complement encodings."""
     gw = cfg.grid_width
     tc = cfg.signedness == "twos-complement"
     # a two's-complement addend is one row with a sign digit to extend
     add_rows, add_min = ((1,), 1) if tc else ((1, 2), 0)
-    blocks = []
+    rows = []
     bias = 0
 
     a = operands.get("a")
@@ -91,13 +91,12 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
         check_operand(a, "operand a", min_width=low, max_width=cfg.width)
         check_operand(b, "operand b", min_width=low, max_width=cfg.width)
         if tc:
-            ppm = pp_matrix_signed(a, b)
-            if ppm.bias_scaled != 1 << gw:
-                raise RuntimeError(f"signed product bias {ppm.bias_scaled} != 2**{gw}")
+            if signed_bias(a.width) != 1 << gw:
+                raise RuntimeError(f"signed product bias {signed_bias(a.width)} != 2**{gw}")
+            rows += pp_matrix_signed(a, b).packed
             bias += 1
         else:
-            ppm = pp_matrix_unsigned(a, b)
-        blocks.append(ppm.matrix)
+            rows += pp_matrix_unsigned(a, b).packed
 
     for name in ADDITIVE_OPERANDS:
         code = operands.get(name)
@@ -108,22 +107,22 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
             row = code.packed[0]
             sign = row >> (code.width - 1)
             # the two's-complement value modulo 2**gw: the row sign-extended
-            blocks.append(made_code(((row - (sign << code.width)) % (1 << gw),), gw, 2, cfg.lsb_exp))
+            rows.append((row - (sign << code.width)) % (1 << gw))
             bias += sign
         else:
-            blocks.append(code)
+            rows += code.packed
 
     if feedback is not None:
-        blocks.append(feedback)
+        rows += feedback.packed
 
-    return blocks, bias
+    return rows, bias
 
 
-def _reduce_to_state(cfg: MapConfig, blocks, overflow: int, bias_units: int) -> MapState:
+def _reduce_to_state(cfg: MapConfig, rows, overflow: int, bias_units: int) -> MapState:
     gw = cfg.grid_width
-    # the stack is at least gw wide, so the reduced F is too; digits past
-    # the grid go to the overflow counter
-    rows = reduce_to_two(stack_codes(blocks, gw)).packed
+    # every row fits the gw-wide grid, so the reduced F is at least that
+    # wide; digits past the grid go to the overflow counter
+    rows, _ = reduce_rows(rows, gw)
     overflow += sum(row >> gw for row in rows)
     f = made_code([row & ((1 << gw) - 1) for row in rows], gw, 2, cfg.lsb_exp)
     return MapState(config=cfg, f=f, overflow_count=overflow, bias_units=bias_units)
@@ -134,10 +133,10 @@ def map_eval(cfg: MapConfig, **operands) -> MapState:
     unknown = set(operands) - {"a", "b", *ADDITIVE_OPERANDS}
     if unknown:
         raise ValueError(f"unknown operands: {sorted(unknown)}")
-    blocks, bias = _gather(cfg, operands, feedback=None)
-    if not blocks:
+    rows, bias = _gather(cfg, operands, feedback=None)
+    if not rows:
         return map_new(cfg)
-    return _reduce_to_state(cfg, blocks, 0, bias)
+    return _reduce_to_state(cfg, rows, 0, bias)
 
 
 def map_accumulate(cfg: MapConfig, steps) -> MapState:
@@ -150,8 +149,8 @@ def map_accumulate(cfg: MapConfig, steps) -> MapState:
         unknown = set(operands) - set(names)
         if unknown:
             raise ValueError(f"accumulate steps take {'/'.join(names)} only, got {sorted(unknown)}")
-        blocks, bias = _gather(cfg, operands, feedback=state.f)
-        state = _reduce_to_state(cfg, blocks, state.overflow_count, state.bias_units + bias)
+        rows, bias = _gather(cfg, operands, feedback=state.f)
+        state = _reduce_to_state(cfg, rows, state.overflow_count, state.bias_units + bias)
     return state
 
 
@@ -187,14 +186,14 @@ def map_timing(cfg: MapConfig) -> MapTiming:
     """Per-stage delay breakdown for one evaluation.
 
     The derived numbers charge one AND level (t_and = 1) for the partial
-    products, then each reduction stage of the stacked matrix (width-n
-    product rows plus one row per additive operand) its merge-tree
-    depth.  The 24-bit configuration reports the shipped reference
-    levels (6, 4, 3) instead, which exceed the derivable ones; the
-    derived breakdown is attached and the difference noted.
+    products, then each reduction stage of the stacked matrix (n product
+    rows, n + 2 if signed, plus one row per additive operand) its
+    merge-tree depth.  The 24-bit configuration reports the shipped
+    reference levels (6, 4, 3) instead, which exceed the derivable ones;
+    the derived breakdown is attached and the difference noted.
     """
-    stack = cfg.width + len(ADDITIVE_OPERANDS)
-    heads = stage_plan(max(stack, 2), 2).row_counts[:-1]
+    stack = cfg.width + (2 if cfg.signedness == "twos-complement" else 0) + len(ADDITIVE_OPERANDS)
+    heads = stage_plan(stack, 2).row_counts[:-1]
     derived = tuple(tree_depth(m) for m in heads)
     derived_total = 1 + sum(derived)
     if cfg.width == REFERENCE_WIDTH:

@@ -9,25 +9,18 @@ product as D + E - F - C (sign*sign, magnitude*magnitude and the two
 mixed terms) and replacing -F and -C by inverted-AND rows plus a single
 constant bit yields a matrix of non-negative digits whose exact value is
 the product plus a fixed bias of 2**(2n+1) on the scaled grid.  Digit
-matrices cannot go negative, so the bias is inherent; `bias_scaled`
-records it and product extraction subtracts it.
+matrices cannot go negative, so the bias is inherent; `signed_bias`
+gives it and product extraction subtracts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels
-from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value, stack_codes
-from .reducer import reduce_delay, reduce_once, reduce_to_two, stage_plan
-
-
-@dataclass(frozen=True)
-class PartialProductMatrix:
-    matrix: MultiRowCode
-    bias_scaled: int
+from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value
+from .reducer import reduce_delay, reduce_rows, reduce_to_two, stage_plan
 
 
 def signed_operand_value(code: MultiRowCode) -> Fraction:
@@ -43,22 +36,26 @@ def _partial_products(x: int, y: int, count: int) -> list:
     return [x << j if y >> j & 1 else 0 for j in range(count)]
 
 
-def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
+def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     """Partial products of two unsigned one-row codes; value = a*b."""
     check_operand(a, "multiplier operand", (1,), min_width=1)
     check_operand(b, "multiplier operand", (1,), min_width=1)
     rows = _partial_products(a.packed[0], b.packed[0], b.width)
-    matrix = made_code(rows, a.width + b.width - 1, 2, a.lsb_exp + b.lsb_exp)
-    return PartialProductMatrix(matrix=matrix, bias_scaled=0)
+    return made_code(rows, a.width + b.width - 1, 2, a.lsb_exp + b.lsb_exp)
 
 
-def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
-    """Signed partial-product matrix; value = a*b + bias.
+def signed_bias(operand_width: int) -> int:
+    """Scaled bias of the signed matrix of two w-bit operands: 2**(2w-1)."""
+    return 1 << (2 * operand_width - 1)
+
+
+def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
+    """Signed partial-product matrix; value = a*b + signed_bias(w).
 
     Operands must share one width w (sign digit + n = w-1 magnitude
     digits).  The grid spans 2n+1 columns; the inverted mixed terms sit
     in columns n..2n-1, the sign product at column 2n and the constant
-    correction bit at column n+1.  The scaled bias is 2**(2n+1).
+    correction bit at column n+1.
     """
     check_operand(a, "signed operand", (1,), min_width=2)
     check_operand(b, "signed operand", (1,), min_width=2)
@@ -74,8 +71,7 @@ def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> PartialProductMatrix:
     rows.append((ones ^ b_mag * a_sign) << n | (a_sign & b_sign) << 2 * n)
     rows.append((ones ^ a_mag * b_sign) << n)  # -(sign_b * mag_a), inverted
     rows.append(1 << (n + 1))  # constant correction
-    matrix = made_code(rows, 2 * n + 1, 2, a.lsb_exp + b.lsb_exp)
-    return PartialProductMatrix(matrix=matrix, bias_scaled=1 << (2 * n + 1))
+    return made_code(rows, 2 * n + 1, 2, a.lsb_exp + b.lsb_exp)
 
 
 def multiply(a: MultiRowCode, b: MultiRowCode, signed: bool = False) -> MultiRowCode:
@@ -84,20 +80,17 @@ def multiply(a: MultiRowCode, b: MultiRowCode, signed: bool = False) -> MultiRow
     Unsigned: value equals a*b.  Signed: value equals a*b plus the
     matrix bias; use `signed_product_value` to read the product out.
     """
-    ppm = pp_matrix_signed(a, b) if signed else pp_matrix_unsigned(a, b)
-    return reduce_to_two(ppm.matrix)
+    return reduce_to_two(pp_matrix_signed(a, b) if signed else pp_matrix_unsigned(a, b))
 
 
 def signed_product_value(product: MultiRowCode, operand_width: int) -> Fraction:
     """Value of a signed product code, bias removed.
 
-    `operand_width` is the shared width w of the two signed operands;
-    the bias is 2**(2(w-1)+1) scaled cells.
+    `operand_width` is the shared width w of the two signed operands.
     """
     check_int("operand_width", operand_width, 2)
     check_operand(product, "product")
-    n = operand_width - 1
-    unbiased = scaled_value(product) - (1 << (2 * n + 1))
+    unbiased = scaled_value(product) - signed_bias(operand_width)
     return scale_fraction(unbiased, product.radix, product.lsb_exp)
 
 
@@ -114,11 +107,12 @@ def mac_injection_stage(pp_rows: int, feedback_rows: int) -> tuple[int, int]:
     """
     check_int("pp_rows", pp_rows, 1)
     check_int("feedback_rows", feedback_rows, 1)
-    plan = stage_plan(max(pp_rows, 2), 2)
-    bare = plan.stages
+    # the row count before each stage; a one-row product runs no stage
+    heights = (pp_rows, *stage_plan(max(pp_rows, 2), 2).row_counts[1:])
+    bare = len(heights) - 1
     totals = [
         s + stage_plan(max(h + feedback_rows, 2), 2).stages
-        for s, h in enumerate(plan.row_counts)
+        for s, h in enumerate(heights)
     ]
     if len(totals) > 1 and totals[1] == bare:
         return 1, bare
@@ -139,12 +133,11 @@ def fused_mac(
     stage-count band costs no extra stages over a bare multiply.
     """
     check_operand(f_prev, "feedback", (2, 3), a.lsb_exp + b.lsb_exp)
-    ppm = pp_matrix_unsigned(a, b)
-    s, _ = mac_injection_stage(ppm.matrix.rows, f_prev.rows)
-    mat = ppm.matrix
-    for _ in range(s):
-        mat = reduce_once(mat)
-    return reduce_to_two(stack_codes((mat, f_prev)))
+    pp = pp_matrix_unsigned(a, b)
+    s, _ = mac_injection_stage(pp.rows, f_prev.rows)
+    rows, width, _ = _kernels.reduce_packed(pp.packed, pp.width, s)
+    rows, width = reduce_rows([*rows, *f_prev.packed], max(width, f_prev.width))
+    return made_code(rows, width, 2, pp.lsb_exp)
 
 
 def mul_delay(n: int, accounting: str = "aggregate") -> int:

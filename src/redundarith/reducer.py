@@ -70,18 +70,27 @@ def _pad_to_two(code: MultiRowCode) -> MultiRowCode:
     return stack_codes((code, MultiRowCode.zero(1, 0, code.radix, code.lsb_exp)))
 
 
+def reduce_rows(rows, width: int) -> tuple[list, int]:
+    """Reduce packed binary rows to two, the binary engines' one entry:
+    (rows, width).  One row is padded with a zero row; the stage count is
+    checked against stage_plan."""
+    if len(rows) == 1:
+        rows = (*rows, 0)
+    out, width, stages = _kernels.reduce_packed(rows, width)
+    _check_stages(len(rows), 2, stages)
+    return out, width
+
+
 def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
     """Reduce to exactly two rows (padding a one-row input)."""
+    if code.radix == 2:
+        return made_code(*reduce_rows(code.packed, code.width), 2, code.lsb_exp)
     code = _pad_to_two(code)
     if code.rows == 2:
         return code
-    if code.radix == 2:
-        rows, width, stages = _kernels.reduce_packed(code.packed, code.width)
-    else:
-        rows, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
-        width = rows.shape[1]
+    rows, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
     _check_stages(code.rows, code.radix, stages)
-    return made_code(rows, width, code.radix, code.lsb_exp)
+    return made_code(rows, rows.shape[1], code.radix, code.lsb_exp)
 
 
 def _check_stages(rows: int, radix: int, stages: int) -> None:
@@ -106,8 +115,7 @@ def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
         raise ValueError("lsb_exp mismatch; align operands explicitly first")
     width = max(a.width, b.width)
     if a.radix == 2:
-        rows, _, stages = _kernels.reduce_packed(a.packed + b.packed, width)
-        _check_stages(4, 2, stages)
+        rows, _ = reduce_rows(a.packed + b.packed, width)
         return made_code(rows, max(width, *(row.bit_length() for row in rows)), 2, a.lsb_exp)
     out = reduce_to_two(stack_codes((a, b)))
     nonzero = out.digits.any(axis=0).nonzero()[0]

@@ -1,6 +1,5 @@
 """Matrix arithmetic unit: one-shot totals, accumulate stream, timing, gates."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from redundarith import map_unit, trace
 from redundarith.codes import MultiRowCode, make_from_value
+from redundarith.compressor import tree_depth
 from redundarith.map_unit import (
     ADDITIVE_OPERANDS,
     REFERENCE_GATES,
@@ -149,9 +149,7 @@ def test_twos_complement_signed_totals(rng):
 
 
 def test_signed_bias_drift_is_caught(monkeypatch):
-    real = map_unit.pp_matrix_signed
-    monkeypatch.setattr(map_unit, "pp_matrix_signed",
-                        lambda a, b: dataclasses.replace(real(a, b), bias_scaled=1 << 8))
+    monkeypatch.setattr(map_unit, "signed_bias", lambda w: 1 << 8)
     cfg = MapConfig(width=4, signedness="twos-complement")
     with pytest.raises(RuntimeError, match=r"^signed product bias 256 != 2\*\*7$"):
         map_eval(cfg, a=_bits(5, 4), b=_bits(3, 4))
@@ -233,6 +231,18 @@ def test_timing_derived_configuration():
     assert t.source == "derived"
     assert t.total == 1 + sum(t.derived_levels) + 0  # t_and + levels
     assert t.stack_rows == 8 + 6
+
+
+def test_timing_stack_and_levels_are_what_the_datapath_runs(rng):
+    for tc in (False, True):
+        for n in range(2, 25):
+            cfg = MapConfig(width=n, signedness="twos-complement" if tc else "unsigned-direct")
+            ops = {k: _bits(int(rng.integers(0, 1 << n)), n) for k in ("a", "b", *ADDITIVE_OPERANDS)}
+            with trace.record() as events:
+                map_eval(cfg, **ops)
+            t = map_timing(cfg)
+            assert t.stack_rows == events[0]["rows_in"], (tc, n)
+            assert t.derived_levels == tuple(tree_depth(e["rows_in"]) for e in events), (tc, n)
 
 
 def test_gate_estimate_structure():

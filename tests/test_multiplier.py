@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from redundarith import _kernels
+from redundarith import _kernels, trace
 from redundarith.codes import MultiRowCode, make_from_value, scaled_value, value_of
 from redundarith.multiplier import (
     fused_mac,
@@ -15,6 +15,7 @@ from redundarith.multiplier import (
     pp_matrix_signed,
     pp_matrix_unsigned,
     signed_operand_value,
+    signed_bias,
     signed_product_value,
 )
 
@@ -47,11 +48,11 @@ def test_packed_partial_products_match_the_references(rng):
             a, b = _row(abits), _row(bbits)
             short = _row(bbits[: max(1, w // 3)])  # unsigned operands may differ in width
             for x, y in ((a, b), (a, short), (short, a)):
-                m = pp_matrix_unsigned(x, y).matrix
+                m = pp_matrix_unsigned(x, y)
                 assert all(row >> m.width == 0 for row in m.packed)
                 np.testing.assert_array_equal(
                     m.digits, _kernels.pp_unsigned_digits(x.digits[0], y.digits[0]))
-            m = pp_matrix_signed(a, b).matrix
+            m = pp_matrix_signed(a, b)
             assert all(row >> m.width == 0 for row in m.packed)
             np.testing.assert_array_equal(m.digits, _signed_pp_reference(abits, bbits))
 
@@ -59,11 +60,10 @@ def test_packed_partial_products_match_the_references(rng):
 def test_unsigned_pp_matrix_shape_and_value():
     a = make_from_value(13, 1, 4, 2)
     b = make_from_value(11, 1, 4, 2)
-    ppm = pp_matrix_unsigned(a, b)
-    assert ppm.matrix.rows == 4
-    assert ppm.matrix.width == 7
-    assert ppm.bias_scaled == 0
-    assert scaled_value(ppm.matrix) == 13 * 11
+    m = pp_matrix_unsigned(a, b)
+    assert m.rows == 4
+    assert m.width == 7
+    assert scaled_value(m) == 13 * 11
 
 
 def test_unsigned_multiply_random(rng):
@@ -95,10 +95,9 @@ def test_signed_pp_matrix_frozen_layout():
     # w=5 operands: -11/16 and 13/16 on a 9-column grid with 7 rows
     a = _row([1, 0, 1, 0, 1], lsb_exp=-4)
     b = _row([1, 0, 1, 1, 0], lsb_exp=-4)
-    ppm = pp_matrix_signed(a, b)
-    m = ppm.matrix
+    m = pp_matrix_signed(a, b)
     assert (m.rows, m.width) == (7, 9)
-    assert ppm.bias_scaled == 1 << 9
+    assert signed_bias(5) == 1 << 9
     expected = np.array(
         [
             [1, 0, 1, 0, 0, 0, 0, 0, 0],  # magnitude row gated by b0
@@ -164,6 +163,20 @@ def test_fused_mac_values(rng):
         out = fused_mac(f, make_from_value(av, 1, w), make_from_value(bv, 1, w))
         assert out.rows == 2
         assert value_of(out) == fv + av * bv
+
+
+def test_fused_mac_runs_the_stage_total_of_its_injection_stage(rng):
+    # a 1-bit multiplier stacks 1 + f rows: one stage for f = 2 or 3
+    assert mac_injection_stage(1, 2) == (0, 1)
+    for wb in range(1, 17):
+        for f_rows in (2, 3):
+            f = make_from_value(int(rng.integers(0, 1 << 16)), f_rows, 16)
+            a = make_from_value(int(rng.integers(0, 1 << 8)), 1, 8)
+            b = make_from_value(int(rng.integers(0, 1 << wb)), 1, wb)
+            with trace.record() as events:
+                out = fused_mac(f, a, b)
+            assert len(events) == mac_injection_stage(wb, f_rows)[1], (wb, f_rows)
+            assert value_of(out) == value_of(f) + value_of(a) * value_of(b)
 
 
 def test_fused_mac_requires_aligned_feedback():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redundarith import _kernels, trace
+from redundarith import _kernels, codes, trace
 from redundarith.codes import (
     MultiRowCode,
     make_from_value,
@@ -16,7 +16,8 @@ from redundarith.codes import (
     unpack_rows,
     value_of,
 )
-from redundarith.multiplier import mac_injection_stage, mul_delay
+from redundarith.map_unit import ADDITIVE_OPERANDS, MapConfig, map_accumulate, map_eval
+from redundarith.multiplier import fused_mac, mac_injection_stage, mul_delay, multiply
 from redundarith.reducer import (
     StagePlan,
     add_two_row,
@@ -239,6 +240,32 @@ def test_untraced_reduction_costs_one_sink_call(monkeypatch):
     assert stage_plan(128).stages == 4
     assert value_of(reduce_to_two(code)) == value_of(code)
     assert len(calls) == 1
+
+
+def test_engine_calls_build_only_their_matrix_and_result(monkeypatch):
+    # each call builds its partial-product matrix and its result code,
+    # and map_accumulate the zero F once plus both per step
+    w = 24
+    a, b = make_from_value(0xABCDEF, 1, w), make_from_value(0x123457, 1, w)
+    f = make_from_value(12345, 2, 2 * w - 1)
+    cfg = MapConfig(width=w)
+    tc = MapConfig(width=w, signedness="twos-complement")
+    adds = {name: make_from_value(i * 977, 1, w) for i, name in enumerate(ADDITIVE_OPERANDS)}
+    steps = [dict(a=a, b=b, c=adds["c"])] * 3
+    calls = []
+    store = codes._store
+    monkeypatch.setattr(codes, "_store", lambda *args: calls.append(1) or store(*args))
+    for run, want in (
+        (lambda: multiply(a, b), 2),
+        (lambda: multiply(a, b, signed=True), 2),
+        (lambda: fused_mac(f, a, b), 2),
+        (lambda: map_eval(cfg, a=a, b=b, **adds), 2),
+        (lambda: map_eval(tc, a=a, b=b, **adds), 2),
+        (lambda: map_accumulate(MapConfig(width=w, mode="accumulate"), steps), 1 + 2 * len(steps)),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == want
 
 
 def test_reduce_handles_degenerate_inputs():
