@@ -22,12 +22,11 @@ body.  `MultiRowCode` rejects rows * (radix - 1) > 2**63 - 1, so every
 column sum fits in int64, and so does every digit weight radix**h of a
 stage, since radix**(m2 - 1) <= rows * (radix - 1).  The numpy body
 takes bit matrices too and is the tests' reference for `reduce_packed`.
-Every stage reports a "reduce" event to an active `trace.record()`.
-
-The packed kernels run on ints alone.  numpy is imported inside the
-functions that use it: the digit-matrix stage, `popcount_batch`, a
-packed stage's event under a recorder, and `acc_stream` on a bit matrix
-(through `codes.pack_rows`).
+Every stage reports a "reduce" event, its output as a code, to an active
+`trace.record()`.  The packed kernels run on ints alone, traced too: a
+stage reads its largest column sum from its output planes.  numpy is
+imported inside the functions that use it: the digit-matrix stage,
+`popcount_batch` and `acc_stream` on a bit matrix (via `codes.pack_rows`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import trace
-from .codes import check_int, pack_rows, unpack_rows
+from .codes import MultiRowCode, check_int, made_code, pack_rows, unpack_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,16 +87,14 @@ def _skew(block: np.ndarray) -> np.ndarray:
     return grid.ravel()[: r * (n + r - 1)].reshape(r, n + r - 1)
 
 
-def _report_stage(events: list, rows_in: int, col: np.ndarray, q: int, out: np.ndarray) -> None:
-    """Append the "reduce" event of a stage with column sums `col` and
-    output digits `out`, after checking the largest column sum against
-    its bound rows_in * (q - 1)."""
-    rows_out, width = out.shape
-    top = int(col.max(initial=0))
+def _report_stage(events: list, rows_in: int, top: int, q: int, out: MultiRowCode) -> None:
+    """Append the "reduce" event of a stage whose largest column sum is
+    `top` and whose output is the code `out`, after checking `top`
+    against its bound rows_in * (q - 1)."""
     if top > rows_in * (q - 1):
         raise RuntimeError(f"column sum {top} above its bound {rows_in}*({q}-1)")
-    events.append({"op": "reduce", "rows_in": rows_in, "rows_out": rows_out, "width": width,
-                   "radix": q, "max_column_sum": top, "digits": out})
+    events.append({"op": "reduce", "rows_in": rows_in, "rows_out": out.rows, "width": out.width,
+                   "radix": q, "max_column_sum": top, "code": out})
 
 
 def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
@@ -108,7 +105,8 @@ def _reduce_stage(digits: np.ndarray, q: int) -> np.ndarray:
     out = _skew(col // _digit_weights(digits.shape[0], q) % q)
     events = trace.sink()
     if events is not None:
-        _report_stage(events, digits.shape[0], col, q, out.copy())
+        code = made_code(pack_rows(out) if q == 2 else out, out.shape[1], q)
+        _report_stage(events, digits.shape[0], int(col.max(initial=0)), q, code)
     return out
 
 
@@ -166,8 +164,13 @@ def reduce_packed(rows, width: int, limit: int | None = None) -> tuple[list, int
         out += [0] * (len(rows).bit_length() - len(out))
         out_width = width + len(out) - 1
         if events is not None:
-            col = unpack_rows(rows, width).sum(axis=0)  # digit matrices only under a recorder
-            _report_stage(events, len(rows), col, 2, unpack_rows(out, out_width))
+            # the largest column sum, bit-sliced: keep the columns set in each plane from the top
+            top, cand = 0, -1
+            for h in reversed(range(len(out))):
+                hit = cand & out[h] >> h
+                if hit:
+                    top, cand = top | 1 << h, hit
+            _report_stage(events, len(rows), top, 2, made_code(out, out_width))
         rows, width = out, out_width
         stages += 1
     return rows, width, stages

@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 verification mismatch (report/fuzz/identity
 failures), 2 usage errors.  `--trace`, on every subcommand, leaves stdout
-unchanged and writes the command's trace events to stderr, one JSON
-object per line.  Inputs past the size caps below are usage errors,
-rejected before anything of their size is allocated.
+unchanged and writes the command's trace events to stderr as JSON lines,
+a stage's output code as its "digits".  Inputs past the size caps below
+are usage errors, rejected before anything of their size is allocated.
 
 numpy loads on first use: the binary `mul`, `mac`, `add`, `div`, `eval`,
-`map` and `report` commands run without it, while `reduce`, `accumulate`,
-`fuzz`, any radix > 2 code and `--trace` import it.
+`map` and `report` commands run without it, traced or not, while
+`reduce`, `accumulate`, `fuzz` and any radix > 2 code import it.
 """
 
 from __future__ import annotations
@@ -374,14 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _event_field(value):
-    """JSON form of an event field json.dumps cannot write: digit arrays
-    as MSB-first row lists (as `codes.msb_rows` writes a code), Fractions
-    as strings."""
-    import numpy as np
-
-    if isinstance(value, np.ndarray):
-        return value[:, ::-1].tolist()
-    return str(value)
+    """JSON form of an event field json.dumps cannot write: codes as
+    MSB-first row lists (`codes.msb_rows`), Fractions as strings."""
+    return codes.msb_rows(value) if isinstance(value, codes.MultiRowCode) else str(value)
 
 
 def main(argv=None) -> int:
@@ -394,6 +389,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for event in events:
+        event = {("digits" if key == "code" else key): value for key, value in event.items()}
         print(json.dumps(event, default=_event_field), file=sys.stderr)
     return status
 

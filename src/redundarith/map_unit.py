@@ -24,7 +24,7 @@ from fractions import Fraction
 from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value
 from .compressor import oca_cost_structural, tree_depth
 from .multiplier import pp_matrix_signed, pp_matrix_unsigned, signed_bias
-from .reducer import next_row_count, reduce_rows, stage_plan, trapezoid_geometry
+from .reducer import next_row_count, reduce_rows, stage_plan
 
 ADDITIVE_OPERANDS = ("c", "d", "e", "g", "h", "l")
 _LABELS = {name: f"operand {name}" for name in ADDITIVE_OPERANDS}  # error-message names
@@ -229,14 +229,19 @@ def map_gate_estimate(cfg: MapConfig) -> dict:
 
     Counts the n*n partial-product AND array plus, per reduction stage,
     an exact-cell counting adder for every column holding two or more
-    digits.  Informational: reported alongside the shipped rough
-    figure, never asserted against it.
+    digits of the stack `_gather` builds in the config's signedness.
+    Informational: reported alongside the shipped rough figure, never
+    asserted against it.
     """
     n = cfg.width
-    # the n product rows are skewed like the output of an n-row stage
-    heights = dict(enumerate(trapezoid_geometry(n, n).column_heights))
-    for c in range(n):
-        heights[c] += len(ADDITIVE_OPERANDS)
+    # the stack at lsb_exp 0: a row holds a digit in every column some
+    # operand values set, so OR the rows of all-zero and all-ones operands
+    cfg = MapConfig(n, signedness=cfg.signedness)
+    names = ("a", "b", *ADDITIVE_OPERANDS)
+    low, high = (_gather(cfg, dict.fromkeys(names, made_code([v], n)), feedback=None)[0]
+                 for v in (0, (1 << n) - 1))
+    rows = [x | y for x, y in zip(low, high)]
+    heights = {c: h for c in range(max(rows).bit_length()) if (h := sum(row >> c & 1 for row in rows))}
     counter_gates = 0
     stages = 0
     while max(heights.values()) > 2:

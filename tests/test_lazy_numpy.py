@@ -78,6 +78,11 @@ BINARY = {
                       '"value": "23/2"}\nexit 0\n'),
     "cli-map": (CLI.format(["map", "a=200", "b=131", "c=77", "--width", "8"]),
                 "total 26277\noverflow_count 0\nexit 0\n"),
+    # --trace writes to stderr; stdout is that of the untraced commands
+    "cli-mul-trace": (CLI.format(["mul", "45", "57", "--width", "6", "--trace"]),
+                      "mrc 2 14 2 0\n00010111100101\n00010000100000\nexit 0\n"),
+    "cli-map-tc-trace": (CLI.format(["map", "a=13", "b=3", "c=15", "--width", "4", "--tc", "--trace"]),
+                         "total 246\noverflow_count 1\nsigned_total -10\nexit 0\n"),
     "cli-report": (CLI.format(["report", "--table", "2.1"]),
                    "report 2.1\nm        m2  m3  m4  stages  derived\n3        2           1       ok\n"
                    "4..7     3   2       2       ok\n8..15    4   3   2   3       ok\n"

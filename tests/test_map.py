@@ -98,7 +98,7 @@ def test_overflow_counter_weights_grid_width():
     full = MultiRowCode(2, n, 2, 0, np.ones((2, n), dtype=np.int64))
     with trace.record() as events:
         state = map_eval(cfg, a=_bits(7, n), b=_bits(7, n), **dict.fromkeys(ADDITIVE_OPERANDS, full))
-    spill = events[-1]["digits"][:, cfg.grid_width :]
+    spill = events[-1]["code"].digits[:, cfg.grid_width :]
     assert np.count_nonzero(spill.any(axis=0)) >= 2
     assert state.overflow_count == exact_scaled_value(spill.tolist(), 2)
     assert map_total(state) == 7 * 7 + 6 * 14
@@ -254,3 +254,13 @@ def test_gate_estimate_structure():
     assert est["stages"] == 3  # 24 + 6 rows reduce in three stages
     # informational comparison only: same order of magnitude, not asserted equal
     assert est["total"] > 0
+
+
+def test_gate_estimate_follows_signedness():
+    # the signed stack has two more product rows and sign-extended
+    # addends across the grid; the unsigned figures are those of the
+    # n-row trapezoid plus six addend rows
+    for n, unsigned, signed in ((8, 1209, 1805), (24, 11636, 14676)):
+        got = [map_gate_estimate(MapConfig(width=n, signedness=s))["counter_gates"]
+               for s in ("unsigned-direct", "twos-complement")]
+        assert got == [unsigned, signed], n

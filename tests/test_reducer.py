@@ -140,10 +140,10 @@ def test_traced_row_counts_equal_stage_plan(rng):
         assert tuple(counts) == stage_plan(m, q).row_counts, (m, q)
         assert {e["op"] for e in events} == {"reduce"}
         assert all(e["radix"] == q for e in events)
-        assert all(e["digits"].shape == (e["rows_out"], e["width"]) for e in events)
-        np.testing.assert_array_equal(events[-1]["digits"], out.digits)
+        assert all(e["code"].digits.shape == (e["rows_out"], e["width"]) for e in events)
+        np.testing.assert_array_equal(events[-1]["code"].digits, out.digits)
         # each stage's largest column sum, read from its input, within rows_in * (q - 1)
-        inputs = [code.digits] + [e["digits"] for e in events[:-1]]
+        inputs = [code.digits] + [e["code"].digits for e in events[:-1]]
         for e, digits in zip(events, inputs):
             assert e["max_column_sum"] == digits.sum(axis=0).max() <= e["rows_in"] * (q - 1)
 
@@ -153,6 +153,24 @@ def test_traced_stage_checks_the_column_sum_bound():
     _kernels.reduce_once_digits(bad, 2)  # untraced, the stage runs no check
     with trace.record(), pytest.raises(RuntimeError, match=r"column sum 15 above its bound 3\*"):
         _kernels.reduce_once_digits(bad, 2)
+
+
+def test_traced_binary_check_reads_the_kernel_output(monkeypatch):
+    # a carry-save step whose sum row also takes the carry row writes
+    # column sums past the bound; the check reads the planes it wrote
+    real = _kernels._carry_save
+
+    def leaky(x, y, z):
+        total, carry = real(x, y, z)
+        return total | carry, carry
+
+    monkeypatch.setattr(_kernels, "_carry_save", leaky)
+    for rows, top in ((5, 7), (6, 7), (9, 15)):
+        code = codes.made_code([0b1011] * rows, 4)
+        reduce_to_two(code)  # untraced, the stage runs no check
+        message = rf"^column sum {top} above its bound {rows}\*\(2-1\)$"
+        with trace.record(), pytest.raises(RuntimeError, match=message):
+            reduce_to_two(code)
 
 
 def _reference_stage(digits, q):
@@ -227,8 +245,8 @@ def test_packed_stage_reports_the_numpy_stage_events(rng):
             _kernels.reduce_to_two_digits(digits, 2)
         with trace.record() as got:
             _kernels.reduce_packed(pack_rows(digits), width)
-        assert [e["digits"].dtype for e in got] == [np.int64] * len(want)
-        listed = [[{**e, "digits": e["digits"].tolist()} for e in events] for events in (got, want)]
+        assert [e["code"].digits.dtype for e in got] == [np.int64] * len(want)
+        listed = [[{**e, "code": e["code"].digits.tolist()} for e in events] for events in (got, want)]
         assert listed[0] == listed[1]
 
 
