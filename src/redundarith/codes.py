@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -409,7 +408,6 @@ def with_lsb_exp(code: MultiRowCode, lsb_exp: int) -> MultiRowCode:
     return made_code(digits, digits.shape[1], code.radix, lsb_exp)
 
 
-@dataclass(frozen=True, eq=False)
 class QuadSignedCode:
     """Signed value held as a pair of 2-row codes: value(pos) - value(neg).
 
@@ -419,15 +417,16 @@ class QuadSignedCode:
     pos: MultiRowCode
     neg: MultiRowCode
 
-    def __post_init__(self):
-        for part in (self.pos, self.neg):
+    def __init__(self, pos: MultiRowCode, neg: MultiRowCode):
+        for part in (pos, neg):
             if part.rows != 2:
                 raise ValueError("quad parts must be 2-row codes")
-        if (
-            self.pos.radix != self.neg.radix
-            or self.pos.lsb_exp != self.neg.lsb_exp
-        ):
+        if pos.radix != neg.radix or pos.lsb_exp != neg.lsb_exp:
             raise ValueError("quad parts must share radix and lsb_exp")
+        vars(self).update(pos=pos, neg=neg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadSignedCode is immutable: cannot set {name}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadSignedCode):

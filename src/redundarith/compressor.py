@@ -14,9 +14,9 @@ be cross-reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import _kernels
 from .codes import _as_digit_matrix, check_int
@@ -36,8 +36,7 @@ T_CC_REDUCE_TOTAL = 3
 FINAL_3TO2_LEVELS = 1
 
 
-@dataclass(frozen=True)
-class OcaSpec:
+class OcaSpec(NamedTuple):
     """Structure of one counting-adder tree: tables per type.
 
     table_counts[t-1] is the number of type-t tables; table_dims[t-1]

@@ -24,9 +24,9 @@ division r // z.  Both paths are exposed and must agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import trace
 from .codes import check_int, int_string_limit
@@ -35,14 +35,20 @@ MAX_SCALE_ENTRIES = 1 << 20
 MAX_BANK_BITS = 64 * MAX_SCALE_ENTRIES  # bits of one eager comparator bank (8 MiB)
 
 
-@dataclass(frozen=True)
-class ScaleTable:
-    """Multiples d*z for d = 0 .. size-1, listed by `entries` when read."""
-
+class _ScaleTable(NamedTuple):
     z: int
     k: int
     radix: int
     size: int
+
+
+class ScaleTable(_ScaleTable):
+    """Multiples d*z for d = 0 .. size-1, listed by `entries` when read."""
+
+    # no __slots__: the instance __dict__ holds the cached `_bank`
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ScaleTable is immutable: cannot set {name}")
 
     @property
     def entries(self) -> tuple:

@@ -29,8 +29,8 @@ active `trace.record()`; their Fraction fields are built only then.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import divider, multiplier, reducer, trace
 from .codes import (
@@ -78,8 +78,7 @@ def tokenize(text: str) -> list:
             return tokens
 
 
-@dataclass
-class EvalResult:
+class EvalResult(NamedTuple):
     value: Fraction
     code: QuadSignedCode
 

@@ -18,12 +18,12 @@ bias_units so the signed total stays exactly recoverable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value
 from .compressor import oca_cost_structural, tree_depth
-from .multiplier import pp_matrix_signed, pp_matrix_unsigned, signed_bias
+from .multiplier import _pp_rows, signed_bias
 from .reducer import next_row_count, reduce_rows, stage_plan
 
 ADDITIVE_OPERANDS = ("c", "d", "e", "g", "h", "l")
@@ -33,30 +33,38 @@ REFERENCE_LEVELS = (6, 4, 3)  # shipped stage levels for the 24-bit unit
 REFERENCE_GATES = 12500  # shipped "approximately" figure, informational
 
 
-@dataclass(frozen=True)
-class MapConfig:
+class _MapConfig(NamedTuple):
     width: int
     mode: str = "one-shot"
     signedness: str = "unsigned-direct"
     lsb_exp: int = 0
 
-    def __post_init__(self):
-        check_int("width", self.width, 2, 121)
-        check_int("lsb_exp", self.lsb_exp)
-        if self.mode not in ("one-shot", "accumulate"):
+
+class MapConfig(_MapConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        check_int("width", cfg.width, 2, 121)
+        check_int("lsb_exp", cfg.lsb_exp)
+        if cfg.mode not in ("one-shot", "accumulate"):
             raise ValueError("mode must be 'one-shot' or 'accumulate'")
-        if self.signedness not in ("unsigned-direct", "twos-complement"):
+        if cfg.signedness not in ("unsigned-direct", "twos-complement"):
             raise ValueError(
                 "signedness must be 'unsigned-direct' or 'twos-complement'"
             )
+        return cfg
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
 
     @property
     def grid_width(self) -> int:
         return 2 * self.width - 1
 
 
-@dataclass(frozen=True)
-class MapState:
+class MapState(NamedTuple):
     config: MapConfig
     f: MultiRowCode  # 2-row, grid_width columns
     overflow_count: int
@@ -86,17 +94,15 @@ def _gather(cfg: MapConfig, operands: dict, feedback: MultiRowCode | None):
         # the product's digits carry weight 2**(a.lsb_exp + b.lsb_exp)
         if a.lsb_exp + b.lsb_exp != cfg.lsb_exp:
             raise ValueError("a.lsb_exp + b.lsb_exp must equal the grid lsb_exp")
-        # signed products take operands of the full width, unsigned 1 up to it
+        # one row each; signed products take operands of the full width,
+        # unsigned 1 up to it, so the multiplier's own checks are met
         low = cfg.width if tc else 1
-        check_operand(a, "operand a", min_width=low, max_width=cfg.width)
-        check_operand(b, "operand b", min_width=low, max_width=cfg.width)
-        if tc:
-            if signed_bias(a.width) != 1 << gw:
-                raise RuntimeError(f"signed product bias {signed_bias(a.width)} != 2**{gw}")
-            rows += pp_matrix_signed(a, b).packed
-            bias += 1
-        else:
-            rows += pp_matrix_unsigned(a, b).packed
+        check_operand(a, "operand a", (1,), min_width=low, max_width=cfg.width)
+        check_operand(b, "operand b", (1,), min_width=low, max_width=cfg.width)
+        if tc and signed_bias(a.width) != 1 << gw:
+            raise RuntimeError(f"signed product bias {signed_bias(a.width)} != 2**{gw}")
+        rows += _pp_rows(a, b, tc)
+        bias += tc  # the signed matrix is one grid unit over
 
     for name in ADDITIVE_OPERANDS:
         code = operands.get(name)
@@ -168,8 +174,7 @@ def map_signed_total(state: MapState) -> Fraction:
     return map_total(state) - bias
 
 
-@dataclass(frozen=True)
-class MapTiming:
+class MapTiming(NamedTuple):
     t_and: int
     t_q: int
     t_s: int | None

@@ -36,12 +36,30 @@ def _partial_products(x: int, y: int, count: int) -> list:
     return [x << j if y >> j & 1 else 0 for j in range(count)]
 
 
+def _pp_rows(a: MultiRowCode, b: MultiRowCode, signed: bool) -> list:
+    """Rows of the partial-product matrix of two one-row binary operands,
+    unchecked; it is a.width + b.width - 1 columns wide, and signed
+    operands share one width (see pp_matrix_signed)."""
+    if not signed:
+        return _partial_products(a.packed[0], b.packed[0], b.width)
+    n = a.width - 1
+    ones = (1 << n) - 1
+    a_sign, b_sign = a.packed[0] >> n, b.packed[0] >> n
+    a_mag, b_mag = a.packed[0] & ones, b.packed[0] & ones
+    # magnitude * magnitude, the unsigned partial products of n digits
+    rows = _partial_products(a_mag, b_mag, n)
+    # -(sign_a * mag_b), inverted, and sign * sign
+    rows.append((ones ^ b_mag * a_sign) << n | (a_sign & b_sign) << 2 * n)
+    rows.append((ones ^ a_mag * b_sign) << n)  # -(sign_b * mag_a), inverted
+    rows.append(1 << (n + 1))  # constant correction
+    return rows
+
+
 def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     """Partial products of two unsigned one-row codes; value = a*b."""
     check_operand(a, "multiplier operand", (1,), min_width=1)
     check_operand(b, "multiplier operand", (1,), min_width=1)
-    rows = _partial_products(a.packed[0], b.packed[0], b.width)
-    return made_code(rows, a.width + b.width - 1, 2, a.lsb_exp + b.lsb_exp)
+    return made_code(_pp_rows(a, b, False), a.width + b.width - 1, 2, a.lsb_exp + b.lsb_exp)
 
 
 def signed_bias(operand_width: int) -> int:
@@ -61,17 +79,7 @@ def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     check_operand(b, "signed operand", (1,), min_width=2)
     if a.width != b.width:
         raise ValueError("signed operands must share a width")
-    n = a.width - 1
-    ones = (1 << n) - 1
-    a_sign, b_sign = a.packed[0] >> n, b.packed[0] >> n
-    a_mag, b_mag = a.packed[0] & ones, b.packed[0] & ones
-    # magnitude * magnitude, the unsigned partial products of n digits
-    rows = _partial_products(a_mag, b_mag, n)
-    # -(sign_a * mag_b), inverted, and sign * sign
-    rows.append((ones ^ b_mag * a_sign) << n | (a_sign & b_sign) << 2 * n)
-    rows.append((ones ^ a_mag * b_sign) << n)  # -(sign_b * mag_a), inverted
-    rows.append(1 << (n + 1))  # constant correction
-    return made_code(rows, 2 * n + 1, 2, a.lsb_exp + b.lsb_exp)
+    return made_code(_pp_rows(a, b, True), 2 * a.width - 1, 2, a.lsb_exp + b.lsb_exp)
 
 
 def multiply(a: MultiRowCode, b: MultiRowCode, signed: bool = False) -> MultiRowCode:

@@ -10,8 +10,8 @@ propagation by simply stacking and reducing again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import _kernels
 from ._kernels import SHAPE_CACHE_SIZE, next_row_count
@@ -19,33 +19,43 @@ from .codes import MultiRowCode, QuadSignedCode, check_int, made_code, made_quad
 from .compressor import FINAL_3TO2_LEVELS, T_CC_REDUCE_TOTAL, oca_delay, tree_depth
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    """Row counts of every stage of a full reduction, ending at 2."""
-
+class _StagePlan(NamedTuple):
     row_counts: tuple
     radix: int
 
-    @property
-    def stages(self) -> int:
-        return len(self.row_counts) - 1
 
-    def __post_init__(self):
-        counts = self.row_counts
-        check_int("radix", self.radix)
+class StagePlan(_StagePlan):
+    """Row counts of every stage of a full reduction, ending at 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, row_counts, radix: int):
+        # a tuple of its own, so the caller's list cannot change a checked plan
+        counts = tuple(row_counts)
+        check_int("radix", radix)
         for m in counts:
             check_int("row count", m)
         if not counts or counts[-1] != 2:
             raise ValueError("plan must end at 2 rows")
         for a, b in zip(counts, counts[1:]):
-            if next_row_count(a, self.radix) != b:
+            if next_row_count(a, radix) != b:
                 raise ValueError(f"inconsistent plan step {a} -> {b}")
+        return super().__new__(cls, counts, radix)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks too
+        return cls(*fields)
+
+    @property
+    def stages(self) -> int:
+        return len(self.row_counts) - 1
 
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE, typed=True)
 def stage_plan(m: int, q: int = 2) -> StagePlan:
     """Row counts of a full reduction of m rows; cached per shape, which is
-    safe because StagePlan is frozen, and per type: 5.0 must not get 5's."""
+    safe because a StagePlan is a tuple of ints, and per type: 5.0 must
+    not get 5's."""
     check_int("m", m, 2)
     counts = [m]
     while counts[-1] > 2:
@@ -133,8 +143,7 @@ def quad_sub(x: QuadSignedCode, y: QuadSignedCode) -> QuadSignedCode:
     return quad_add(x, quad_negate(y))
 
 
-@dataclass(frozen=True)
-class TrapezoidGeometry:
+class TrapezoidGeometry(NamedTuple):
     """Occupancy pattern of one reduction stage's output matrix.
 
     Row h of the output holds digit h of every column sum, shifted h

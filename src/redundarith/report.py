@@ -15,7 +15,7 @@ smallest width that still fails.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import accumulator, divider, map_unit, multiplier, oracle, reducer
 from .codes import MultiRowCode, check_int, make_from_value, value_of
@@ -31,20 +31,19 @@ from .compressor import (
 TABLE_KINDS = ("2.1", "3.1", "3.2")
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     kind: str
     columns: list
     rows: list
-    flags: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
+    flags: list | tuple = ()
+    mismatches: list | tuple = ()
 
     @property
     def exit_code(self) -> int:
         return 1 if self.mismatches else 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
     def to_text(self) -> str:
         cols = self.columns
@@ -75,11 +74,7 @@ def report_tables(which: str) -> Report:
 
 def _report_2_1() -> Report:
     data = load_golden("table_2_1.json")
-    report = Report(
-        kind="2.1",
-        columns=["m", "m2", "m3", "m4", "stages", "derived"],
-        rows=[],
-    )
+    rows, mismatches = [], []
     for band in data["bands"]:
         golden = tuple(band[k] for k in ("m2", "m3", "m4", "stages"))
         ok = True
@@ -93,11 +88,11 @@ def _report_2_1() -> Report:
             )
             if derived != golden:
                 ok = False
-                report.mismatches.append(
+                mismatches.append(
                     f"stage counts at m={m}: derived {derived}, golden {golden}"
                 )
         label = f"{band['lo']}..{band['hi']}" if band["lo"] != band["hi"] else str(band["lo"])
-        report.rows.append(
+        rows.append(
             {
                 "m": label,
                 "m2": band["m2"],
@@ -107,24 +102,21 @@ def _report_2_1() -> Report:
                 "derived": "ok" if ok else "MISMATCH",
             }
         )
-    return report
+    columns = ["m", "m2", "m3", "m4", "stages", "derived"]
+    return Report("2.1", columns, rows, [], mismatches)
 
 
 def _report_3_1() -> Report:
     known = {e["m"]: e["note"] for e in load_golden("table_3_1.json").get("known_anomalies", [])}
-    report = Report(
-        kind="3.1",
-        columns=["m", "delay", "tree_depth", "agrees"],
-        rows=[],
-    )
+    rows, flags, mismatches = [], [], []
     for lo, hi, levels in golden_delay_bands():
         depths = [tree_depth(m) for m in range(lo, hi + 1)]
         for m, depth in enumerate(depths, start=lo):
             if levels != depth:
                 if m in known:
-                    report.flags.append(f"m={m}: {known[m]}")
+                    flags.append(f"m={m}: {known[m]}")
                 else:
-                    report.mismatches.append(
+                    mismatches.append(
                         f"delay levels at m={m}: band {levels}, tree depth {depth}"
                     )
         span = (
@@ -133,7 +125,7 @@ def _report_3_1() -> Report:
             else f"{min(depths)}..{max(depths)}"
         )
         flagged = any(lo <= k <= hi for k in known)
-        report.rows.append(
+        rows.append(
             {
                 "m": f"{lo}..{hi}",
                 "delay": f"{levels}*t_and + t_cc",
@@ -141,7 +133,7 @@ def _report_3_1() -> Report:
                 "agrees": "see notes" if flagged else "ok",
             }
         )
-    return report
+    return Report("3.1", ["m", "delay", "tree_depth", "agrees"], rows, flags, mismatches)
 
 
 def _report_3_2() -> Report:
@@ -149,18 +141,7 @@ def _report_3_2() -> Report:
     anomalies = data.get("known_anomalies", [])
     sigma_known = {e["m"] for e in anomalies if e["field"] == "sigma_and"}
     counts_known = {e["m"] for e in anomalies if e["field"] == "m_counts"}
-    report = Report(
-        kind="3.2",
-        columns=[
-            "m",
-            "tables",
-            "tables_derived",
-            "sigma_and",
-            "structural_exact",
-            "structural_square",
-        ],
-        rows=[],
-    )
+    rows, flags, mismatches = [], [], []
     counts_index = {m: i for i, m in enumerate(data["m"])}
     for m, sigma_and in golden_costs().items():
         golden_counts = None
@@ -174,25 +155,25 @@ def _report_3_2() -> Report:
         square = oca_cost_structural(m, cells="square")
         if golden_counts is not None and derived_counts != golden_counts:
             if m in counts_known:
-                report.flags.append(
+                flags.append(
                     f"m={m}: table counts {golden_counts} vs derived {derived_counts}"
                     " (known anomaly: golden tree does not merge all inputs)"
                 )
             else:
-                report.mismatches.append(
+                mismatches.append(
                     f"table counts at m={m}: golden {golden_counts}, derived {derived_counts}"
                 )
         if exact != sigma_and:
             if m in sigma_known:
-                report.flags.append(
+                flags.append(
                     f"m={m}: sigma_and {sigma_and} breaks monotonicity; "
                     f"exact-cell model gives {exact}"
                 )
             else:
-                report.mismatches.append(
+                mismatches.append(
                     f"sigma_and at m={m}: golden {sigma_and}, exact-cell model {exact}"
                 )
-        report.rows.append(
+        rows.append(
             {
                 "m": m,
                 "tables": "/".join(str(c) for c in golden_counts) if golden_counts else None,
@@ -202,15 +183,15 @@ def _report_3_2() -> Report:
                 "structural_square": square,
             }
         )
-    return report
+    columns = ["m", "tables", "tables_derived", "sigma_and", "structural_exact", "structural_square"]
+    return Report("3.2", columns, rows, flags, mismatches)
 
 
 # ---------------------------------------------------------------------------
 # fuzz harness
 
 
-@dataclass
-class FuzzResult:
+class FuzzResult(NamedTuple):
     seed: int
     trials: int
     scope: tuple
@@ -222,7 +203,7 @@ class FuzzResult:
         return 1 if self.failures else 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

@@ -108,6 +108,14 @@ def test_binary_path_runs_without_numpy(case):
     assert fresh(script) == (want, "False")
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records are named tuples; compared with the interpreter's own
+    # start-up modules, so a site hook that loads either cannot trip it
+    script = ("import sys\nbefore = set(sys.modules)\nimport redundarith.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    assert fresh(script) == ("[]\n", "False")
+
+
 def test_radix3_loads_numpy_on_first_use():
     script = (LIB + "c = add_two_row(m(7, 2, None, 3), m(5, 2, None, 3))\n"
               "print(to_text(c), end='')\nprint(c.digits.tolist())\n")

@@ -62,6 +62,10 @@ def test_product_needs_both_factors():
         (cfg, {"g": _bits(3, 7)}, r"^operand g width must be in 0\.\.6$"),
         (cfg, {"a": _bits(3, 7), "b": _bits(3, 6)}, r"^operand a width must be in 1\.\.6$"),
         (tc, {"a": _bits(3, 5), "b": _bits(3, 6)}, r"^operand a width must be in 6\.\.6$"),
+        # one check per product operand: rows before width, a before b
+        (cfg, {"a": make_from_value(3, 2, 7), "b": _bits(3, 7)}, "^operand a must be a 1-row code$"),
+        (tc, {"a": _bits(3, 6), "b": make_from_value(3, 2, 6)}, "^operand b must be a 1-row code$"),
+        (tc, {"a": _bits(3, 6), "b": make_from_value(3, 1, 6, 3)}, "^operand b must be binary$"),
     )
     for config, operands, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -59,6 +59,18 @@ def test_stage_plan_bands():
     assert stage_plan(127).row_counts == (127, 7, 3, 2)
 
 
+def test_stage_plan_keeps_its_own_counts():
+    # a plan is checked once, so a later change to the caller's list must
+    # not reach it
+    counts = [5, 3, 2]
+    plan = StagePlan(counts, 2)
+    counts.insert(0, 40)
+    assert plan.row_counts == (5, 3, 2) and plan.stages == 2
+    assert reduce_delay(plan) == reduce_delay(stage_plan(5))
+    with pytest.raises(ValueError, match="^inconsistent plan step 40 -> 5$"):
+        StagePlan(counts, 2)
+
+
 def test_stage_plan_validates_chain():
     with pytest.raises(ValueError):
         StagePlan(radix=2, row_counts=(63, 5, 3, 2))
@@ -261,8 +273,8 @@ def test_untraced_reduction_costs_one_sink_call(monkeypatch):
 
 
 def test_engine_calls_build_only_their_matrix_and_result(monkeypatch):
-    # each call builds its partial-product matrix and its result code,
-    # and map_accumulate the zero F once plus both per step
+    # each call builds its partial-product matrix and its result code; the
+    # matrix unit builds only F, and map_accumulate the zero F once too
     w = 24
     a, b = make_from_value(0xABCDEF, 1, w), make_from_value(0x123457, 1, w)
     f = make_from_value(12345, 2, 2 * w - 1)
@@ -277,9 +289,9 @@ def test_engine_calls_build_only_their_matrix_and_result(monkeypatch):
         (lambda: multiply(a, b), 2),
         (lambda: multiply(a, b, signed=True), 2),
         (lambda: fused_mac(f, a, b), 2),
-        (lambda: map_eval(cfg, a=a, b=b, **adds), 2),
-        (lambda: map_eval(tc, a=a, b=b, **adds), 2),
-        (lambda: map_accumulate(MapConfig(width=w, mode="accumulate"), steps), 1 + 2 * len(steps)),
+        (lambda: map_eval(cfg, a=a, b=b, **adds), 1),
+        (lambda: map_eval(tc, a=a, b=b, **adds), 1),
+        (lambda: map_accumulate(MapConfig(width=w, mode="accumulate"), steps), 1 + len(steps)),
     ):
         calls.clear()
         run()

@@ -1,7 +1,6 @@
 """Report generation and the fuzz harness, including its self-test."""
 
 import copy
-import dataclasses
 import functools
 import json
 import operator
@@ -119,7 +118,7 @@ FAULTS = {
     "mul": (multiplier, "multiply", _ulp_up),
     "mac": (multiplier, "fused_mac", _ulp_up),
     "div": (divider, "divide", _last_digit_up),
-    "map": (map_unit, "map_eval", lambda state: dataclasses.replace(state, f=_ulp_up(state.f))),
+    "map": (map_unit, "map_eval", lambda state: state._replace(f=_ulp_up(state.f))),
     "acc": (accumulator, "acc_total", lambda total: total + 1),
 }
 # the two checks that a value one ulp off never reaches, with their messages
