@@ -6,9 +6,9 @@ unchanged and writes the command's trace events to stderr as JSON lines,
 a stage's output code as its "digits".  Inputs past the size caps below
 are usage errors, rejected before anything of their size is allocated.
 
-numpy loads on first use: the binary `mul`, `mac`, `add`, `div`, `eval`,
-`map` and `report` commands run without it, traced or not, while
-`reduce`, `accumulate`, `fuzz` and any radix > 2 code import it.
+numpy loads on first use: the binary `reduce`, `mul`, `mac`, `add`,
+`div`, `eval`, `map` and `report` commands run without it, traced or
+not, while `accumulate`, `fuzz` and any radix > 2 code import it.
 """
 
 from __future__ import annotations
@@ -87,6 +87,11 @@ def _check_matrix(a: codes.MultiRowCode, b: codes.MultiRowCode, acc_width: int =
                          f"above the limit of {MAX_MATRIX_CELLS} cells")
 
 
+def _two_rows(code: codes.MultiRowCode) -> codes.MultiRowCode:
+    """A one-row operand padded to two rows; any other is left to the engine's operand rule."""
+    return reducer.reduce_to_two(code) if code.rows == 1 else code
+
+
 def _emit_code(code: codes.MultiRowCode, as_json: bool) -> None:
     if as_json:
         print(codes.to_json(code))
@@ -106,8 +111,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_add(args) -> int:
     width = _capped_width(args.width)
-    a = reducer._pad_to_two(_read_operand(args.a, width, args.radix))
-    b = reducer._pad_to_two(_read_operand(args.b, width, args.radix))
+    a = _two_rows(_read_operand(args.a, width, args.radix))
+    b = _two_rows(_read_operand(args.b, width, args.radix))
     out = reducer.add_two_row(a, b)
     _emit_code(out, args.json)
     return 0
@@ -134,7 +139,7 @@ def _cmd_mul(args) -> int:
 
 def _cmd_mac(args) -> int:
     width = _capped_width(args.width)
-    f = reducer._pad_to_two(_read_operand(args.f, _capped_width(args.acc_width, "--acc-width"), 2))
+    f = _two_rows(_read_operand(args.f, _capped_width(args.acc_width, "--acc-width"), 2))
     a = _read_operand(args.a, width, 2)
     b = _read_operand(args.b, width, 2)
     _check_matrix(a, b, f.width)
@@ -223,10 +228,7 @@ def _cmd_map(args) -> int:
         if "=" not in item:
             raise ValueError(f"operand {item!r} must look like name=value")
         name, _, value = item.partition("=")
-        name = name.lower()
-        if name not in ("a", "b", *map_unit.ADDITIVE_OPERANDS):
-            raise ValueError(f"unknown operand {name!r}")
-        operands[name] = _read_operand(value, args.width, 2)
+        operands[name.lower()] = _read_operand(value, args.width, 2)
     state = map_unit.map_eval(cfg, **operands)
     payload = {
         "total": str(map_unit.map_total(state)),

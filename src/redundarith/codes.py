@@ -11,10 +11,10 @@ holds each row as one int, bit j in column j, and builds its digit
 matrix only when it is read; the numpy matrix is the storage at radix > 2.
 
 numpy is imported by the functions that use it, on their first call:
-binary codes are built, reduced, valued and written without it.  What
-loads it is a radix > 2 code, checked construction from a digit matrix
-(the constructor, `from_digits`, the text and JSON readers), a `digits`
-read, and `pack_rows` or `unpack_rows`.
+binary codes are built, read, reduced, valued and written without it.
+What loads it is a radix > 2 code, checked construction from a digit
+matrix (the constructor and `from_digits`), a `digits` read, and
+`pack_rows` or `unpack_rows`.
 """
 
 from __future__ import annotations
@@ -474,6 +474,7 @@ def quad_from_value(
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")  # its inverse
 
 
 def _bit_texts(code: MultiRowCode) -> list:
@@ -545,7 +546,12 @@ def _parsed_code(rows, width, radix, lsb_exp, msb_first) -> MultiRowCode:
                 raise CodeFormatError(f"row {i}: expected {width} digits")
             if any(type(d) is not int for d in row):
                 raise CodeFormatError(f"row {i}: digits must be integers")
-        return MultiRowCode(rows, width, radix, lsb_exp, [row[::-1] for row in msb_first])
+        if radix != 2:
+            return MultiRowCode(rows, width, radix, lsb_exp, [row[::-1] for row in msb_first])
+        if width and not 0 <= min(map(min, msb_first)) <= max(map(max, msb_first)) <= 1:
+            raise CodeFormatError("digits out of range for radix 2")
+        return made_code([int(bytes(row).translate(_BIT_CHARS) or b"0", 2) for row in msb_first],
+                         width, 2, lsb_exp)
     except NumericDomainError:
         raise
     except ValueError as exc:

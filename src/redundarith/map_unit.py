@@ -134,7 +134,7 @@ def _reduce_to_state(cfg: MapConfig, rows, overflow: int, bias_units: int) -> Ma
     return MapState(config=cfg, f=f, overflow_count=overflow, bias_units=bias_units)
 
 
-def map_eval(cfg: MapConfig, **operands) -> MapState:
+def map_eval(cfg: MapConfig, /, **operands) -> MapState:
     """One-shot evaluation of A*B + C + D + E + G + H + L."""
     unknown = set(operands) - {"a", "b", *ADDITIVE_OPERANDS}
     if unknown:
@@ -177,8 +177,8 @@ def map_signed_total(state: MapState) -> Fraction:
 class MapTiming(NamedTuple):
     t_and: int
     t_q: int
-    t_s: int | None
-    t_p: int | None
+    t_s: int
+    t_p: int
     total: int
     source: str  # "reference" or "derived"
     stack_rows: int
@@ -187,17 +187,28 @@ class MapTiming(NamedTuple):
     note: str | None
 
 
+def _datapath_rows(cfg: MapConfig) -> list:
+    """The stack `_gather` builds at lsb_exp 0 from every operand, each row the OR of its
+    all-zero and all-ones forms: a digit in every column some operand values set."""
+    n = cfg.width
+    cfg = MapConfig(n, signedness=cfg.signedness)
+    names = ("a", "b", *ADDITIVE_OPERANDS)
+    low, high = (_gather(cfg, dict.fromkeys(names, made_code([v], n)), feedback=None)[0]
+                 for v in (0, (1 << n) - 1))
+    return [x | y for x, y in zip(low, high)]
+
+
 def map_timing(cfg: MapConfig) -> MapTiming:
     """Per-stage delay breakdown for one evaluation.
 
     The derived numbers charge one AND level (t_and = 1) for the partial
-    products, then each reduction stage of the stacked matrix (n product
-    rows, n + 2 if signed, plus one row per additive operand) its
-    merge-tree depth.  The 24-bit configuration reports the shipped
+    products, then each reduction stage of the stack the datapath runs
+    (n product rows, n + 2 if signed, plus one row per additive operand)
+    its merge-tree depth.  The 24-bit configuration reports the shipped
     reference levels (6, 4, 3) instead, which exceed the derivable ones;
     the derived breakdown is attached and the difference noted.
     """
-    stack = cfg.width + (2 if cfg.signedness == "twos-complement" else 0) + len(ADDITIVE_OPERANDS)
+    stack = len(_datapath_rows(cfg))
     heads = stage_plan(stack, 2).row_counts[:-1]
     derived = tuple(tree_depth(m) for m in heads)
     derived_total = 1 + sum(derived)
@@ -212,9 +223,7 @@ def map_timing(cfg: MapConfig) -> MapTiming:
         levels = derived
         note = None
         source = "derived"
-    t_q = levels[0] if len(levels) > 0 else 0
-    t_s = levels[1] if len(levels) > 1 else None
-    t_p = levels[2] if len(levels) > 2 else None
+    t_q, t_s, t_p = levels[:3]  # a stack of 8 or more rows runs 3 or more stages
     return MapTiming(
         t_and=1,
         t_q=t_q,
@@ -239,13 +248,7 @@ def map_gate_estimate(cfg: MapConfig) -> dict:
     asserted against it.
     """
     n = cfg.width
-    # the stack at lsb_exp 0: a row holds a digit in every column some
-    # operand values set, so OR the rows of all-zero and all-ones operands
-    cfg = MapConfig(n, signedness=cfg.signedness)
-    names = ("a", "b", *ADDITIVE_OPERANDS)
-    low, high = (_gather(cfg, dict.fromkeys(names, made_code([v], n)), feedback=None)[0]
-                 for v in (0, (1 << n) - 1))
-    rows = [x | y for x, y in zip(low, high)]
+    rows = _datapath_rows(cfg)
     heights = {c: h for c in range(max(rows).bit_length()) if (h := sum(row >> c & 1 for row in rows))}
     counter_gates = 0
     stages = 0

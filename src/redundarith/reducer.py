@@ -74,20 +74,21 @@ def reduce_once(code: MultiRowCode) -> MultiRowCode:
     return made_code(out, out.shape[1], code.radix, code.lsb_exp)
 
 
-def _pad_to_two(code: MultiRowCode) -> MultiRowCode:
-    if code.rows >= 2:
-        return code
-    return stack_codes((code, MultiRowCode.zero(1, 0, code.radix, code.lsb_exp)))
-
-
-def reduce_rows(rows, width: int) -> tuple[list, int]:
-    """Reduce packed binary rows to two, the binary engines' one entry:
-    (rows, width).  One row is padded with a zero row; the stage count is
-    checked against stage_plan."""
+def reduce_rows(rows, width: int, radix: int = 2) -> tuple:
+    """Reduce a code's stored rows (see made_code) to two, the engines' one entry: (rows, width).
+    One row gets a zero row; more than two run stages, whose count is checked against stage_plan."""
     if len(rows) == 1:
-        rows = (*rows, 0)
-    out, width, stages = _kernels.reduce_packed(rows, width)
-    _check_stages(len(rows), 2, stages)
+        return ((*rows, 0) if radix == 2 else rows.repeat(2, axis=0) * [[1], [0]]), width
+    if len(rows) == 2:
+        return rows, width
+    if radix == 2:
+        out, width, stages = _kernels.reduce_packed(rows, width)
+    else:
+        out, stages = _kernels.reduce_to_two_digits(rows, radix)
+        width = out.shape[1]
+    planned = stage_plan(len(rows), radix).stages
+    if stages != planned:
+        raise RuntimeError(f"reduction ran {stages} stages, stage_plan gives {planned}")
     return out, width
 
 
@@ -95,27 +96,16 @@ def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
     """Reduce to exactly two rows (padding a one-row input)."""
     if code.radix == 2:
         return made_code(*reduce_rows(code.packed, code.width), 2, code.lsb_exp)
-    code = _pad_to_two(code)
-    if code.rows == 2:
-        return code
-    rows, stages = _kernels.reduce_to_two_digits(code.digits, code.radix)
-    _check_stages(code.rows, code.radix, stages)
-    return made_code(rows, rows.shape[1], code.radix, code.lsb_exp)
-
-
-def _check_stages(rows: int, radix: int, stages: int) -> None:
-    planned = stage_plan(rows, radix).stages
-    if stages != planned:
-        raise RuntimeError(f"reduction ran {stages} stages, stage_plan gives {planned}")
+    return made_code(*reduce_rows(code.digits, code.width, code.radix), code.radix, code.lsb_exp)
 
 
 def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     """Carry-free addition of two 2-row codes via stack-and-reduce.
 
-    The structural reduction spreads two extra columns past the wider
-    operand; anything beyond that is provably zero (the sum is below
-    q**(w+2)) and gets trimmed so the width bound holds.  At radix 2 the
-    four packed rows are reduced as they are, with no stacked code.
+    The reduction adds columns past the wider operand's w (two stages of
+    one column each at radix 2, one stage above); zero top columns are
+    trimmed down to w, so the width stays within w + 2 (the sum is below
+    q**(w+2)).  At radix 2 the four packed rows are reduced as they are.
     """
     if a.rows != 2 or b.rows != 2:
         raise ValueError("operands must be 2-row codes")
@@ -127,12 +117,10 @@ def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     if a.radix == 2:
         rows, _ = reduce_rows(a.packed + b.packed, width)
         return made_code(rows, max(width, *(row.bit_length() for row in rows)), 2, a.lsb_exp)
-    out = reduce_to_two(stack_codes((a, b)))
-    nonzero = out.digits.any(axis=0).nonzero()[0]
-    keep = max(int(nonzero[-1]) + 1 if nonzero.size else 0, width)
-    if keep == out.width:
+    out = reduce_to_two(stack_codes((a, b)))  # one stage: width + 1 columns
+    if out.digits[:, width:].any():
         return out
-    return made_code(out.digits[:, :keep].copy(), keep, out.radix, out.lsb_exp)
+    return made_code(out.digits[:, :width].copy(), width, out.radix, out.lsb_exp)
 
 
 def quad_add(x: QuadSignedCode, y: QuadSignedCode) -> QuadSignedCode:

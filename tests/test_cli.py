@@ -257,9 +257,19 @@ def test_map_command(capsys):
 
 
 def test_map_rejects_unknown_operand(capsys):
-    code, _, err = run(capsys, "map", "zz=1", "--width", "8")
-    assert code == 2
-    assert "unknown operand" in err
+    # map_eval names them, `cfg` too, which is its positional parameter
+    for name in ("zz", "x", "cfg"):
+        code, out, err = run(capsys, "map", f"{name}=1", "--width", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "unknown operand" in err
+
+
+def test_add_pads_only_a_one_row_operand(capsys, tmp_path):
+    path = tmp_path / "op.txt"
+    path.write_text("mrc 3 3 2 0\n001\n010\n100\n")
+    assert run(capsys, "add", f"@{path}", "5") == (2, "", "error: operands must be 2-row codes\n")
+    path.write_text("mrc 1 3 2 0\n111\n")
+    assert run(capsys, "add", f"@{path}", "5") == run(capsys, "add", "7", "5")
 
 
 def test_map_operand_rule_is_one_error_line(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Text and JSON serialization round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,18 +19,19 @@ from conftest import random_code
 
 
 def test_text_round_trip(rng):
-    for radix in (2, 3, 10, 16):
-        for _ in range(20):
-            code = random_code(
-                rng, int(rng.integers(1, 6)), int(rng.integers(1, 20)), radix,
-                lsb_exp=int(rng.integers(-8, 9)),
-            )
-            again = from_text(to_text(code))
-            assert again.rows == code.rows
-            assert again.width == code.width
-            assert again.radix == code.radix
-            assert again.lsb_exp == code.lsb_exp
-            assert np.array_equal(again.digits, code.digits)
+    # a binary code is read into `packed` with no digit matrix, a radix > 2
+    # one through the constructor; both must be the constructor's code
+    for width in range(131):
+        for rows in range(1, 6):
+            for radix in (2, 3, 10, 16):
+                lsb_exp = (width + rows + radix) % 7 - 3
+                digits = rng.integers(0, radix, size=(rows, width))
+                digits[0] = radix - 1  # the MSB column set
+                want = MultiRowCode(rows, width, radix, lsb_exp, digits)
+                for got in (from_text(to_text(want)), from_json(to_json(want))):
+                    assert (got.packed, got.width, got.radix, got.lsb_exp) == (
+                        want.packed, want.width, want.radix, want.lsb_exp)
+                    assert np.array_equal(got.digits, want.digits)
 
 
 def test_width_zero_text_round_trip():
@@ -60,8 +63,10 @@ def test_json_round_trip(rng):
 def test_from_text_rejects_garbage():
     with pytest.raises(CodeFormatError):
         from_text("not a header\n01\n")
-    with pytest.raises(CodeFormatError):
-        from_text("mrc 1 2 2 0\n09\n")  # digit 9 out of range for radix 2
+    with pytest.raises(CodeFormatError, match=r"^digits out of range for radix 2$"):
+        from_text("mrc 1 2 2 0\n09\n")
+    with pytest.raises(CodeFormatError, match=r"^row 0: non-numeric digit$"):
+        from_text("mrc 1 2 2 0\n-1\n")
     with pytest.raises(CodeFormatError):
         from_text("mrc 2 2 2 0\n01\n")  # missing a row
     for row in ("011", "0x"):  # a row too wide, a non-numeric digit
@@ -84,3 +89,22 @@ def test_from_json_rejects_bad_digits():
     for text in ('{"rows": 1, "width": 1, "radix": 2, "digits": [[1]]}', "[1, 2]", "7"):
         with pytest.raises(CodeFormatError):
             from_json(text)
+
+
+@pytest.mark.parametrize("digit, message", [
+    (2, "digits out of range for radix 2"),
+    (-1, "digits out of range for radix 2"),
+    (10**30, "digits out of range for radix 2"),
+    (True, "row 1: digits must be integers"),
+    (1.0, "row 1: digits must be integers"),
+    ("1", "row 1: digits must be integers"),
+])
+def test_binary_reader_errors(digit, message):
+    code = {"rows": 2, "width": 2, "radix": 2, "lsb_exp": 0, "digits": [[1, 0], [digit, 1]]}
+    # every row's digits must be ints before any digit's range is checked,
+    # so a digit out of range in row 0 changes no message
+    for first in (1, 2):
+        code["digits"][0][0] = first
+        with pytest.raises(CodeFormatError, match=f"^{message}$") as err:
+            from_json(json.dumps(code))
+        assert err.type is CodeFormatError

@@ -19,6 +19,18 @@ SRC = str(Path(redundarith.__file__).resolve().parents[1])
 
 LIB = "from redundarith import *\nfrom redundarith import make_from_value as m\n"
 CLI = "from redundarith.cli import main\nprint('exit', main({!r}))\n"
+README_CODE = "mrc 5 3 2 0\n101\n011\n110\n001\n111\n"  # README "CLI"
+
+
+def cli_file(text: str, *argv: str) -> str:
+    """A script that writes `text` to a file and runs the CLI on `argv`,
+    with FILE in an argument standing for that file's path."""
+    return ("import os, tempfile\nfrom redundarith.cli import main\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    path = os.path.join(tmp, 'code.txt')\n"
+            f"    with open(path, 'w') as fh:\n        fh.write({text!r})\n"
+            f"    print('exit', main([arg.replace('FILE', path) for arg in {list(argv)!r}]))\n")
+
 
 # id: (script, its stdout)
 BINARY = {
@@ -59,6 +71,16 @@ BINARY = {
     "accumulator": (LIB + "acc = acc_step(acc_new(8), m(200, 1, 8))\n"
                     "acc = acc_step2(acc, m(255, 2, 8))\nacc = acc_step(acc, m(99, 1, 8))\n"
                     "print(acc.packed, acc.overflow_count, acc_total(acc))\n", "(196, 102) 1 554\n"),
+    "from_text": (LIB + f"c = from_text({README_CODE!r})\nprint(c.packed, c.width, value_of(c))\n",
+                  "(5, 3, 6, 1, 7) 3 22\n"),
+    "from_json": (LIB + "c = from_json('{\"digits\": [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1], "
+                  "[1, 1, 1]], \"lsb_exp\": 0, \"radix\": 2, \"rows\": 5, \"width\": 3}')\n"
+                  "print(c.packed, c.width, value_of(c))\n", "(5, 3, 6, 1, 7) 3 22\n"),
+    "cli-reduce": (cli_file(README_CODE, "reduce", "FILE"), "mrc 2 6 2 0\n001110\n001000\nexit 0\n"),
+    "cli-add-file": (cli_file("mrc 1 3 2 0\n111\n", "add", "@FILE", "5"),
+                     "mrc 2 4 2 0\n1000\n0100\nexit 0\n"),
+    "cli-map-file": (cli_file("mrc 1 8 2 0\n01001101\n", "map", "a=200", "b=131", "c=@FILE", "--width", "8"),
+                     "total 26277\noverflow_count 0\nexit 0\n"),
     "cli-mul": (CLI.format(["mul", "45", "57", "--width", "6"]),
                 "mrc 2 14 2 0\n00010111100101\n00010000100000\nexit 0\n"),
     "cli-mul-signed": (CLI.format(["mul", "45", "57", "--width", "6", "--signed"]),

@@ -128,15 +128,26 @@ def test_reduce_stage_count_matches_plan(rng):
 
 
 def test_stage_count_drift_is_caught(monkeypatch):
-    real = _kernels.reduce_packed
+    real, real_digits = _kernels.reduce_packed, _kernels.reduce_to_two_digits
 
     def one_stage_too_many(rows, width, limit=None):
         rows, width, stages = real(rows, width, limit)
         return rows, width, stages + 1
 
+    def one_digit_stage_too_many(digits, q):
+        digits, stages = real_digits(digits, q)
+        return digits, stages + 1
+
     monkeypatch.setattr(_kernels, "reduce_packed", one_stage_too_many)
+    monkeypatch.setattr(_kernels, "reduce_to_two_digits", one_digit_stage_too_many)
     with pytest.raises(RuntimeError, match=r"^reduction ran 4 stages, stage_plan gives 3$"):
         reduce_to_two(make_from_value(1, 9, 4))
+    # radix 3: 9 rows reduce in two stages, a 4-row sum in one
+    with pytest.raises(RuntimeError, match=r"^reduction ran 3 stages, stage_plan gives 2$"):
+        reduce_to_two(make_from_value(1, 9, 4, 3))
+    two = make_from_value(1, 2, 4, 3)
+    with pytest.raises(RuntimeError, match=r"^reduction ran 2 stages, stage_plan gives 1$"):
+        add_two_row(two, two)
 
 
 def test_traced_row_counts_equal_stage_plan(rng):
