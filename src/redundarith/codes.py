@@ -514,20 +514,24 @@ def from_text(text: str) -> MultiRowCode:
     head = lines[start].split()
     if len(head) != 5 or head[0] != "mrc":
         raise CodeFormatError(f"bad header: {lines[start]!r}")
-    try:
-        rows, width, radix, lsb_exp = (int(x) for x in head[1:])
-    except ValueError as exc:
-        raise CodeFormatError(f"bad header numbers: {lines[start]!r}") from exc
+    if not all(_is_decimal(x.removeprefix("-")) for x in head[1:]):
+        raise CodeFormatError(f"bad header numbers: {lines[start]!r}")
+    rows, width, radix, lsb_exp = map(int, head[1:])
     body = lines[start + 1 :]
     # a non-blank line past the rows counts as one more row
     body = body[: max(rows, 0)] + [ln for ln in body[max(rows, 0) :] if ln.strip()]
     digits = []
     for i, ln in enumerate(body):
-        try:
-            digits.append([int(p) for p in (ln.strip() if radix <= 10 else ln.split())])
-        except ValueError as exc:
-            raise CodeFormatError(f"row {i}: non-numeric digit") from exc
+        parts = ln.strip() if radix <= 10 else ln.split()
+        if not all(map(_is_decimal, parts)):
+            raise CodeFormatError(f"row {i}: non-numeric digit")
+        digits.append([int(p) for p in parts])
     return _parsed_code(rows, width, radix, lsb_exp, digits)
+
+
+def _is_decimal(text: str) -> bool:
+    """ASCII digits only: `int` also takes other Unicode digits, `_` and signs."""
+    return text.isascii() and text.isdigit()
 
 
 def _parsed_code(rows, width, radix, lsb_exp, msb_first) -> MultiRowCode:

@@ -1,11 +1,13 @@
 """Golden-table reproduction reports and the randomized oracle harness.
 
 Reports recompute every derivable cell (stage counts, delay levels, tree
-plans, structural gate counts) and set them side by side with the golden
-data.  Differences at cells listed as known anomalies in the golden
-files are flagged; any other difference is a mismatch and makes the
-report carry a nonzero exit code, since it means this implementation
-regressed rather than that the data is odd.
+plans, structural gate counts) and set each against its golden value
+through one comparison, `_compare`.  A difference at a cell the golden
+file lists in `known_anomalies` is flagged with that file's own note; any
+other difference is a mismatch and makes the report carry a nonzero exit
+code, since it means this implementation regressed rather than that the
+data is odd.  A row's status column reads its worst cell: "ok", "see
+notes" or "MISMATCH".
 
 The fuzz harness drives every operation against the pure-Python big-int
 oracles with per-trial deterministic seeds and shrinks failures to the
@@ -72,25 +74,41 @@ def report_tables(which: str) -> Report:
     return _report_3_2()
 
 
+# a row's status: its worst cell as `_compare` grades it
+_STATUS = ("ok", "see notes", "MISMATCH")
+
+
+def _notes(data: dict, field: str | None = None) -> dict:
+    """A golden file's known anomalies as (field, m) -> note; an entry
+    without a field of its own belongs to `field`."""
+    return {(e.get("field", field), e["m"]): e["note"] for e in data.get("known_anomalies", ())}
+
+
+def _compare(field, m, golden, derived, notes, flags, mismatches) -> int:
+    """Set one golden cell against its derived value: 0 when they agree,
+    1 at a known anomaly (flagged with the golden file's note), else 2
+    (a mismatch)."""
+    if golden == derived:
+        return 0
+    if (field, m) in notes:
+        flags.append(f"m={m}: {field}: {notes[field, m]}")
+        return 1
+    mismatches.append(f"{field} at m={m}: golden {golden}, derived {derived}")
+    return 2
+
+
 def _report_2_1() -> Report:
     data = load_golden("table_2_1.json")
-    rows, mismatches = [], []
+    notes = _notes(data)
+    rows, flags, mismatches = [], [], []
     for band in data["bands"]:
-        golden = tuple(band[k] for k in ("m2", "m3", "m4", "stages"))
-        ok = True
+        worst = 0
         for m in range(band["lo"], band["hi"] + 1):
             counts = reducer.stage_plan(m, 2).row_counts
-            derived = (
-                counts[1] if len(counts) > 1 else None,
-                counts[2] if len(counts) > 2 else None,
-                counts[3] if len(counts) > 3 else None,
-                len(counts) - 1,
-            )
-            if derived != golden:
-                ok = False
-                mismatches.append(
-                    f"stage counts at m={m}: derived {derived}, golden {golden}"
-                )
+            # rows after stages 1..3 (None past the last stage), then the stage count
+            derived = [*counts[1:4], None, None, None][:3] + [len(counts) - 1]
+            for field, value in zip(("m2", "m3", "m4", "stages"), derived):
+                worst = max(worst, _compare(field, m, band[field], value, notes, flags, mismatches))
         label = f"{band['lo']}..{band['hi']}" if band["lo"] != band["hi"] else str(band["lo"])
         rows.append(
             {
@@ -99,38 +117,33 @@ def _report_2_1() -> Report:
                 "m3": band["m3"],
                 "m4": band["m4"],
                 "stages": band["stages"],
-                "derived": "ok" if ok else "MISMATCH",
+                "derived": _STATUS[worst],
             }
         )
     columns = ["m", "m2", "m3", "m4", "stages", "derived"]
-    return Report("2.1", columns, rows, [], mismatches)
+    return Report("2.1", columns, rows, flags, mismatches)
 
 
 def _report_3_1() -> Report:
-    known = {e["m"]: e["note"] for e in load_golden("table_3_1.json").get("known_anomalies", [])}
+    notes = _notes(load_golden("table_3_1.json"), "levels")
     rows, flags, mismatches = [], [], []
     for lo, hi, levels in golden_delay_bands():
         depths = [tree_depth(m) for m in range(lo, hi + 1)]
-        for m, depth in enumerate(depths, start=lo):
-            if levels != depth:
-                if m in known:
-                    flags.append(f"m={m}: {known[m]}")
-                else:
-                    mismatches.append(
-                        f"delay levels at m={m}: band {levels}, tree depth {depth}"
-                    )
+        worst = max(
+            _compare("levels", m, levels, depth, notes, flags, mismatches)
+            for m, depth in enumerate(depths, start=lo)
+        )
         span = (
             str(depths[0])
             if min(depths) == max(depths)
             else f"{min(depths)}..{max(depths)}"
         )
-        flagged = any(lo <= k <= hi for k in known)
         rows.append(
             {
                 "m": f"{lo}..{hi}",
                 "delay": f"{levels}*t_and + t_cc",
                 "tree_depth": span,
-                "agrees": "see notes" if flagged else "ok",
+                "agrees": _STATUS[worst],
             }
         )
     return Report("3.1", ["m", "delay", "tree_depth", "agrees"], rows, flags, mismatches)
@@ -138,41 +151,20 @@ def _report_3_1() -> Report:
 
 def _report_3_2() -> Report:
     data = load_golden("table_3_2.json")
-    anomalies = data.get("known_anomalies", [])
-    sigma_known = {e["m"] for e in anomalies if e["field"] == "sigma_and"}
-    counts_known = {e["m"] for e in anomalies if e["field"] == "m_counts"}
+    notes = _notes(data)
     rows, flags, mismatches = [], [], []
     counts_index = {m: i for i, m in enumerate(data["m"])}
     for m, sigma_and in golden_costs().items():
+        spec = plan_tree(m)
+        derived_counts = tuple(spec.table_counts) + (0,) * (5 - spec.levels)
         golden_counts = None
         if m in counts_index:
             golden_counts = tuple(
                 data["m_counts"][str(t)][counts_index[m]] for t in range(1, 6)
             )
-        spec = plan_tree(m)
-        derived_counts = tuple(spec.table_counts) + (0,) * (5 - spec.levels)
+            _compare("m_counts", m, golden_counts, derived_counts, notes, flags, mismatches)
         exact = oca_cost_structural(m, cells="exact")
-        square = oca_cost_structural(m, cells="square")
-        if golden_counts is not None and derived_counts != golden_counts:
-            if m in counts_known:
-                flags.append(
-                    f"m={m}: table counts {golden_counts} vs derived {derived_counts}"
-                    " (known anomaly: golden tree does not merge all inputs)"
-                )
-            else:
-                mismatches.append(
-                    f"table counts at m={m}: golden {golden_counts}, derived {derived_counts}"
-                )
-        if exact != sigma_and:
-            if m in sigma_known:
-                flags.append(
-                    f"m={m}: sigma_and {sigma_and} breaks monotonicity; "
-                    f"exact-cell model gives {exact}"
-                )
-            else:
-                mismatches.append(
-                    f"sigma_and at m={m}: golden {sigma_and}, exact-cell model {exact}"
-                )
+        _compare("sigma_and", m, sigma_and, exact, notes, flags, mismatches)
         rows.append(
             {
                 "m": m,
@@ -180,7 +172,7 @@ def _report_3_2() -> Report:
                 "tables_derived": "/".join(str(c) for c in derived_counts),
                 "sigma_and": sigma_and,
                 "structural_exact": exact,
-                "structural_square": square,
+                "structural_square": oca_cost_structural(m, cells="square"),
             }
         )
     columns = ["m", "tables", "tables_derived", "sigma_and", "structural_exact", "structural_square"]

@@ -72,6 +72,15 @@ def test_from_text_rejects_garbage():
     for row in ("011", "0x"):  # a row too wide, a non-numeric digit
         with pytest.raises(CodeFormatError):
             from_text(f"mrc 1 2 2 0\n{row}\n")
+    # digits and header fields are ASCII decimals: `int` also reads other
+    # Unicode digits, "_" separators and signs (values 3 and 165, width 10)
+    for text in ("mrc 1 2 2 0\n1\u0661\n", "mrc 1 2 16 0\n1_0 +5\n", "mrc 1 2 16 0\n15 -5\n"):
+        with pytest.raises(CodeFormatError, match=r"^row 0: non-numeric digit$"):
+            from_text(text)
+    for head in ("mrc 1 1_0 2 0", "mrc 1 2 --1 0", "mrc 1 2 2 +0"):
+        with pytest.raises(CodeFormatError, match=r"^bad header numbers: "):
+            from_text(f"{head}\n01\n")
+    assert from_text("mrc 1 2 2 -1\n11\n").lsb_exp == -1
 
 
 def test_from_json_rejects_bad_digits():

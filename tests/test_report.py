@@ -25,7 +25,24 @@ def test_known_anomalies_are_flagged_not_failed():
     assert any("m=8" in f for f in rep31.flags)
     rep32 = report_tables("3.2")
     assert any("m=30" in f for f in rep32.flags)
-    assert sum("table counts" in f for f in rep32.flags) == 3  # m = 6, 8, 14
+    assert sum(": m_counts: " in f for f in rep32.flags) == 3  # m = 6, 8, 14
+
+
+@pytest.mark.parametrize("kind, name, fields", [
+    ("2.1", "table_2_1.json", ("m2", "m3", "m4", "stages")),
+    ("3.1", "table_3_1.json", ("levels",)),
+    ("3.2", "table_3_2.json", ("m_counts", "sigma_and")),
+], ids=["2.1", "3.1", "3.2"])
+def test_flags_are_the_golden_notes_one_to_one(kind, name, fields):
+    # each known anomaly is flagged once with the golden file's own note,
+    # in table order (by m, then by column); table 3.1's entries carry no
+    # field and belong to "levels".  A stale anomaly, or a note restated
+    # by the report, fails here
+    anomalies = report.load_golden(name).get("known_anomalies", [])
+    cells = sorted((e["m"], fields.index(e.get("field", "levels")), e["note"]) for e in anomalies)
+    want = [f"m={m}: {fields[i]}: {note}" for m, i, note in cells]
+    assert len(want) == {"2.1": 0, "3.1": 1, "3.2": 4}[kind]
+    assert report_tables(kind).flags == want
 
 
 def test_report_serializations_are_deterministic():
@@ -46,22 +63,26 @@ def _bumped(data, *path):
     return data
 
 
-# each edits a copy: the golden readers behind report are lru_cached
-@pytest.mark.parametrize("kind, reader, edit, first", [
+# each edits a copy: the golden readers behind report are lru_cached;
+# `broken` is the (row, status column) the edit breaks, 3.2 has no status
+@pytest.mark.parametrize("kind, reader, edit, first, broken", [
     ("2.1", "load_golden", lambda data: _bumped(data, "bands", 2, "m2"),
-     "stage counts at m=8: derived (4, 3, 2, 3), golden (5, 3, 2, 3)"),
+     "m2 at m=8: golden 5, derived 4", ("8..15", "derived")),
     ("3.1", "golden_delay_bands", lambda bands: tuple((lo, hi, n + (lo == 17)) for lo, hi, n in bands),
-     "delay levels at m=17: band 6, tree depth 5"),
+     "levels at m=17: golden 6, derived 5", ("17..32", "agrees")),
     ("3.2", "golden_costs", lambda costs: {**costs, 16: costs[16] + 1},
-     "sigma_and at m=16: golden 200, exact-cell model 199"),
+     "sigma_and at m=16: golden 200, derived 199", None),
     ("3.2", "load_golden", lambda data: _bumped(data, "m_counts", "1", 4),
-     "table counts at m=10: golden (6, 2, 1, 1, 0), derived (5, 2, 1, 1, 0)"),
+     "m_counts at m=10: golden (6, 2, 1, 1, 0), derived (5, 2, 1, 1, 0)", None),
 ], ids=["2.1-m2", "3.1-levels", "3.2-sigma_and", "3.2-m_counts"])
-def test_report_catches_a_perturbed_golden_value(monkeypatch, capsys, kind, reader, edit, first):
+def test_report_catches_a_perturbed_golden_value(monkeypatch, capsys, kind, reader, edit, first, broken):
     real = getattr(report, reader)
     monkeypatch.setattr(report, reader, lambda *args: edit(real(*args)))
     rep = report_tables(kind)
     assert rep.mismatches[0] == first
+    if broken:
+        label, column = broken
+        assert [row["m"] for row in rep.rows if row[column] == "MISMATCH"] == [label]
     assert rep.exit_code == 1
     assert f"MISMATCH: {first}\n" in rep.to_text()
     assert cli.main(["report", "--table", kind]) == 1
