@@ -25,8 +25,9 @@ takes bit matrices too and is the tests' reference for `reduce_packed`.
 Every stage reports a "reduce" event, its output as a code, to an active
 `trace.record()`.  The packed kernels run on ints alone, traced too: a
 stage reads its largest column sum from its output planes.  numpy is
-imported inside the functions that use it: the digit-matrix stage,
-`popcount_batch` and `acc_stream` on a bit matrix (via `codes.pack_rows`).
+imported inside the functions that use it: the digit-matrix stage and
+`acc_stream` on a bit matrix (via `codes.pack_rows`).  `popcount_batch`
+is no kernel but the benchmark's row loop over `popcount_tree`'s walk.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from . import trace
 from .codes import MultiRowCode, check_int, made_code, pack_rows, unpack_rows
+from .compressor import _tree_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -176,22 +178,11 @@ def reduce_packed(rows, width: int, limit: int | None = None) -> tuple[list, int
     return rows, width, stages
 
 
-def popcount_batch(bits: np.ndarray) -> np.ndarray:
-    """Ones per row of a (batch, m) bit matrix, summed as a pairwise tree.
-
-    A partial count above 2**t at tree level t means a non-bit input.
-    """
-    import numpy as np
-
-    b, m = bits.shape
-    depth = (m - 1).bit_length()  # ceil(log2 m)
-    counts = np.zeros((b, 1 << depth), dtype=np.int64)
-    counts[:, :m] = bits
-    for level in range(1, depth + 1):
-        counts = counts[:, 0::2] + counts[:, 1::2]
-        if counts.max(initial=0) > (1 << level):
-            raise ValueError(f"partial count above 2**{level} at level {level}: inputs must be bits")
-    return counts[:, 0]
+def popcount_batch(bits: np.ndarray) -> list:
+    """Ones per row of a (batch, m) bit matrix, each counted by
+    `compressor.popcount_tree`'s walk, node bounds checked.  Benchmark-only,
+    like acc_stream1/acc_stream2: the library calls popcount_tree."""
+    return [_tree_count(row) for row in bits.tolist()]
 
 
 def row_stream(rows_a, rows_b, sw: int, cw: int, n: int, xor_variant: bool) -> tuple:

@@ -4,7 +4,8 @@ A column of m bits is summed by a binary tree of table lookups: a type-t
 table merges two partial counts bounded by 2**(t-1) into one bounded by
 2**t.  Inputs that are not a power of two are split into the largest
 power-of-two half plus the rest, recursively, the shallower side acting
-as if padded with zero inputs.
+as if padded with zero inputs.  `popcount_tree` walks the one tree the
+plan and cost models read, `_merge_nodes`, checking each node's bounds.
 
 Delay bands and gate counts ship as golden data files; the structural
 cost model recomputes gate counts from the generated tree so the two can
@@ -18,7 +19,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from . import _kernels
 from .codes import _as_digit_matrix, check_int
 
 
@@ -79,22 +79,23 @@ def tree_depth(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _merge_nodes(m: int) -> tuple:
-    """Merge nodes of the binary-split tree as (level, bound_l, bound_r).
+    """Merge nodes of the binary-split tree, children first, as
+    (level, lo, bound_l, bound_r).
 
-    A subtree over k leaf bits yields a partial count bounded by k; the
-    merge of two subtrees sits one level above the deeper child.
+    A subtree over k leaf bits from leaf lo yields a partial count bounded
+    by k; the merge of two subtrees sits one level above the deeper child.
     """
 
-    def build(k: int) -> tuple[int, tuple]:
-        if k == 1:
+    def build(k: int, lo: int) -> tuple[int, tuple]:
+        if k <= 1:
             return 0, ()
         half = 1 << ((k - 1).bit_length() - 1)  # largest power of two below k
-        d1, n1 = build(half)
-        d2, n2 = build(k - half)
+        d1, n1 = build(half, lo)
+        d2, n2 = build(k - half, lo + half)
         depth = max(d1, d2) + 1
-        return depth, n1 + n2 + ((depth, half, k - half),)
+        return depth, n1 + n2 + ((depth, lo, half, k - half),)
 
-    _, nodes = build(m)
+    _, nodes = build(m, 0)
     return nodes
 
 
@@ -103,23 +104,30 @@ def plan_tree(m: int) -> OcaSpec:
     check_int("m", m, 2, 128)
     levels = tree_depth(m)
     counts = [0] * levels
-    for level, _, _ in _merge_nodes(m):
+    for level, _, _, _ in _merge_nodes(m):
         counts[level - 1] += 1
     dims = tuple(2 ** (t - 1) + 1 for t in range(1, levels + 1))
     return OcaSpec(inputs=m, levels=levels, table_counts=tuple(counts), table_dims=dims)
 
 
-def popcount_tree(bits) -> int:
-    """Count set bits via the pairwise merge tree.
+def _tree_count(counts: list) -> int:
+    """Sum a list of bits in place along their merge tree, checking only each
+    node's partial counts, which past its bounds would overflow its table."""
+    for level, lo, bound_l, bound_r in _merge_nodes(len(counts)):
+        left, right = counts[lo], counts[lo + bound_l]
+        if left > bound_l or right > bound_r:
+            raise ValueError(f"partial counts {left}, {right} above their bounds {bound_l}, {bound_r} "
+                             f"at level {level}: inputs must be bits")
+        counts[lo] = left + right
+    return int(counts[0]) if counts else 0
 
-    Intermediate partial counts are checked against the table bound
-    2**t at every level t; violating that bound would mean a table
-    overflow in hardware.
-    """
+
+def popcount_tree(bits) -> int:
+    """Count the set bits of 1..128 input bits with the counting adder's
+    merge tree, the one the table plan and cost models read."""
     arr = _as_digit_matrix(bits, ("m",), 2, "bits")
-    if not 1 <= arr.shape[0] <= 2**30:
-        raise ValueError("need 1 <= m <= 2**30 input bits")
-    return int(_kernels.popcount_batch(arr[None, :])[0])
+    check_int("m", arr.shape[0], 1, 128)
+    return _tree_count(arr.tolist())
 
 
 def delay_levels(m: int) -> int:
@@ -157,7 +165,7 @@ def oca_cost_structural(m: int, cells: str = "square") -> int:
     """
     check_int("m", m, 2, 128)
     if cells == "square":
-        return sum((2 ** (level - 1) + 1) ** 2 for level, _, _ in _merge_nodes(m))
+        return sum((2 ** (level - 1) + 1) ** 2 for level, _, _, _ in _merge_nodes(m))
     if cells == "exact":
-        return sum((bl + 1) * (br + 1) for _, bl, br in _merge_nodes(m))
+        return sum((bl + 1) * (br + 1) for _, _, bl, br in _merge_nodes(m))
     raise ValueError("cells must be 'square' or 'exact'")

@@ -241,9 +241,9 @@ def map_timing(cfg: MapConfig) -> MapTiming:
 def map_gate_estimate(cfg: MapConfig) -> dict:
     """Structural AND-gate estimate for one evaluation datapath.
 
-    Counts the n*n partial-product AND array plus, per reduction stage,
-    an exact-cell counting adder for every column holding two or more
-    digits of the stack `_gather` builds in the config's signedness.
+    Counts the n*n partial-product AND array plus, in each stage that
+    `stage_plan` gives the stack `_gather` builds in the config's
+    signedness, an exact-cell counting adder per column of 2+ digits.
     Informational: reported alongside the shipped rough figure, never
     asserted against it.
     """
@@ -251,9 +251,8 @@ def map_gate_estimate(cfg: MapConfig) -> dict:
     rows = _datapath_rows(cfg)
     heights = {c: h for c in range(max(rows).bit_length()) if (h := sum(row >> c & 1 for row in rows))}
     counter_gates = 0
-    stages = 0
-    while max(heights.values()) > 2:
-        stages += 1
+    stages = stage_plan(len(rows), 2).stages
+    for _ in range(stages):
         nxt = {}
         for c, h in sorted(heights.items()):
             if h >= 2:

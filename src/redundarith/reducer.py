@@ -178,12 +178,10 @@ def reduce_delay(plan: StagePlan, accounting: str = "aggregate") -> int:
     charges every stage its banded counting-adder delay including one
     encoder crossing each; the two accountings differ by design.
     """
+    if accounting not in ("aggregate", "per-stage"):
+        raise ValueError("accounting must be 'aggregate' or 'per-stage'")
     heads = plan.row_counts[:-1]
-    if not heads:
-        return 0
-    if accounting == "aggregate":
-        levels = (tree_depth(m) if m > 3 else FINAL_3TO2_LEVELS for m in heads)
-        return T_CC_REDUCE_TOTAL + sum(levels)
     if accounting == "per-stage":
         return sum(oca_delay(m) for m in heads)
-    raise ValueError("accounting must be 'aggregate' or 'per-stage'")
+    levels = (tree_depth(m) if m > 3 else FINAL_3TO2_LEVELS for m in heads)
+    return T_CC_REDUCE_TOTAL + sum(levels) if heads else 0

@@ -42,7 +42,8 @@ def test_tree_depth_is_ceil_log2():
         with pytest.raises(ValueError, match="must be an int"):
             call()
     # and one inside each model's range
-    cases = ((lambda: popcount_tree([]), r"^need 1 <= m <= 2\*\*30 input bits$"),
+    cases = ((lambda: popcount_tree([]), r"^m must be in 1\.\.128$"),
+             (lambda: popcount_tree([1] * 129), r"^m must be in 1\.\.128$"),
              (lambda: plan_tree(1), r"^m must be in 2\.\.128$"),
              (lambda: oca_delay(2), r"^m must be in 3\.\.128$"),
              (lambda: oca_cost_structural(4, cells="bogus"), "^cells must be 'square' or 'exact'$"),
@@ -57,7 +58,11 @@ def test_popcount_tree_counts_ones(rng):
     for _ in range(100):
         bits = rng.integers(0, 2, size=int(rng.integers(2, 129)), dtype=np.int64)
         assert popcount_tree(bits) == int(bits.sum())
-    for m in (1, 2, 3, 63, 64, 65):  # around the power-of-two padding
+    for m in range(1, 129):
+        for bits in (np.zeros(m, np.int64), np.ones(m, np.int64), rng.integers(0, 2, size=m)):
+            assert popcount_tree(bits) == int(bits.sum()), m
+        assert type(popcount_tree(rng.integers(0, 2, size=m).astype(bool))) is int, m
+    for m in (0, 1, 2, 3, 63, 64, 65):  # no column, and around the powers of two
         batch = np.vstack([rng.integers(0, 2, size=(8, m)), np.ones((1, m), np.int64)])
         assert np.array_equal(_kernels.popcount_batch(batch), batch.sum(axis=1))
 
@@ -66,10 +71,25 @@ def test_popcount_tree_rejects_non_bits():
     for bits in (np.array([0, 2], dtype=np.int64), [0.5, 1, 1.9]):
         with pytest.raises(ValueError):
             popcount_tree(bits)
-    # popcount_tree checks its bits first; a direct kernel call meets the
-    # per-level bound
-    with pytest.raises(ValueError, match=r"^partial count above 2\*\*1 at level 1: inputs must be bits$"):
-        _kernels.popcount_batch(np.array([[2, 2]]))
+    # popcount_tree checks its bits first; a direct call of the benchmark's
+    # adapter meets the bounds of the merge node over the bad leaf
+    cases = (([[2, 2]], "2, 2", "1, 1", 1), ([[1, 1, 2]], "2, 2", "2, 1", 2),
+             ([[0, 0, 0, 2]], "0, 2", "1, 1", 1), ([[2, 0, 0, 0, 0]], "2, 0", "1, 1", 1))
+    for bits, counts, bounds, level in cases:
+        with pytest.raises(ValueError, match=rf"^partial counts {counts} above their bounds {bounds} "
+                                             rf"at level {level}: inputs must be bits$"):
+            _kernels.popcount_batch(np.array(bits))
+
+
+def test_popcount_tree_walks_the_costed_tree(monkeypatch):
+    # the walk reads its bounds from the same nodes the models cost: one
+    # node bound short fails the count at that node
+    assert compressor._merge_nodes(5)[-1] == (3, 0, 4, 1)
+    nodes = compressor._merge_nodes(5)[:-1] + ((3, 0, 4, 0),)
+    monkeypatch.setattr(compressor, "_merge_nodes", lambda m: nodes)
+    message = r"^partial counts 4, 1 above their bounds 4, 0 at level 3: inputs must be bits$"
+    with pytest.raises(ValueError, match=message):
+        popcount_tree([1] * 5)
 
 
 def test_delay_levels_golden_bands():
@@ -144,13 +164,16 @@ def test_structural_square_cells_upper_bounds_exact():
 def test_structural_cost_stays_in_the_counter_domain():
     # any m >= 2 was once taken, and each kept a merge tree in the
     # unbounded cache: m = 2..3000 held about 327 MB
+    compressor._merge_nodes.cache_clear()
     for m in (129, 3000):
         with pytest.raises(ValueError, match=r"^m must be in 2\.\.128$"):
             oca_cost_structural(m)
     for m in range(2, 129):
         oca_cost_structural(m, cells="exact")
         plan_tree(m)
-    assert compressor._merge_nodes.cache_info().currsize <= 127
+    for m in range(1, 129):
+        popcount_tree([1] * m)
+    assert compressor._merge_nodes.cache_info().currsize <= 128
 
 
 def test_popcount_bound_check_survives_optimize():
@@ -160,10 +183,17 @@ def test_popcount_bound_check_survives_optimize():
     script = (
         "import numpy as np\n"
         "from redundarith import _kernels\n"
-        "print(_kernels.popcount_batch(np.array([[5, 7, 9]])))\n"
+        "for bits in ([[5, 7, 9]], [[1, 1, 2]]):\n"
+        "    try:\n"
+        "        _kernels.popcount_batch(np.array(bits))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
-    assert proc.returncode == 1
-    assert "ValueError" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "partial counts 5, 7 above their bounds 1, 1 at level 1: inputs must be bits",
+        "partial counts 2, 2 above their bounds 2, 1 at level 2: inputs must be bits",
+    ]

@@ -20,6 +20,7 @@ from redundarith.map_unit import (
     map_total,
 )
 from redundarith.oracle import exact_scaled_value
+from redundarith.reducer import stage_plan
 
 
 def _bits(v, width, lsb_exp=0):
@@ -260,11 +261,26 @@ def test_gate_estimate_structure():
     assert est["total"] > 0
 
 
+def test_gate_estimate_charges_the_stages_the_datapath_runs():
+    # the column heights of a short or wide stack fall to 2 before its
+    # row count does; the estimate still charges every stage that runs
+    for tc in (False, True):
+        for n in range(2, 122):
+            cfg = MapConfig(width=n, signedness="twos-complement" if tc else "unsigned-direct")
+            stages = map_gate_estimate(cfg)["stages"]
+            assert stages == len(map_timing(cfg).derived_levels), (tc, n)
+            assert stages == stage_plan(len(map_unit._datapath_rows(cfg))).stages, (tc, n)
+            ops = {k: _bits((1 << n) - 1, n) for k in ("a", "b", *ADDITIVE_OPERANDS)}
+            with trace.record() as events:
+                map_eval(cfg, **ops)
+            assert stages == sum(e["op"] == "reduce" for e in events), (tc, n)
+
+
 def test_gate_estimate_follows_signedness():
     # the signed stack has two more product rows and sign-extended
     # addends across the grid; the unsigned figures are those of the
     # n-row trapezoid plus six addend rows
-    for n, unsigned, signed in ((8, 1209, 1805), (24, 11636, 14676)):
+    for n, unsigned, signed in ((2, 128, 203), (8, 1209, 1805), (24, 11636, 14676)):
         got = [map_gate_estimate(MapConfig(width=n, signedness=s))["counter_gates"]
                for s in ("unsigned-direct", "twos-complement")]
         assert got == [unsigned, signed], n

@@ -365,8 +365,11 @@ def test_reduce_delay_accountings():
     assert reduce_delay(plan, accounting="per-stage") == 14
     for accounting in ("aggregate", "per-stage"):  # a plan with no stages costs nothing
         assert reduce_delay(stage_plan(2), accounting) == 0
-    with pytest.raises(ValueError):
-        reduce_delay(plan, accounting="bogus")
+    # an unknown accounting fails for every plan, the stage-free one too
+    for call in (lambda: reduce_delay(plan, accounting="bogus"),
+                 lambda: reduce_delay(stage_plan(2), "bogus"), lambda: mul_delay(2, "bogus")):
+        with pytest.raises(ValueError, match="^accounting must be 'aggregate' or 'per-stage'$"):
+            call()
 
 
 @settings(max_examples=50, deadline=None)
