@@ -7,8 +7,9 @@ a stage's output code as its "digits".  Inputs past the size caps below
 are usage errors, rejected before anything of their size is allocated.
 
 numpy loads on first use: the binary `reduce`, `mul`, `mac`, `add`,
-`div`, `eval`, `map` and `report` commands run without it, traced or
-not, while `accumulate`, `fuzz` and any radix > 2 code import it.
+`div`, `eval`, `map` and `report` commands, and `fuzz --scope
+mul,mac,div,map`, run without it, traced or not, while `accumulate`, the
+`reduce`, `add` and `acc` fuzz ops and any radix > 2 code import it.
 """
 
 from __future__ import annotations
@@ -270,8 +271,11 @@ def _cmd_report(args) -> int:
 def _cmd_fuzz(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
-    scope = args.scope.split(",") if args.scope else None
+        text = os.environ.get(SEED_ENV, "0")
+        if not codes._is_decimal(text):
+            raise ValueError(f"${SEED_ENV} must be ASCII decimal digits, got {text!r}")
+        seed = int(text)
+    scope = None if args.scope is None else args.scope.split(",")
     result = fuzz_verify(seed=seed, trials=args.trials, scope=scope)
     sys.stdout.write(result.to_json() + "\n" if args.json else result.to_text())
     return result.exit_code

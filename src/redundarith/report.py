@@ -10,17 +10,20 @@ data is odd.  A row's status column reads its worst cell: "ok", "see
 notes" or "MISMATCH".
 
 The fuzz harness drives every operation against the pure-Python big-int
-oracles with per-trial deterministic seeds and shrinks failures to the
-smallest width that still fails.
+oracles and shrinks failures to the smallest width that still fails.  A
+trial's width is a hash of (seed, trial), and its inputs come from one
+standard-library generator keyed by (seed, trial, width), binary
+operands drawn as ints.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from typing import NamedTuple
 
 from . import accumulator, divider, map_unit, multiplier, oracle, reducer
-from .codes import MultiRowCode, check_int, make_from_value, value_of
+from .codes import MultiRowCode, check_int, made_code, unpack_rows, value_of
 from .compressor import (
     golden_costs,
     golden_delay_bands,
@@ -209,74 +212,66 @@ class FuzzResult(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _random_code(rng, rows: int, width: int, radix: int) -> MultiRowCode:
-    digits = rng.integers(0, radix, size=(rows, width))  # int64, the default
-    return MultiRowCode(rows, width, radix, 0, digits)
+def _random_code(rng, rows: int, width: int, radix: int) -> tuple:
+    """A random code and the value of the digits drawn for it."""
+    if radix == 2:
+        ints = [rng.getrandbits(width) for _ in range(rows)]
+        return made_code(ints, width), sum(ints)
+    digits = [rng.choices(range(radix), k=width) for _ in range(rows)]
+    return MultiRowCode(rows, width, radix, 0, digits), oracle.exact_scaled_value(digits, radix)
 
 
 def _check_reduce(rng, width: int):
-    rows = int(rng.integers(1, 25))
-    radix = int(rng.choice([2, 2, 2, 3, 10]))
-    code = _random_code(rng, rows, width, radix)
-    out = reducer.reduce_to_two(code)
-    want = oracle.exact_value(code.digits.tolist(), radix, 0)
-    got = oracle.exact_value(out.digits.tolist(), radix, 0)
-    if want != got:
+    rows = rng.randrange(1, 25)
+    radix = rng.choice((2, 2, 2, 3, 10))
+    code, want = _random_code(rng, rows, width, radix)
+    got = value_of(reducer.reduce_to_two(code))
+    if got != want:
         return f"reduce value {got} != {want} (rows={rows} radix={radix})"
     return None
 
 
 def _check_add(rng, width: int):
-    radix = int(rng.choice([2, 3, 10]))
-    a = _random_code(rng, 2, width, radix)
-    b = _random_code(rng, 2, width, radix)
+    radix = rng.choice((2, 3, 10))
+    a, av = _random_code(rng, 2, width, radix)
+    b, bv = _random_code(rng, 2, width, radix)
     out = reducer.add_two_row(a, b)
-    want = value_of(a) + value_of(b)
-    if value_of(out) != want:
-        return f"add value {value_of(out)} != {want} (radix={radix})"
+    if value_of(out) != av + bv:
+        return f"add value {value_of(out)} != {av + bv} (radix={radix})"
     if out.width > width + 2:
         return f"add width {out.width} > {width + 2}"
     return None
 
 
 def _check_mul(rng, width: int):
-    if width < 2 or rng.integers(0, 2) == 0:
-        av = int(rng.integers(0, 1 << width))
-        bv = int(rng.integers(0, 1 << width))
-        a = make_from_value(av, 1, width)
-        b = make_from_value(bv, 1, width)
-        out = multiplier.multiply(a, b)
-        if value_of(out) != av * bv:
-            return f"mul {av}*{bv}: got {value_of(out)}"
+    signed = width > 1 and rng.getrandbits(1) == 1
+    av, bv = rng.getrandbits(width), rng.getrandbits(width)
+    out = multiplier.multiply(made_code([av], width), made_code([bv], width), signed=signed)
+    if signed:  # two's complement: the top bit weighs -2**(width - 1)
+        av, bv = av - (av >> width - 1 << width), bv - (bv >> width - 1 << width)
+        got = multiplier.signed_product_value(out, width)
     else:
-        a = _random_code(rng, 1, width, 2)
-        b = _random_code(rng, 1, width, 2)
-        out = multiplier.multiply(a, b, signed=True)
-        want = multiplier.signed_operand_value(a) * multiplier.signed_operand_value(b)
-        if multiplier.signed_product_value(out, width) != want:
-            return f"signed mul: got {multiplier.signed_product_value(out, width)}, want {want}"
+        got = value_of(out)
+    if got != av * bv:
+        return f"{'signed ' if signed else ''}mul {av}*{bv}: got {got}"
     return None
 
 
 def _check_mac(rng, width: int):
-    av = int(rng.integers(0, 1 << width))
-    bv = int(rng.integers(0, 1 << width))
-    fv = int(rng.integers(0, 1 << (2 * width)))
-    a = make_from_value(av, 1, width)
-    b = make_from_value(bv, 1, width)
-    f = make_from_value(fv, 2, 2 * width)
-    out = multiplier.fused_mac(f, a, b)
+    av, bv, fv = rng.getrandbits(width), rng.getrandbits(width), rng.getrandbits(2 * width)
+    out = multiplier.fused_mac(made_code([fv, 0], 2 * width), made_code([av], width),
+                               made_code([bv], width))
     if value_of(out) != fv + av * bv:
         return f"mac {fv}+{av}*{bv}: got {value_of(out)}"
     return None
 
 
 def _check_div(rng, width: int):
-    radix = int(rng.choice([2, 2, 10]))
-    z = int(rng.integers(1, 1 << max(width, 1)))
-    x = int(rng.integers(0, radix * z))
-    k = int(rng.integers(1, 4))
-    iters = int(rng.integers(1, 5))
+    radix = rng.choice((2, 2, 10))
+    z = rng.randrange(1, 1 << width)
+    x = rng.randrange(radix * z)
+    k = rng.randrange(1, 4)
+    iters = rng.randrange(1, 5)
     digits, residual = divider.divide(x, z, k, iters, radix=radix)
     want_digits, want_res = oracle.restoring_division_digits(x, z, k, iters, radix)
     if digits != want_digits or residual != want_res:
@@ -290,9 +285,8 @@ def _check_div(rng, width: int):
 def _check_map(rng, width: int):
     n = max(width, 2)
     cfg = map_unit.MapConfig(width=n, mode="one-shot")
-    vals = {name: int(rng.integers(0, 1 << n)) for name in ("a", "b", *map_unit.ADDITIVE_OPERANDS)}
-    ops = {name: make_from_value(v, 1, n) for name, v in vals.items()}
-    state = map_unit.map_eval(cfg, **ops)
+    vals = {name: rng.getrandbits(n) for name in ("a", "b", *map_unit.ADDITIVE_OPERANDS)}
+    state = map_unit.map_eval(cfg, **{name: made_code([v], n) for name, v in vals.items()})
     want = vals["a"] * vals["b"] + sum(vals[k] for k in map_unit.ADDITIVE_OPERANDS)
     if map_unit.map_total(state) != want:
         return f"map total {map_unit.map_total(state)} != {want}"
@@ -300,13 +294,10 @@ def _check_map(rng, width: int):
 
 
 def _check_acc(rng, width: int):
-    steps = 64
-    ops = rng.integers(0, 2, size=(steps, width))
-    acc = accumulator.acc_new(width)
-    acc = accumulator.acc_run(acc, ops)
-    want = sum(oracle.exact_scaled_value([row.tolist()], 2) for row in ops)
-    if accumulator.acc_total(acc) != want:
-        return f"acc total {accumulator.acc_total(acc)} != {want}"
+    ints = [rng.getrandbits(width) for _ in range(64)]
+    acc = accumulator.acc_run(accumulator.acc_new(width), unpack_rows(ints, width))
+    if accumulator.acc_total(acc) != sum(ints):
+        return f"acc total {accumulator.acc_total(acc)} != {sum(ints)}"
     return None
 
 
@@ -320,14 +311,32 @@ _CHECKS = {
     "acc": (_check_acc, 16),
 }
 FUZZ_OPS = tuple(_CHECKS)
+_M64, _P61 = (1 << 64) - 1, (1 << 61) - 1
+
+
+def _trial_width(seed: int, trial: int, cap: int) -> int:
+    """1..cap for trial `trial` of `seed`, with no generator: output `trial`
+    of a SplitMix64 stream (Steele, Lea & Flood, OOPSLA 2014) started at
+    seed mod 2**61 - 1, a prime, so that every bit of the seed counts."""
+    z = seed % _P61 + (trial + 1) * 0x9E3779B97F4A7C15 & _M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return 1 + (z ^ z >> 31) % cap
+
+
+def _run_trial(op: str, seed: int, trial: int, width: int):
+    """The failure detail of trial `trial` of `seed` at `width`, or None.
+    Every draw comes from one generator keyed by all three, so a trial
+    replays at any width whatever the run's length."""
+    return _CHECKS[op][0](random.Random(f"{seed}/{trial}/{width}"), width)
 
 
 def fuzz_verify(seed: int = 0, trials: int = 100, scope=None) -> FuzzResult:
     """Randomized oracle checks; deterministic per (seed, trial index)."""
-    import numpy as np
-
     check_int("seed", seed, 0)
     check_int("trials", trials, 0)
+    if isinstance(scope, str):
+        raise ValueError("scope must be a sequence of op names, not a str")
     scope = tuple(scope) if scope else FUZZ_OPS
     unknown = set(scope) - set(FUZZ_OPS)
     if unknown:
@@ -336,25 +345,14 @@ def fuzz_verify(seed: int = 0, trials: int = 100, scope=None) -> FuzzResult:
     passed = 0
     for trial in range(trials):
         op = scope[trial % len(scope)]
-        check, width_cap = _CHECKS[op]
-        width = int(np.random.default_rng((seed, trial)).integers(1, width_cap + 1))
-        rng = np.random.default_rng((seed, trial, width))
-        detail = check(rng, width)
-        if detail is None:
+        width = _trial_width(seed, trial, _CHECKS[op][1])
+        if _run_trial(op, seed, trial, width) is None:
             passed += 1
             continue
-        # shrink: smallest width at which this trial's generator still fails
-        shrunk = width
-        shrunk_detail = detail
-        for w in range(1, width):
-            d = check(np.random.default_rng((seed, trial, w)), w)
-            if d is not None:
-                shrunk = w
-                shrunk_detail = d
-                break
-        failures.append(
-            {"op": op, "trial": trial, "width": shrunk, "detail": shrunk_detail}
-        )
+        # shrink: the smallest width at which this trial still fails
+        width = next((w for w in range(1, width) if _run_trial(op, seed, trial, w)), width)
+        failures.append({"op": op, "trial": trial, "width": width,
+                         "detail": _run_trial(op, seed, trial, width)})
     return FuzzResult(
         seed=seed, trials=trials, scope=scope, passed=passed, failures=failures
     )

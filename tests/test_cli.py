@@ -312,6 +312,20 @@ def test_fuzz_seed_flag_overrides_env(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 4
 
 
+# int() once read "1_0" as 10 and " 7" as 7
+@pytest.mark.parametrize("text", ["1_0", " 7", "7 ", "+7", "-1", "abc", "", "\u0663"])
+def test_fuzz_seed_env_takes_ascii_decimals_only(capsys, monkeypatch, text):
+    monkeypatch.setenv(cli.SEED_ENV, text)
+    assert run(capsys, "fuzz", "--trials", "1") == (
+        2, "", f"error: $REDUNDARITH_SEED must be ASCII decimal digits, got {text!r}\n")
+
+
+def test_fuzz_empty_scope_is_a_usage_error(capsys):
+    # "" once ran all seven ops
+    for scope in ("", "mul,", ","):
+        assert run(capsys, "fuzz", "--scope", scope) == (2, "", "error: unknown fuzz ops: ['']\n")
+
+
 def test_eval_command(capsys):
     code, out, _ = run(capsys, "eval", "3/4 * (2 - 5) + div(5, 7, 2, 3)")
     assert code == 0

@@ -28,7 +28,7 @@ from redundarith.codes import (
     with_lsb_exp,
 )
 from redundarith.multiplier import fused_mac, multiply, signed_product_value
-from redundarith.oracle import exact_scaled_value
+from redundarith.oracle import exact_scaled_value, exact_value
 from redundarith.reducer import add_two_row, reduce_to_two
 
 from conftest import random_code
@@ -155,10 +155,12 @@ def test_value_matches_slow_reference(rng):
         for _ in range(50):
             rows = int(rng.integers(1, 9))
             width = int(rng.integers(1, 40))
-            code = random_code(rng, rows, width, radix)
+            lsb_exp = int(rng.integers(-3, 4))
+            code = random_code(rng, rows, width, radix, lsb_exp)
             assert scaled_value(code) == exact_scaled_value(
                 code.digits.tolist(), radix
             )
+            assert value_of(code) == exact_value(code.digits.tolist(), radix, lsb_exp)
     # bit rows across the byte and 64-bit word edges, random and all ones
     for width in (1, 7, 8, 9, 63, 64, 65, 130):
         for rows in (1, 2, 5):

@@ -105,6 +105,11 @@ BINARY = {
                       "mrc 2 14 2 0\n00010111100101\n00010000100000\nexit 0\n"),
     "cli-map-tc-trace": (CLI.format(["map", "a=13", "b=3", "c=15", "--width", "4", "--tc", "--trace"]),
                          "total 246\noverflow_count 1\nsigned_total -10\nexit 0\n"),
+    # the fuzz ops that take no digit matrix draw and check binary operands as ints
+    "fuzz_verify": (LIB + "print(fuzz_verify(seed=1, trials=28, scope=('mul', 'mac', 'div', 'map')).to_text(), "
+                    "end='')\n", "fuzz seed=1 trials=28 scope=mul,mac,div,map\npassed 28/28\n"),
+    "cli-fuzz": (CLI.format(["fuzz", "--seed", "1", "--scope", "mul,mac,div,map"]),
+                 "fuzz seed=1 trials=100 scope=mul,mac,div,map\npassed 100/100\nexit 0\n"),
     "cli-report": (CLI.format(["report", "--table", "2.1"]),
                    "report 2.1\nm        m2  m3  m4  stages  derived\n3        2           1       ok\n"
                    "4..7     3   2       2       ok\n8..15    4   3   2   3       ok\n"

@@ -108,6 +108,9 @@ def test_fuzz_scope_filters_ops():
     assert result.passed == 10
     with pytest.raises(ValueError):
         fuzz_verify(seed=1, trials=2, scope=("nonsense",))
+    # a str is a sequence of one-letter names
+    with pytest.raises(ValueError, match="^scope must be a sequence of op names, not a str$"):
+        fuzz_verify(seed=1, trials=2, scope="mul")
     with pytest.raises(ValueError):
         fuzz_verify(seed=1, trials=-5)
     # trials=True once ran one trial, a float raised a TypeError and a
@@ -169,19 +172,49 @@ def test_fuzz_catches_injected_bug(monkeypatch, capsys, fault):
     assert capsys.readouterr().out.count("FAIL op=") == 3
 
 
-def test_fuzz_shrinks_past_widths_that_pass(monkeypatch):
+@pytest.fixture
+def wide_mul_fault(monkeypatch):
+    """`multiply` one ulp off on products 6 or more columns wide, so that
+    shrinking matters; a failure's detail names the operands it drew."""
     real = multiplier.multiply
 
-    def broken(a, b, signed=False):  # corrupt only wide products, so shrinking matters
+    def broken(a, b, signed=False):
         out = real(a, b, signed=signed)
         return _ulp_up(out) if out.width >= 6 else out
 
     monkeypatch.setattr(multiplier, "multiply", broken)
+
+
+def test_fuzz_shrinks_past_widths_that_pass(wide_mul_fault):
     result = fuzz_verify(seed=3, trials=40, scope=("mul",))
     assert result.exit_code == 1
     widths = [f["width"] for f in result.failures]
     # width 1 passes, so no failure shrinks to it; some shrink below the cap
     assert widths and 1 < min(widths) <= 8 and max(widths) <= 16
+
+
+def test_fuzz_trial_draws_do_not_depend_on_the_run_length(wide_mul_fault):
+    failures = fuzz_verify(seed=5, trials=40, scope=("mul",)).failures
+    short = fuzz_verify(seed=5, trials=13, scope=("mul",)).failures
+    assert 0 < len(short) < len(failures)
+    assert short == [f for f in failures if f["trial"] < 13]
+
+
+def test_fuzz_key_takes_the_whole_seed(wide_mul_fault):
+    # seeds equal mod 2**64 draw different trials; at width 8 every product
+    # fails, so each detail names the operands drawn
+    runs = [fuzz_verify(seed=seed, trials=20, scope=("mul",)).failures for seed in (5, 5 + 2**64)]
+    assert runs[0] != runs[1]
+    for trial in range(20):
+        assert report._run_trial("mul", 5, trial, 8) != report._run_trial("mul", 5 + 2**64, trial, 8)
+
+
+def test_fuzz_failure_replays_alone_at_its_shrunk_width(wide_mul_fault):
+    failures = fuzz_verify(seed=3, trials=40, scope=("mul",)).failures
+    assert failures
+    for f in failures:
+        assert report._run_trial("mul", 3, f["trial"], f["width"]) == f["detail"]
+        assert all(report._run_trial("mul", 3, f["trial"], w) is None for w in range(1, f["width"]))
 
 
 def test_fuzz_result_text_lists_failures():
