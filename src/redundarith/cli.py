@@ -58,19 +58,19 @@ def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCod
         value = int(spec, 0)
     except ValueError:
         shown = spec if len(spec) <= 40 else spec[:40] + "..."
-        # Python refuses decimal strings past its int-string digit limit
-        limit = codes.int_string_limit()
-        if 0 < limit < len(spec) and spec.isdecimal():
-            raise ValueError(
-                f"integer operand {shown} has {len(spec)} digits, past Python's "
-                f"limit of {limit}"
-            ) from None
-        raise ValueError(
-            f"operand {shown!r} is neither an integer nor @file nor '-'"
-        ) from None
+        if spec.isdecimal():
+            _check_digit_count(f"integer operand {shown}", spec)
+        raise ValueError(f"operand {shown!r} is neither an integer nor @file nor '-'") from None
     if value < 0:
         raise ValueError("integer operands must be non-negative; use eval for signs")
     return codes.make_from_value(value, 1, width, radix)
+
+
+def _check_digit_count(name: str, text: str) -> None:
+    """Reject decimal `text` of more digits than Python converts to an int."""
+    limit = codes.int_string_limit()
+    if 0 < limit < len(text):
+        raise ValueError(f"{name} has {len(text)} digits, past Python's limit of {limit}")
 
 
 def _capped_width(width: int | None, flag: str = "--width") -> int | None:
@@ -274,6 +274,7 @@ def _cmd_fuzz(args) -> int:
         text = os.environ.get(SEED_ENV, "0")
         if not codes._is_decimal(text):
             raise ValueError(f"${SEED_ENV} must be ASCII decimal digits, got {text!r}")
+        _check_digit_count(f"${SEED_ENV}", text)
         seed = int(text)
     scope = None if args.scope is None else args.scope.split(",")
     result = fuzz_verify(seed=seed, trials=args.trials, scope=scope)

@@ -151,14 +151,12 @@ class MultiRowCode:
     packed: tuple | None
 
     def __init__(self, rows: int, width: int, radix: int, lsb_exp: int, digits):
-        vars(self).update(rows=rows, width=width, radix=radix, lsb_exp=lsb_exp, _digits=digits)
-        self.__post_init__()
+        self.__post_init__(rows, width, radix, lsb_exp, digits)
 
-    def __post_init__(self):
-        _check_fields(self.rows, self.width, self.radix, self.lsb_exp)
-        digits = _as_digit_matrix(self._digits, (self.rows, self.width), self.radix)
-        rows = pack_rows(digits) if self.radix == 2 else digits.astype("int64")
-        _store(self, rows, self.width, self.radix, self.lsb_exp)
+    def __post_init__(self, rows, width, radix, lsb_exp, digits):
+        _check_fields(rows, width, radix, lsb_exp)
+        digits = _as_digit_matrix(digits, (rows, width), radix)
+        _store(self, pack_rows(digits) if radix == 2 else digits.astype("int64"), width, radix, lsb_exp)
 
     @property
     def digits(self) -> np.ndarray:
@@ -201,8 +199,8 @@ class MultiRowCode:
 
 
 def made_code(rows, width: int, radix: int = 2, lsb_exp: int = 0) -> MultiRowCode:
-    """A code of engine output, unchecked: the one place that decides how a
-    code stores its rows.  At radix 2 `rows` are ints below 2**width, bit j
+    """A code of engine output, unchecked; `_store` alone decides how a code
+    stores its rows.  At radix 2 `rows` are ints below 2**width, bit j
     in column j; above, an int64 (rows, width) matrix of digits below
     `radix` that the caller hands over.  The engines keep those ranges by
     construction, and no digit matrix is built at radix 2."""
@@ -210,12 +208,17 @@ def made_code(rows, width: int, radix: int = 2, lsb_exp: int = 0) -> MultiRowCod
 
 
 def _store(code: MultiRowCode, rows, width: int, radix: int, lsb_exp: int) -> MultiRowCode:
-    """Fill `code` with rows in the one stored form (see made_code)."""
-    binary = radix == 2
-    if not binary:
+    """Fill `code` with rows in the one stored form (see made_code), one write per field."""
+    fields = code.__dict__
+    fields["rows"] = len(rows)
+    fields["width"] = width
+    fields["radix"] = radix
+    fields["lsb_exp"] = lsb_exp
+    if radix == 2:
+        fields["packed"], fields["_digits"] = tuple(rows), None
+    else:
         rows.flags.writeable = False
-    vars(code).update(rows=len(rows), width=width, radix=radix, lsb_exp=lsb_exp,
-                      packed=tuple(rows) if binary else None, _digits=None if binary else rows)
+        fields["packed"], fields["_digits"] = None, rows
     return code
 
 
@@ -347,16 +350,18 @@ def make_from_value(
     """
     _check_fields(rows, 0 if width is None else width, radix, lsb_exp)
     v = _exact_value(value)
-    num, den = int(v.numerator), int(v.denominator)  # a numpy integer's parts keep its type
-    if num < 0:
+    # int(): a numpy integer's parts keep its type; an int needs no split
+    n, den = (v, 1) if type(v) is int else (int(v.numerator), int(v.denominator))
+    if n < 0:
         raise ValueError("value must be non-negative")
-    if lsb_exp >= 0:
+    if lsb_exp > 0:
         den *= radix**lsb_exp
-    else:
-        num *= radix**-lsb_exp
-    n, rem = divmod(num, den)
-    if rem:
-        raise GranularityError(f"{_echo(value)} is not a multiple of {radix}**{lsb_exp}")
+    elif lsb_exp < 0:
+        n *= radix**-lsb_exp
+    if den != 1:  # an int at lsb_exp <= 0 needs no division
+        n, rem = divmod(n, den)
+        if rem:
+            raise GranularityError(f"{_echo(value)} is not a multiple of {radix}**{lsb_exp}")
     if radix == 2:
         ndigits = n.bit_length()
     else:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import _kernels
 from .codes import MultiRowCode, check_int, check_operand, made_code, scale_fraction, scaled_value
-from .reducer import reduce_delay, reduce_rows, reduce_to_two, stage_plan
+from .reducer import reduce_delay, reduce_rows, stage_plan
 
 
 def signed_operand_value(code: MultiRowCode) -> Fraction:
@@ -37,9 +37,7 @@ def _partial_products(x: int, y: int, count: int) -> list:
 
 
 def _pp_rows(a: MultiRowCode, b: MultiRowCode, signed: bool) -> list:
-    """Rows of the partial-product matrix of two one-row binary operands,
-    unchecked; it is a.width + b.width - 1 columns wide, and signed
-    operands share one width (see pp_matrix_signed)."""
+    """Rows of the partial-product matrix of two one-row binary operands, unchecked (see _checked_pp)."""
     if not signed:
         return _partial_products(a.packed[0], b.packed[0], b.width)
     n = a.width - 1
@@ -55,11 +53,18 @@ def _pp_rows(a: MultiRowCode, b: MultiRowCode, signed: bool) -> list:
     return rows
 
 
+def _checked_pp(a: MultiRowCode, b: MultiRowCode, signed: bool) -> tuple:
+    """Rows and width of the partial-product matrix, after the one operand check of every product."""
+    for code in (a, b):
+        check_operand(code, "signed operand" if signed else "multiplier operand", (1,), min_width=1 + signed)
+    if signed and a.width != b.width:
+        raise ValueError("signed operands must share a width")
+    return _pp_rows(a, b, signed), a.width + b.width - 1
+
+
 def pp_matrix_unsigned(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     """Partial products of two unsigned one-row codes; value = a*b."""
-    check_operand(a, "multiplier operand", (1,), min_width=1)
-    check_operand(b, "multiplier operand", (1,), min_width=1)
-    return made_code(_pp_rows(a, b, False), a.width + b.width - 1, 2, a.lsb_exp + b.lsb_exp)
+    return made_code(*_checked_pp(a, b, False), 2, a.lsb_exp + b.lsb_exp)
 
 
 def signed_bias(operand_width: int) -> int:
@@ -75,20 +80,16 @@ def pp_matrix_signed(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     in columns n..2n-1, the sign product at column 2n and the constant
     correction bit at column n+1.
     """
-    check_operand(a, "signed operand", (1,), min_width=2)
-    check_operand(b, "signed operand", (1,), min_width=2)
-    if a.width != b.width:
-        raise ValueError("signed operands must share a width")
-    return made_code(_pp_rows(a, b, True), 2 * a.width - 1, 2, a.lsb_exp + b.lsb_exp)
+    return made_code(*_checked_pp(a, b, True), 2, a.lsb_exp + b.lsb_exp)
 
 
 def multiply(a: MultiRowCode, b: MultiRowCode, signed: bool = False) -> MultiRowCode:
-    """Reduce the partial-product matrix to a 2-row code.
+    """Reduce the partial-product matrix to a 2-row code, the one code built.
 
     Unsigned: value equals a*b.  Signed: value equals a*b plus the
     matrix bias; use `signed_product_value` to read the product out.
     """
-    return reduce_to_two(pp_matrix_signed(a, b) if signed else pp_matrix_unsigned(a, b))
+    return made_code(*reduce_rows(*_checked_pp(a, b, signed)), 2, a.lsb_exp + b.lsb_exp)
 
 
 def signed_product_value(product: MultiRowCode, operand_width: int) -> Fraction:
@@ -131,9 +132,7 @@ def mac_injection_stage(pp_rows: int, feedback_rows: int) -> tuple[int, int]:
     return totals.index(best), best
 
 
-def fused_mac(
-    f_prev: MultiRowCode, a: MultiRowCode, b: MultiRowCode
-) -> MultiRowCode:
+def fused_mac(f_prev: MultiRowCode, a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:
     """Accumulating multiply: value = value(f_prev) + a*b (unsigned).
 
     The previous 2-row (or 3-row) result is injected at the stage
@@ -141,11 +140,11 @@ def fused_mac(
     stage-count band costs no extra stages over a bare multiply.
     """
     check_operand(f_prev, "feedback", (2, 3), a.lsb_exp + b.lsb_exp)
-    pp = pp_matrix_unsigned(a, b)
-    s, _ = mac_injection_stage(pp.rows, f_prev.rows)
-    rows, width, _ = _kernels.reduce_packed(pp.packed, pp.width, s)
+    pp, width = _checked_pp(a, b, False)
+    s, _ = mac_injection_stage(b.width, f_prev.rows)  # the matrix has b.width rows
+    rows, width, _ = _kernels.reduce_packed(pp, width, s)
     rows, width = reduce_rows([*rows, *f_prev.packed], max(width, f_prev.width))
-    return made_code(rows, width, 2, pp.lsb_exp)
+    return made_code(rows, width, 2, a.lsb_exp + b.lsb_exp)
 
 
 def mul_delay(n: int, accounting: str = "aggregate") -> int:

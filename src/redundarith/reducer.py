@@ -94,9 +94,8 @@ def reduce_rows(rows, width: int, radix: int = 2) -> tuple:
 
 def reduce_to_two(code: MultiRowCode) -> MultiRowCode:
     """Reduce to exactly two rows (padding a one-row input)."""
-    if code.radix == 2:
-        return made_code(*reduce_rows(code.packed, code.width), 2, code.lsb_exp)
-    return made_code(*reduce_rows(code.digits, code.width, code.radix), code.radix, code.lsb_exp)
+    rows = code.packed if code.radix == 2 else code.digits
+    return made_code(*reduce_rows(rows, code.width, code.radix), code.radix, code.lsb_exp)
 
 
 def add_two_row(a: MultiRowCode, b: MultiRowCode) -> MultiRowCode:

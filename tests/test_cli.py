@@ -320,6 +320,14 @@ def test_fuzz_seed_env_takes_ascii_decimals_only(capsys, monkeypatch, text):
         2, "", f"error: $REDUNDARITH_SEED must be ASCII decimal digits, got {text!r}\n")
 
 
+def test_fuzz_seed_env_past_the_int_string_limit(capsys, monkeypatch):
+    # int() once failed with Python's own message, which names no variable
+    monkeypatch.setenv(cli.SEED_ENV, "9" * 5000)
+    limit = codes.int_string_limit()
+    assert run(capsys, "fuzz", "--trials", "1") == (
+        2, "", f"error: $REDUNDARITH_SEED has 5000 digits, past Python's limit of {limit}\n")
+
+
 def test_fuzz_empty_scope_is_a_usage_error(capsys):
     # "" once ran all seven ops
     for scope in ("", "mul,", ","):

@@ -1,12 +1,13 @@
 """Partial-product multiplier: layouts, values, fused accumulate, delay."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from redundarith import _kernels, trace
-from redundarith.codes import MultiRowCode, make_from_value, scaled_value, value_of
+from redundarith.codes import MultiRowCode, made_code, make_from_value, scaled_value, value_of
 from redundarith.multiplier import (
     fused_mac,
     mac_injection_stage,
@@ -18,6 +19,7 @@ from redundarith.multiplier import (
     signed_bias,
     signed_product_value,
 )
+from redundarith.reducer import reduce_rows, reduce_to_two
 
 
 def _row(bits, lsb_exp=0):
@@ -212,3 +214,68 @@ def test_mul_delay_reference_width():
     assert mul_delay(63, accounting="per-stage") == 15
     assert mul_delay(3) == 1 + 3 + 1  # AND + depth(3 rows -> two stages) + encoders
     assert mul_delay(2) == 1  # two rows need no reduction: the AND level alone
+
+
+def _matrix_route_mac(f, a, b):
+    # fused_mac built as the matrix code first: its first s stages alone,
+    # then the feedback rows join and the stack reduces to two
+    pp = pp_matrix_unsigned(a, b)
+    s, _ = mac_injection_stage(pp.rows, f.rows)
+    rows, width, _ = _kernels.reduce_packed(pp.packed, pp.width, s)
+    rows, width = reduce_rows([*rows, *f.packed], max(width, f.width))
+    return tuple(rows), width, pp.lsb_exp
+
+
+def _fields(code):
+    return code.packed, code.width, code.lsb_exp
+
+
+@pytest.mark.parametrize("w", [1, 2, 8, 24, 64])
+def test_products_equal_the_matrix_route_bit_for_bit(w):
+    # multiply and fused_mac build no matrix code; their rows, width and
+    # lsb_exp are those of reducing the public partial-product matrix
+    draw = random.Random(w)
+    for _ in range(40):
+        ea, eb = draw.randint(-3, 2), draw.randint(-3, 2)
+        wb = draw.randint(1, w)  # unsigned operands may differ in width
+        a = made_code((draw.getrandbits(w),), w, 2, ea)
+        b = made_code((draw.getrandbits(wb),), wb, 2, eb)
+        assert _fields(multiply(a, b)) == _fields(reduce_to_two(pp_matrix_unsigned(a, b)))
+        if w > 1:  # signed operands share a width of at least 2
+            b_signed = made_code((draw.getrandbits(w),), w, 2, eb)
+            want = reduce_to_two(pp_matrix_signed(a, b_signed))
+            assert _fields(multiply(a, b_signed, signed=True)) == _fields(want)
+        fw = draw.randint(1, w + wb)
+        f = made_code([draw.getrandbits(fw) for _ in range(draw.choice((2, 3)))], fw, 2, ea + eb)
+        assert _fields(fused_mac(f, a, b)) == _matrix_route_mac(f, a, b)
+
+
+def test_products_keep_their_operand_errors():
+    # one operand check serves every product; each rejection keeps the
+    # type and text it had when each function checked its own operands
+    a, a5, one = make_from_value(3, 1, 4), make_from_value(3, 1, 5), make_from_value(1, 1, 1)
+    ternary, two_row = make_from_value(3, 1, 4, 3), make_from_value(3, 2, 4)
+    f, f_low = make_from_value(5, 2, 8), make_from_value(5, 2, 8, 2, lsb_exp=-1)
+    cases = (
+        (lambda: multiply(a, ternary), "multiplier operand must be binary"),
+        (lambda: pp_matrix_unsigned(ternary, a), "multiplier operand must be binary"),
+        (lambda: multiply(ternary, a, signed=True), "signed operand must be binary"),
+        (lambda: pp_matrix_signed(a, ternary), "signed operand must be binary"),
+        (lambda: fused_mac(f, a, ternary), "multiplier operand must be binary"),
+        (lambda: multiply(two_row, a), "multiplier operand must be a 1-row code"),
+        (lambda: pp_matrix_unsigned(a, two_row), "multiplier operand must be a 1-row code"),
+        (lambda: multiply(a, two_row, signed=True), "signed operand must be a 1-row code"),
+        (lambda: pp_matrix_signed(two_row, a), "signed operand must be a 1-row code"),
+        (lambda: fused_mac(f, two_row, a), "multiplier operand must be a 1-row code"),
+        (lambda: fused_mac(f_low, a, a), "feedback lsb_exp must be 0"),
+        # the operands are checked before the injection stage reads b's width
+        (lambda: fused_mac(f, a, make_from_value(0, 1, 0)), "multiplier operand width must be >= 1"),
+        (lambda: multiply(one, a, signed=True), "signed operand width must be >= 2"),
+        (lambda: pp_matrix_signed(one, one), "signed operand width must be >= 2"),
+        (lambda: multiply(a, a5, signed=True), "signed operands must share a width"),
+        (lambda: pp_matrix_signed(a5, a), "signed operands must share a width"),
+    )
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError and str(err.value) == message

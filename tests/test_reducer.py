@@ -284,8 +284,9 @@ def test_untraced_reduction_costs_one_sink_call(monkeypatch):
 
 
 def test_engine_calls_build_only_their_matrix_and_result(monkeypatch):
-    # each call builds its partial-product matrix and its result code; the
-    # matrix unit builds only F, and map_accumulate the zero F once too
+    # each engine call builds only its result code: no product wraps its
+    # partial-product matrix as a code, and map_accumulate builds the zero
+    # F once too
     w = 24
     a, b = make_from_value(0xABCDEF, 1, w), make_from_value(0x123457, 1, w)
     f = make_from_value(12345, 2, 2 * w - 1)
@@ -297,9 +298,9 @@ def test_engine_calls_build_only_their_matrix_and_result(monkeypatch):
     store = codes._store
     monkeypatch.setattr(codes, "_store", lambda *args: calls.append(1) or store(*args))
     for run, want in (
-        (lambda: multiply(a, b), 2),
-        (lambda: multiply(a, b, signed=True), 2),
-        (lambda: fused_mac(f, a, b), 2),
+        (lambda: multiply(a, b), 1),
+        (lambda: multiply(a, b, signed=True), 1),
+        (lambda: fused_mac(f, a, b), 1),
         (lambda: map_eval(cfg, a=a, b=b, **adds), 1),
         (lambda: map_eval(tc, a=a, b=b, **adds), 1),
         (lambda: map_accumulate(MapConfig(width=w, mode="accumulate"), steps), 1 + len(steps)),
