@@ -44,38 +44,50 @@ def _read_text(source: str) -> str:
 
 
 def _parse_code_text(text: str) -> codes.MultiRowCode:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return codes.from_json(text)
-    return codes.from_text(text)
+    return codes.from_json(text) if text.lstrip().startswith("{") else codes.from_text(text)
 
 
 def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCode:
-    """An operand is '@path', '-' (stdin), or a non-negative integer."""
+    """An operand is '@path', '-' (stdin), or a non-negative integer: decimal
+    text in base 10, as `int` reads every other integer argument, so leading
+    zeros are fine; other text (0x, 0o, 0b) with its prefix."""
     if spec == "-" or spec.startswith("@"):
         return _parse_code_text(_read_text(spec[1:] if spec.startswith("@") else spec))
-    try:
-        value = int(spec, 0)
-    except ValueError:
-        shown = spec if len(spec) <= 40 else spec[:40] + "..."
-        if spec.isdecimal():
-            _check_digit_count(f"integer operand {shown}", spec)
-        raise ValueError(f"operand {shown!r} is neither an integer nor @file nor '-'") from None
+    shown = spec if len(spec) <= 40 else spec[:40] + "..."
+    if spec.isdecimal():
+        if past := _past_digit_limit(spec):
+            raise ValueError(f"integer operand {shown} {past}")
+        value = int(spec)
+    else:
+        try:
+            value = int(spec, 0)
+        except ValueError:
+            raise ValueError(f"operand {shown!r} is neither an integer nor @file nor '-'") from None
     if value < 0:
         raise ValueError("integer operands must be non-negative; use eval for signs")
     return codes.make_from_value(value, 1, width, radix)
 
 
-def _check_digit_count(name: str, text: str) -> None:
-    """Reject decimal `text` of more digits than Python converts to an int."""
-    limit = codes.int_string_limit()
-    if 0 < limit < len(text):
-        raise ValueError(f"{name} has {len(text)} digits, past Python's limit of {limit}")
+def _past_digit_limit(text: str) -> str:
+    """Why `text` has more digits than Python converts to an int, or '' if it has not."""
+    limit, digits = codes.int_string_limit(), sum(map(str.isdigit, text))
+    return f"has {digits} digits, past Python's limit of {limit}" if 0 < limit < digits else ""
+
+
+def _int_arg(text: str) -> int:
+    """`int` for argparse, which names a text past the digit limit by its size, not its text."""
+    if past := _past_digit_limit(text):
+        raise argparse.ArgumentTypeError(past)
+    return int(text)
+
+
+_int_arg.__name__ = "int"  # argparse's "invalid int value" names the type
 
 
 def _capped_width(width: int | None, flag: str = "--width") -> int | None:
     if width is not None and not 0 <= width <= MAX_WIDTH:
-        raise ValueError(f"{flag} {width} is outside 0..{MAX_WIDTH}")
+        shown = codes._echo(width).removeprefix("value ")
+        raise ValueError(f"{flag} {shown} is outside 0..{MAX_WIDTH}")
     return width
 
 
@@ -93,83 +105,59 @@ def _two_rows(code: codes.MultiRowCode) -> codes.MultiRowCode:
     return reducer.reduce_to_two(code) if code.rows == 1 else code
 
 
-def _emit_code(code: codes.MultiRowCode, as_json: bool) -> None:
-    if as_json:
-        print(codes.to_json(code))
-    else:
-        sys.stdout.write(codes.to_text(code))
+def _code_result(code: codes.MultiRowCode) -> tuple[int, dict, str]:
+    return 0, codes.to_json_dict(code), codes.to_text(code)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit status, its --json payload, its text output)
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[int, dict, str]:
     code = _parse_code_text(_read_text(args.code))
-    _emit_code(code if code.rows <= 2 else reducer.reduce_to_two(code), args.json)
-    return 0
+    return _code_result(code if code.rows <= 2 else reducer.reduce_to_two(code))
 
 
-def _cmd_add(args) -> int:
+def _cmd_add(args) -> tuple[int, dict, str]:
     width = _capped_width(args.width)
     a = _two_rows(_read_operand(args.a, width, args.radix))
     b = _two_rows(_read_operand(args.b, width, args.radix))
-    out = reducer.add_two_row(a, b)
-    _emit_code(out, args.json)
-    return 0
+    return _code_result(reducer.add_two_row(a, b))
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> tuple[int, dict, str]:
     width = _capped_width(args.width)
     a = _read_operand(args.a, width, 2)
     b = _read_operand(args.b, width, 2)
     _check_matrix(a, b)
     out = multiplier.multiply(a, b, signed=args.signed)
-    if args.signed:
-        value = multiplier.signed_product_value(out, a.width)
-        if args.json:
-            print(json.dumps({"product": codes.to_json_dict(out), "value": str(value)},
-                             sort_keys=True))
-        else:
-            sys.stdout.write(codes.to_text(out))
-            print(f"value {value}")
-    else:
-        _emit_code(out, args.json)
-    return 0
+    if not args.signed:
+        return _code_result(out)
+    value = multiplier.signed_product_value(out, a.width)
+    return (0, {"product": codes.to_json_dict(out), "value": str(value)},
+            codes.to_text(out) + f"value {value}\n")
 
 
-def _cmd_mac(args) -> int:
+def _cmd_mac(args) -> tuple[int, dict, str]:
     width = _capped_width(args.width)
     f = _two_rows(_read_operand(args.f, _capped_width(args.acc_width, "--acc-width"), 2))
     a = _read_operand(args.a, width, 2)
     b = _read_operand(args.b, width, 2)
     _check_matrix(a, b, f.width)
-    out = multiplier.fused_mac(f, a, b)
-    _emit_code(out, args.json)
-    return 0
+    return _code_result(multiplier.fused_mac(f, a, b))
 
 
-def _cmd_div(args) -> int:
+def _cmd_div(args) -> tuple[int, dict, str]:
     divider.check_printable(args.k, args.iters, args.radix)
-    digits, residual = divider.divide(
-        args.x, args.z, args.k, args.iters, radix=args.radix, method=args.method
-    )
+    digits, residual = divider.divide(args.x, args.z, args.k, args.iters, radix=args.radix,
+                                      method=args.method)
     quotient = divider.quotient_value(digits, args.k, args.radix)
     scale = args.radix ** (args.k * args.iters)
     identity = args.x * scale == args.z * quotient * scale + residual
-    payload = {
-        "digits": digits,
-        "residual": residual,
-        "quotient": str(quotient),
-        "identity": identity,
-    }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"digits {' '.join(str(d) for d in digits)}")
-        print(f"residual {residual}")
-        print(f"quotient {payload['quotient']}")
-    return 0 if identity else 1
+    payload = {"digits": digits, "residual": residual, "quotient": str(quotient),
+               "identity": identity}
+    text = f"digits {' '.join(map(str, digits))}\nresidual {residual}\nquotient {quotient}\n"
+    return 0 if identity else 1, payload, text
 
 
 def _rows_from_lines(text: str, width: int | None) -> np.ndarray:
@@ -196,7 +184,7 @@ def _rows_from_lines(text: str, width: int | None) -> np.ndarray:
     return bits
 
 
-def _cmd_accumulate(args) -> int:
+def _cmd_accumulate(args) -> tuple[int, dict, str]:
     width = _capped_width(args.width)
     mat = _rows_from_lines(_read_text(args.stream), width)
     width = mat.shape[1]
@@ -208,89 +196,70 @@ def _cmd_accumulate(args) -> int:
     else:
         acc = accumulator.acc_run(acc, mat)
     total = accumulator.acc_total(acc)
-    if args.json:
-        steps = mat.shape[0] // (2 if args.pairs else 1)
-        print(json.dumps({"width": width, "steps": steps, "overflow_count": acc.overflow_count,
-                          "total": str(total)}, sort_keys=True))
-    else:
-        print(f"total {total}")
-        print(f"overflow_count {acc.overflow_count}")
-    return 0
+    steps = mat.shape[0] // (2 if args.pairs else 1)
+    payload = {"width": width, "steps": steps, "overflow_count": acc.overflow_count,
+               "total": str(total)}
+    return 0, payload, f"total {total}\noverflow_count {acc.overflow_count}\n"
 
 
-def _cmd_map(args) -> int:
-    cfg = map_unit.MapConfig(
-        width=args.width,
-        mode="one-shot",
-        signedness="twos-complement" if args.tc else "unsigned-direct",
-    )
+def _cmd_map(args) -> tuple[int, dict, str]:
+    signedness = "twos-complement" if args.tc else "unsigned-direct"
+    cfg = map_unit.MapConfig(width=args.width, mode="one-shot", signedness=signedness)
     operands = {}
     for item in args.operands:
         if "=" not in item:
             raise ValueError(f"operand {item!r} must look like name=value")
         name, _, value = item.partition("=")
-        operands[name.lower()] = _read_operand(value, args.width, 2)
+        name = name.lower()
+        if name in operands:
+            raise ValueError(f"operand {name} given twice")
+        operands[name] = _read_operand(value, args.width, 2)
     state = map_unit.map_eval(cfg, **operands)
-    payload = {
-        "total": str(map_unit.map_total(state)),
-        "overflow_count": state.overflow_count,
-    }
+    payload = {"total": str(map_unit.map_total(state)), "overflow_count": state.overflow_count}
     if args.tc:
         payload["signed_total"] = str(map_unit.map_signed_total(state))
     if args.timing:
         t = map_unit.map_timing(cfg)
-        payload["timing"] = {
-            "total": t.total,
-            "source": t.source,
-            "derived_levels": list(t.derived_levels),
-            "derived_total": t.derived_total,
-        }
+        payload["timing"] = {"total": t.total, "source": t.source,
+                             "derived_levels": list(t.derived_levels),
+                             "derived_total": t.derived_total}
     if args.gates:
         est = map_unit.map_gate_estimate(cfg)
-        payload["gates"] = {
-            k: est[k] for k in ("pp_and_gates", "counter_gates", "total")
-        }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for key, value in payload.items():
-            if isinstance(value, dict):
-                for sub, item in value.items():
-                    print(f"{key}.{sub} {item}")
-            else:
-                print(f"{key} {value}")
-    return 0
+        payload["gates"] = {k: est[k] for k in ("pp_and_gates", "counter_gates", "total")}
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            lines += (f"{key}.{sub} {item}\n" for sub, item in value.items())
+        else:
+            lines.append(f"{key} {value}\n")
+    return 0, payload, "".join(lines)
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[int, dict, str]:
     rep = report_tables(args.table)
-    sys.stdout.write(rep.to_json() + "\n" if args.json else rep.to_text())
-    return rep.exit_code
+    return rep.exit_code, rep._asdict(), rep.to_text()
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args) -> tuple[int, dict, str]:
     seed = args.seed
     if seed is None:
         text = os.environ.get(SEED_ENV, "0")
         if not codes._is_decimal(text):
             raise ValueError(f"${SEED_ENV} must be ASCII decimal digits, got {text!r}")
-        _check_digit_count(f"${SEED_ENV}", text)
+        if past := _past_digit_limit(text):
+            raise ValueError(f"${SEED_ENV} {past}")
         seed = int(text)
     scope = None if args.scope is None else args.scope.split(",")
     result = fuzz_verify(seed=seed, trials=args.trials, scope=scope)
-    sys.stdout.write(result.to_json() + "\n" if args.json else result.to_text())
-    return result.exit_code
+    return result.exit_code, result._asdict(), result.to_text()
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, dict, str]:
     result = evalexpr.evaluate(args.expression)
-    if args.json:
-        code = result.code
-        print(json.dumps({"value": str(result.value), "pos": codes.to_json_dict(code.pos),
-                          "neg": codes.to_json_dict(code.neg)}, sort_keys=True))
-    else:
-        print(f"value {result.value}")
-    return 0
+    code = result.code
+    payload = {"value": str(result.value), "pos": codes.to_json_dict(code.pos),
+               "neg": codes.to_json_dict(code.neg)}
+    return 0, payload, f"value {result.value}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("add", parents=[common], help="carry-free addition of two codes")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--width", type=int)
-    p.add_argument("--radix", type=int, default=2)
+    p.add_argument("--width", type=_int_arg)
+    p.add_argument("--radix", type=_int_arg, default=2)
     p.set_defaults(func=_cmd_add)
 
     p = sub.add_parser("mul", parents=[common], help="multiply two 1-row binary operands")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--width", type=int)
+    p.add_argument("--width", type=_int_arg)
     p.add_argument("--signed", action="store_true", help="twos-complement operands")
     p.set_defaults(func=_cmd_mul)
 
@@ -333,16 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("f")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--width", type=int, help="operand width for a and b")
-    p.add_argument("--acc-width", type=int, help="width for f")
+    p.add_argument("--width", type=_int_arg, help="operand width for a and b")
+    p.add_argument("--acc-width", type=_int_arg, help="width for f")
     p.set_defaults(func=_cmd_mac)
 
     p = sub.add_parser("div", parents=[common], help="high-radix division by table lookup")
-    p.add_argument("x", type=int)
-    p.add_argument("z", type=int)
-    p.add_argument("k", type=int, help="digit group size: one pass yields a radix**k digit")
-    p.add_argument("iters", type=int)
-    p.add_argument("--radix", type=int, default=2)
+    p.add_argument("x", type=_int_arg)
+    p.add_argument("z", type=_int_arg)
+    p.add_argument("k", type=_int_arg, help="digit group size: one pass yields a radix**k digit")
+    p.add_argument("iters", type=_int_arg)
+    p.add_argument("--radix", type=_int_arg, default=2)
     p.add_argument("--method", choices=("bisect", "eager"), default="bisect")
     p.set_defaults(func=_cmd_div)
 
@@ -350,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
         "accumulate", parents=[common], help="stream binary rows into the accumulator"
     )
     p.add_argument("stream", help="file of binary rows (MSB first), or -")
-    p.add_argument("--width", type=int)
+    p.add_argument("--width", type=_int_arg)
     p.add_argument("--pairs", action="store_true", help="consume rows two at a time")
     p.add_argument("--counter-mode", choices=("exact", "xor"), default="exact")
     p.set_defaults(func=_cmd_accumulate)
 
     p = sub.add_parser("map", parents=[common], help="one-shot a*b + c + d + e + g + h + l")
     p.add_argument("operands", nargs="+", metavar="name=value")
-    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--width", type=_int_arg, required=True)
     p.add_argument("--tc", action="store_true", help="twos-complement operands")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--gates", action="store_true")
@@ -368,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("fuzz", parents=[common], help="randomized checks against big-int oracles")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV} or 0")
+    p.add_argument("--trials", type=_int_arg, default=100)
+    p.add_argument("--seed", type=_int_arg, default=None, help=f"default: ${SEED_ENV} or 0")
     p.add_argument("--scope", help="comma-separated subset of: " + ",".join(FUZZ_OPS))
     p.set_defaults(func=_cmd_fuzz)
 
@@ -391,10 +360,11 @@ def main(argv=None) -> int:
     recorder = trace.record() if args.trace else contextlib.nullcontext(())
     try:
         with recorder as events:
-            status = args.func(args)
+            status, payload, text = args.func(args)
     except (ValueError, OSError) as exc:  # usage, format and evaluation errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n" if args.json else text)
     for event in events:
         event = {("digits" if key == "code" else key): value for key, value in event.items()}
         print(json.dumps(event, default=_event_field), file=sys.stderr)

@@ -272,6 +272,18 @@ def test_add_pads_only_a_one_row_operand(capsys, tmp_path):
     assert run(capsys, "add", f"@{path}", "5") == run(capsys, "add", "7", "5")
 
 
+def test_negative_integer_operand_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "map", "a=1", "b=2", "c=-3", "--width", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: integer operands must be non-negative; use eval for signs\n"
+
+
+@pytest.mark.parametrize("first", ("a", "A"))
+def test_map_operand_given_twice_is_a_usage_error(capsys, first):
+    code, out, err = run(capsys, "map", f"{first}=1", "a=2", "b=3", "--width", "4")
+    assert (code, out, err) == (2, "", "error: operand a given twice\n")
+
+
 def test_map_operand_rule_is_one_error_line(capsys, tmp_path):
     two = tmp_path / "two.txt"
     two.write_text("mrc 2 4 2 0\n0001\n0010\n")
@@ -364,6 +376,55 @@ def test_bad_operand_is_usage_error(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 200 and "5000 digits" in err
+
+
+def test_decimal_operand_may_have_leading_zeros(capsys):
+    # read in base 10, as --width 012 and eval 007 are; prefixed text keeps base 0
+    for out_flags in ((), ("--json",)):
+        twelve = run(capsys, "add", "12", "1", *out_flags)
+        assert twelve[0] == 0
+        for spec in ("012", "0012", "0xc", "0o14", "0b1100"):
+            assert run(capsys, "add", spec, "1", *out_flags) == twelve
+    assert run(capsys, "add", "abc", "1") == (
+        2, "", "error: operand 'abc' is neither an integer nor @file nor '-'\n")
+
+
+LONG_INT_ARGV = {  # id: an argv with one integer argument of 5000 digits
+    "div-x": ("div", "N", "3", "1", "1"), "div-z": ("div", "1", "N", "1", "1"),
+    "div-k": ("div", "1", "3", "N", "1"), "div-iters": ("div", "1", "3", "1", "N"),
+    "div-radix": ("div", "1", "3", "1", "1", "--radix", "N"),
+    "add-radix": ("add", "1", "2", "--radix", "N"),
+    "add-width": ("add", "1", "2", "--width", "N"),
+    "mul-width": ("mul", "1", "2", "--width", "N"),
+    "mac-width": ("mac", "1", "2", "3", "--width", "N"),
+    "mac-acc-width": ("mac", "1", "2", "3", "--acc-width", "N"),
+    "accumulate-width": ("accumulate", "-", "--width", "N"),
+    "map-width": ("map", "a=1", "b=2", "--width", "N"),
+    "fuzz-trials": ("fuzz", "--trials", "N"), "fuzz-seed": ("fuzz", "--seed", "N"),
+}
+
+
+@pytest.mark.parametrize("argv", LONG_INT_ARGV.values(), ids=LONG_INT_ARGV.keys())
+def test_long_integer_argument_is_named_by_its_digit_count(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    status, out, err, exited = call([arg.replace("N", "9" * 5000) for arg in argv])
+    assert (status, out, exited) == (2, "", True)
+    assert len(err) < 300 and "has 5000 digits, past Python's limit of" in err
+
+
+@pytest.mark.parametrize("width,bits", (("9" * 4000, 13288), ("-" + "9" * 4300, 14285)))
+def test_long_width_is_named_by_its_bit_size(capsys, width, bits):
+    # within the int-string limit (a sign is no digit), so argparse converts
+    # it and the range check names it
+    code, out, err = run(capsys, "add", "1", "2", "--width", width)
+    assert (code, out) == (2, "")
+    assert err == f"error: --width a {bits}-bit value is outside 0..{cli.MAX_WIDTH}\n"
+
+
+def test_bad_integer_argument_keeps_the_argparse_message():
+    status, out, err, exited = call(("div", "x1", "3", "1", "1"))
+    assert (status, out, exited) == (2, "", True)
+    assert err.endswith("redundarith div: error: argument x: invalid int value: 'x1'\n")
 
 
 def test_long_value_error_names_its_size(capsys):
@@ -703,6 +764,100 @@ def test_eval_json_equals_library(expression):
 
 
 # ---------------------------------------------------------------------------
+# both output forms: main writes the text form, or the payload as one sorted JSON line
+
+CODE_TEXT = "mrc 5 3 2 0\n101\n011\n110\n001\n111\n"
+PAIR_ROWS = "1011\n0110\n"
+OUTPUT_FORMS = {  # id: (argv, stdin, its text stdout, byte for byte)
+    "reduce": (("reduce", "-"), CODE_TEXT,
+        "mrc 2 6 2 0\n001110\n001000\n"),
+    "add-radix-3": (("add", "7", "5", "--radix", "3"), None,
+        "mrc 2 3 3 0\n000\n110\n"),
+    "mul": (("mul", "45", "57", "--width", "6"), None,
+        "mrc 2 14 2 0\n00010111100101\n00010000100000\n"),
+    "mul-signed": (("mul", "13", "6", "--width", "4", "--signed"), None,
+        "mrc 2 10 2 0\n0000001110\n0001100000\nvalue -18\n"),
+    "mac": (("mac", "100", "13", "11", "--width", "4"), None,
+        "mrc 2 10 2 0\n0011000011\n0000110000\n"),
+    "div-eager": (("div", "45", "57", "2", "3", "--method", "eager"), None,
+        "digits 3 0 2\nresidual 30\nquotient 25/32\n"),
+    "accumulate-pairs": (("accumulate", "-", "--pairs"), PAIR_ROWS,
+        "total 17\noverflow_count 0\n"),
+    "map": (("map", "a=3", "b=3", "--width", "2", "--tc", "--timing", "--gates"), None,
+        ("total 9\n"
+         "overflow_count 1\n"
+         "signed_total 1\n"
+         "timing.total 9\n"
+         "timing.source derived\n"
+         "timing.derived_levels [4, 2, 2]\n"
+         "timing.derived_total 9\n"
+         "gates.pp_and_gates 4\n"
+         "gates.counter_gates 203\n"
+         "gates.total 207\n")),
+    "report-2.1": (("report", "--table", "2.1"), None,
+        ("report 2.1\n"
+         "m        m2  m3  m4  stages  derived\n"
+         "3        2           1       ok\n"
+         "4..7     3   2       2       ok\n"
+         "8..15    4   3   2   3       ok\n"
+         "16..31   5   3   2   3       ok\n"
+         "32..63   6   3   2   3       ok\n"
+         "64..127  7   3   2   3       ok\n")),
+    "report-3.1": (("report", "--table", "3.1"), None,
+        ("report 3.1\n"
+         "m        delay           tree_depth  agrees\n"
+         "3..4     2*t_and + t_cc  2           ok\n"
+         "5..7     3*t_and + t_cc  3           ok\n"
+         "8..16    4*t_and + t_cc  3..4        see notes\n"
+         "17..32   5*t_and + t_cc  5           ok\n"
+         "33..64   6*t_and + t_cc  6           ok\n"
+         "65..128  7*t_and + t_cc  7           ok\n"
+         "note: m=8: levels: band assigns 4 levels but a full pairwise merge tree over "
+         "8 inputs has depth ceil(log2 8) = 3; the band boundary at 8 appears shifted by one\n")),
+    "report-3.2": (("report", "--table", "3.2"), None,
+        ("report 3.2\n"
+         "m   tables      tables_derived  sigma_and  structural_exact  structural_square\n"
+         "3   1/1/0/0/0   1/1/0/0/0       10         10                13\n"
+         "4   2/1/0/0/0   2/1/0/0/0       17         17                17\n"
+         "6   3/1/0/0/0   3/1/1/0/0       36         36                46\n"
+         "8   4/2/0/0/0   4/2/1/0/0       59         59                59\n"
+         "10  5/2/1/1/0   5/2/1/1/0       90         90                144\n"
+         "12  6/3/1/1/0   6/3/1/1/0       121        121               157\n"
+         "14  7/3/1/1/0   7/3/2/1/0       158        158               186\n"
+         "16  8/4/2/1/0   8/4/2/1/0       199        199               199\n"
+         "18  9/4/2/1/1   9/4/2/1/1       254        254               492\n"
+         "20  10/5/2/1/1  10/5/2/1/1      301        301               505\n"
+         "22  11/5/3/1/1  11/5/3/1/1      354        354               534\n"
+         "24  12/6/3/1/1  12/6/3/1/1      411        411               547\n"
+         "26  13/6/3/2/1  13/6/3/2/1      476        476               632\n"
+         "28  14/7/3/2/1  14/7/3/2/1      541        541               645\n"
+         "30  15/7/4/2/1  15/7/4/2/1      582        612               674\n"
+         "32  16/8/4/2/1  16/8/4/2/1      687        687               687\n"
+         "64              32/16/8/4/2/1   2463       2463              2463\n"
+         "note: m=6: m_counts: listed tables (3x type 1, 1x type 2) leave two partial "
+         "counts unmerged; a complete tree needs one type-3 table\n"
+         "note: m=8: m_counts: listed tables (4x type 1, 2x type 2) omit the final "
+         "type-3 table of a full 8-input tree\n"
+         "note: m=14: m_counts: listed tables do not merge all inputs; the derived "
+         "tree uses two type-3 tables, the table lists one\n"
+         "note: m=30: sigma_and: 582 breaks monotonicity between 541 (m=28) and 687 "
+         "(m=32); the exact-cell structural model gives 612\n")),
+    "fuzz": (("fuzz", "--trials", "3", "--seed", "1"), None,
+        "fuzz seed=1 trials=3 scope=reduce,add,mul,mac,div,map,acc\npassed 3/3\n"),
+    "eval": (("eval", "3*5 - 7/2"), None,
+        "value 23/2\n"),
+}
+
+
+@pytest.mark.parametrize("argv,stdin,text", OUTPUT_FORMS.values(), ids=OUTPUT_FORMS.keys())
+def test_output_forms(argv, stdin, text):
+    assert call(argv, stdin) == (0, text, "", False)
+    status, out, err, _ = call((*argv, "--json"), stdin)
+    assert (status, err) == (0, "")
+    assert out.count("\n") == 1 and out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # bad argv: exit 2, never a traceback
 
 GOOD_ARGV = (
@@ -738,8 +893,9 @@ def bad_argv(draw):
     item = draw(st.one_of(
         st.text("abc0123", min_size=1, max_size=6),  # no '='
         st.text("mnopqrstuvwxyz", max_size=3).map(lambda name: f"{name}=1"),  # unknown name
-        st.text("ghijkz_.", max_size=6).map(lambda v: f"a={v}"),  # not an integer
-        st.integers(1, 2**70).map(lambda v: f"b=-{v}"),  # negative
+        # a and b are given already, and a name given twice is its own error
+        st.text("ghijkz_.", max_size=6).map(lambda v: f"c={v}"),  # not an integer
+        st.integers(1, 2**70).map(lambda v: f"c=-{v}"),  # negative
     ))
     return ["map", "a=1", "b=2", item, "--width", "8"]
 
