@@ -9,10 +9,12 @@ runs it in one of two bodies.  Up to 4n steps, the row loop takes one or
 two carry-save steps per step, on operand rows packed by
 `codes.pack_rows`.  Beyond that, the column body walks the n
 columns once, each column's operand bits over all T steps packed into
-one T-bit int: no carry moves within a step, so a column's sum bits are
-a prefix xor over time, and its carry-save majorities are the carries
-into the next column.  Each column costs a few us whatever T is, which
-short streams would not win back.  `acc_stream` picks the body and
+one T-bit int by `codes.pack_columns` (eight steps of eight columns per
+uint64 lane, so only the packed bytes are transposed): no carry moves
+within a step, so a column's sum bits are a prefix xor over time, and
+its carry-save majorities are the carries into the next column.  Each
+column costs a few us whatever T is, which short streams would not win
+back.  `acc_stream` picks the body and
 takes and returns the sum and carry rows as packed ints; `acc_stream1`
 and `acc_stream2` adapt it to int64 rows updated in place.
 
@@ -26,8 +28,9 @@ Every stage reports a "reduce" event, its output as a code, to an active
 `trace.record()`.  The packed kernels run on ints alone, traced too: a
 stage reads its largest column sum from its output planes.  numpy is
 imported inside the functions that use it: the digit-matrix stage and
-`acc_stream` on a bit matrix (via `codes.pack_rows`).  `popcount_batch`
-is no kernel but the benchmark's row loop over `popcount_tree`'s walk.
+`acc_stream` on a bit matrix (via `codes.pack_rows` and
+`codes.pack_columns`).  `popcount_batch` is no kernel but the
+benchmark's row loop over `popcount_tree`'s walk.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import trace
-from .codes import MultiRowCode, check_int, made_code, pack_rows, unpack_rows
+from .codes import MultiRowCode, check_int, made_code, pack_columns, pack_rows, unpack_rows
 from .compressor import _tree_count
 
 if TYPE_CHECKING:
@@ -231,8 +234,8 @@ def _column_stream(ops_a, ops_b, sw: int, cw: int, n: int, xor_variant: bool) ->
     steps = ops_a.shape[0]
     ones = (1 << steps) - 1
     last = steps - 1
-    cols_a = pack_rows(ops_a.T)
-    cols_b = cols_a if ops_b is None else pack_rows(ops_b.T)
+    cols_a = pack_columns(ops_a)
+    cols_b = cols_a if ops_b is None else pack_columns(ops_b)
     overflow = (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
     s_end = c_end = 0
     m = g = 0  # the previous column's majority series (layer 2, layer 1)

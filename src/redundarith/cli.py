@@ -86,8 +86,7 @@ _int_arg.__name__ = "int"  # argparse's "invalid int value" names the type
 
 def _capped_width(width: int | None, flag: str = "--width") -> int | None:
     if width is not None and not 0 <= width <= MAX_WIDTH:
-        shown = codes._echo(width).removeprefix("value ")
-        raise ValueError(f"{flag} {shown} is outside 0..{MAX_WIDTH}")
+        raise ValueError(f"{flag} {codes.shown(width)} is outside 0..{MAX_WIDTH}")
     return width
 
 

@@ -14,7 +14,9 @@ numpy is imported by the functions that use it, on their first call:
 binary codes are built, read, reduced, valued and written without it.
 What loads it is a radix > 2 code, checked construction from a digit
 matrix (the constructor and `from_digits`), a `digits` read, and
-`pack_rows` or `unpack_rows`.
+`pack_rows`, `pack_columns` or `unpack_rows`.  `pack_rows` reads the rows
+of a 0/1 matrix as ints and `pack_columns` its columns; the accumulator's
+column body reads a stream's columns with it.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def _check_fields(rows, width, radix, lsb_exp) -> None:
     # the reduction kernels sum columns in int64; the largest stage
     # weight radix**(m2 - 1) is at most the same worst column sum
     if rows * (radix - 1) > MAX_COLUMN_SUM:
-        raise NumericDomainError(f"{rows} rows at radix {radix}: column sums can exceed 2**63 - 1")
+        raise NumericDomainError(f"{shown(rows)} rows at radix {shown(radix)}: "
+                                 "column sums can exceed 2**63 - 1")
 
 
 def _as_digit_matrix(values, shape: tuple, radix: int, name: str = "digits") -> np.ndarray:
@@ -275,6 +278,34 @@ def pack_rows(bits) -> list:
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, rows * nbytes, nbytes)]
 
 
+def pack_columns(bits) -> list:
+    """Each column of a (steps, n) 0/1 matrix as one int, bit t at step t:
+    pack_rows(bits.T), without its transposing copy of the whole matrix.
+
+    A little-endian uint64 lane holds one step of eight columns, a 0/1 byte
+    each, so the sum of lane_k << k over eight steps k puts those steps of
+    column 8w + i into byte i of lane w; no byte carries into the next.
+    Only these packed bytes, an eighth of the matrix, are transposed.
+    """
+    import numpy as np
+
+    bits = np.asarray(bits)
+    steps, n = bits.shape
+    if steps < 256 or n % 8 and n < 40:
+        # the lanes' fixed cost, and the per-row cost of padding a row to whole lanes, lose here
+        return pack_rows(bits.T)
+    if bits.dtype != np.uint8 or steps % 8 or n % 8 or not bits.flags.c_contiguous:
+        padded = np.zeros((-(-steps // 8) * 8, -(-n // 8) * 8), dtype=np.uint8)
+        padded[:steps, :n] = bits
+        bits = padded
+    nbytes = bits.shape[0] // 8
+    # (steps/8, n/8) lanes, each the sum of lane_k << k over its block of eight steps
+    packed = _bit_weights(8) @ bits.view("<u8").reshape(nbytes, 8, -1)
+    # byte i of lane w is column 8w + i on any host; the transposing copy puts each column's bytes in a row
+    raw = packed.astype("<u8", copy=False).view(np.uint8).T.tobytes()
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, n * nbytes, nbytes)]
+
+
 def unpack_rows(ints, width: int) -> np.ndarray:
     """Bits 0 .. width-1 of each non-negative int as one row of a read-only
     int64 0/1 matrix, bit j in column j: the inverse of pack_rows."""
@@ -320,6 +351,11 @@ def _echo(value) -> str:
     v = Fraction(value)
     bits = max(v.numerator.bit_length(), v.denominator.bit_length())
     return f"value {value}" if bits <= 128 else f"a {bits}-bit value"
+
+
+def shown(value) -> str:
+    """`_echo` without its word "value": the number itself, or "a <bits>-bit value"."""
+    return _echo(value).removeprefix("value ")
 
 
 def _exact_value(value):

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import trace
-from .codes import check_int, int_string_limit
+from .codes import check_int, int_string_limit, shown
 
 MAX_SCALE_ENTRIES = 1 << 20
 MAX_BANK_BITS = 64 * MAX_SCALE_ENTRIES  # bits of one eager comparator bank (8 MiB)
@@ -184,8 +184,8 @@ def check_printable(k: int, iters: int, radix: int = 2) -> None:
     radix below 2, or k or iters below 1, is left to `divide` to reject."""
     limit = int_string_limit()
     if limit and min(radix - 1, k, iters) > 0 and (k * iters + 1) * math.log10(radix) >= limit:
-        raise ValueError(f"a quotient of {k * iters} radix-{radix} digits passes Python's "
-                         f"limit of {limit} digits for printing an integer")
+        raise ValueError(f"a quotient of {shown(k * iters)} digits at radix {shown(radix)} passes "
+                         f"Python's limit of {limit} digits for printing an integer")
 
 
 def quotient_value(digits: list, k: int, radix: int = 2) -> Fraction:

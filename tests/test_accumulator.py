@@ -270,6 +270,33 @@ def test_stream_kernel_matches_per_step_reference(width):
                     _assert_same_state(acc_run(start, ops_a, ops_b), s0, c0, start.overflow_count)
 
 
+@pytest.mark.parametrize("width", [5, 8, 9, 16, 41, 64, 65, 130])
+def test_column_body_matches_reference_off_lane_edges(width):
+    """The column body, whose columns `codes.pack_columns` reads eight steps
+    of eight columns per uint64 lane from 256 steps on, against the per-step
+    reference at step counts and widths that fill no whole lane, and at whole
+    lanes: one- and two-row operands, both counter modes, and uint8, bool
+    and int64 matrices (only contiguous uint8 needs no padding copy)."""
+    rng = np.random.default_rng(100 + width)
+    for steps, dtype in ((4 * width + 3, np.uint8), (1000, np.uint8), (1003, bool), (1001, np.int64)):
+        for rows in (1, 2):
+            for mode in ("exact", "xor"):
+                s0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
+                c0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
+                s0[width] = c0[width] = 1  # pending top carries
+                start = AccumulatorState(width, s0, c0, 1, counter_mode=mode)
+                ops_a = rng.integers(0, 2, size=(steps, width)).astype(dtype)
+                ops_b = rng.integers(0, 2, size=(steps, width)).astype(dtype) if rows == 2 else None
+                ops_a[-1] = 1  # the last step sets every column's top bit
+                with trace.record() as events:
+                    got = acc_run(start, ops_a, ops_b)
+                assert [e["body"] for e in events] == ["column"]
+                s, c, delta = _reference_stream(ops_a.astype(np.int64),
+                                                None if ops_b is None else ops_b.astype(np.int64),
+                                                s0, c0, mode == "xor")
+                _assert_same_state(got, s, c, 1 + delta)
+
+
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("mode", ["exact", "xor"])
 def test_split_stream_matches_whole_stream(rows, mode):

@@ -421,6 +421,16 @@ def test_long_width_is_named_by_its_bit_size(capsys, width, bits):
     assert err == f"error: --width a {bits}-bit value is outside 0..{cli.MAX_WIDTH}\n"
 
 
+@pytest.mark.parametrize("argv", (("add", "1", "2"), ("div", "1", "3", "1", "1")), ids=("add", "div"))
+def test_long_radix_is_named_by_its_bit_size(capsys, argv):
+    # within the int-string limit, so argparse converts it; the column-sum
+    # check (add) and the quotient's print check (div) name it by its size
+    code, out, err = run(capsys, *argv, "--radix", str(10**4000))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 300 and "radix a 13288-bit value" in err
+
+
 def test_bad_integer_argument_keeps_the_argparse_message():
     status, out, err, exited = call(("div", "x1", "3", "1", "1"))
     assert (status, out, exited) == (2, "", True)

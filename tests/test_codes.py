@@ -17,6 +17,7 @@ from redundarith.codes import (
     WidthOverflowError,
     from_text,
     make_from_value,
+    pack_columns,
     pack_rows,
     quad_from_value,
     quad_negate,
@@ -189,6 +190,24 @@ def test_pack_rows_and_unpack_row_round_trip(rng):
                     back = unpack_rows(ints, width)
                     assert back.shape == (rows, width) and back.dtype == np.int64
                     assert np.array_equal(back, bits)
+
+
+def test_pack_columns_equals_pure_int_reference(rng):
+    # both branches (pack_rows(bits.T) below 256 steps and on narrow unaligned
+    # widths, the uint64 lanes beyond), the padding of steps, columns, dtype
+    # and layout, and the lanes' eighth-step and eighth-column edges
+    for steps in (0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 1000, 4097):
+        for width in (0, 1, 7, 8, 9, 16, 39, 40, 63, 64, 65, 130):
+            bits = rng.integers(0, 2, (steps, width), dtype=np.uint8)
+            if steps:
+                bits[-1] = 1  # an all-ones last step sets the top bit of every column
+            want = [sum(int(b) << t for t, b in enumerate(col)) for col in bits.T.tolist()]
+            for dtype in (bool, np.uint8, np.int64):
+                c_order = bits.astype(dtype)
+                for view in (c_order, np.asfortranarray(c_order), np.ascontiguousarray(c_order.T).T):
+                    cols = pack_columns(view)
+                    assert cols == want == pack_rows(view.T), (steps, width, dtype)
+                    assert all(type(x) is int for x in cols)
 
 
 def test_value_respects_lsb_exp():
