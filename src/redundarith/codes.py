@@ -291,8 +291,8 @@ def pack_columns(bits) -> list:
 
     bits = np.asarray(bits)
     steps, n = bits.shape
-    if steps < 256 or n % 8 and n < 40:
-        # the lanes' fixed cost, and the per-row cost of padding a row to whole lanes, lose here
+    if steps < 256:
+        # the lanes' fixed cost loses to the one transposing copy here
         return pack_rows(bits.T)
     if bits.dtype != np.uint8 or steps % 8 or n % 8 or not bits.flags.c_contiguous:
         padded = np.zeros((-(-steps // 8) * 8, -(-n // 8) * 8), dtype=np.uint8)

@@ -240,12 +240,17 @@ def _assert_same_state(got, s, c, overflow):
     assert acc_total(got) == want
 
 
-@pytest.mark.parametrize("width", [1, 2, 8, 63, 64, 65, 130])
+@pytest.mark.parametrize("width", [1, 2, 5, 8, 9, 16, 41, 63, 64, 65, 130])
 def test_stream_kernel_matches_per_step_reference(width):
     rng = np.random.default_rng(width)
     # streams of up to 4 * width steps run row by row, longer ones column
-    # by column; 300 is above 64 and not a whole number of bytes
-    for steps in (0, 1, 2, 4 * width, 4 * width + 1, 300):
+    # by column; from 256 steps on `codes.pack_columns` reads eight steps of
+    # eight columns per uint64 lane, and a matrix that is not contiguous
+    # uint8, or fills no whole lane (300, 1003, 1001 steps; widths off a
+    # multiple of 8), is first padded
+    cases = [(steps, np.int64) for steps in (0, 1, 2, 4 * width, 4 * width + 1, 4 * width + 3, 300)]
+    cases += [(1000, np.uint8), (1003, bool), (1001, np.int64)]
+    for steps, dtype in cases:
         for rows in (1, 2):
             for mode in ("exact", "xor"):
                 s0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
@@ -253,11 +258,21 @@ def test_stream_kernel_matches_per_step_reference(width):
                 s0[width] = c0[width] = 1  # pending top carries
                 start = AccumulatorState(width, s0, c0, int(rng.integers(0, 9)), counter_mode=mode)
                 _assert_same_state(start, s0, c0, start.overflow_count)
-                ops_a = rng.integers(0, 2, size=(steps, width), dtype=np.int64)
-                ops_b = rng.integers(0, 2, size=(steps, width), dtype=np.int64) if rows == 2 else None
-                s, c, delta = _reference_stream(ops_a, ops_b, s0, c0, mode == "xor")
+                ops_a = rng.integers(0, 2, size=(steps, width)).astype(dtype)
+                ops_b = rng.integers(0, 2, size=(steps, width)).astype(dtype) if rows == 2 else None
+                if steps:
+                    ops_a[-1] = 1  # the last step sets every column's top bit
+                s, c, delta = _reference_stream(ops_a.astype(np.int64),
+                                                None if ops_b is None else ops_b.astype(np.int64),
+                                                s0, c0, mode == "xor")
                 want = (s, c, start.overflow_count + delta)
-                _assert_same_state(acc_run(start, ops_a, ops_b), *want)
+                with trace.record() as events:
+                    got = acc_run(start, ops_a, ops_b)
+                _assert_same_state(got, *want)
+                if steps > 4 * width:
+                    assert [e["body"] for e in events] == ["column"]
+                if steps > 300:
+                    continue  # the step-by-step calls below are the slow part
                 stepped = start
                 for i in range(steps):
                     if rows == 1:
@@ -268,33 +283,6 @@ def test_stream_kernel_matches_per_step_reference(width):
                 _assert_same_state(stepped, *want)
                 if steps == 0:
                     _assert_same_state(acc_run(start, ops_a, ops_b), s0, c0, start.overflow_count)
-
-
-@pytest.mark.parametrize("width", [5, 8, 9, 16, 41, 64, 65, 130])
-def test_column_body_matches_reference_off_lane_edges(width):
-    """The column body, whose columns `codes.pack_columns` reads eight steps
-    of eight columns per uint64 lane from 256 steps on, against the per-step
-    reference at step counts and widths that fill no whole lane, and at whole
-    lanes: one- and two-row operands, both counter modes, and uint8, bool
-    and int64 matrices (only contiguous uint8 needs no padding copy)."""
-    rng = np.random.default_rng(100 + width)
-    for steps, dtype in ((4 * width + 3, np.uint8), (1000, np.uint8), (1003, bool), (1001, np.int64)):
-        for rows in (1, 2):
-            for mode in ("exact", "xor"):
-                s0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
-                c0 = rng.integers(0, 2, size=width + 1, dtype=np.int64)
-                s0[width] = c0[width] = 1  # pending top carries
-                start = AccumulatorState(width, s0, c0, 1, counter_mode=mode)
-                ops_a = rng.integers(0, 2, size=(steps, width)).astype(dtype)
-                ops_b = rng.integers(0, 2, size=(steps, width)).astype(dtype) if rows == 2 else None
-                ops_a[-1] = 1  # the last step sets every column's top bit
-                with trace.record() as events:
-                    got = acc_run(start, ops_a, ops_b)
-                assert [e["body"] for e in events] == ["column"]
-                s, c, delta = _reference_stream(ops_a.astype(np.int64),
-                                                None if ops_b is None else ops_b.astype(np.int64),
-                                                s0, c0, mode == "xor")
-                _assert_same_state(got, s, c, 1 + delta)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
