@@ -53,30 +53,21 @@ def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCod
     zeros are fine; other text (0x, 0o, 0b) with its prefix."""
     if spec == "-" or spec.startswith("@"):
         return _parse_code_text(_read_text(spec[1:] if spec.startswith("@") else spec))
-    shown = spec if len(spec) <= 40 else spec[:40] + "..."
-    if spec.isdecimal():
-        if past := _past_digit_limit(spec):
-            raise ValueError(f"integer operand {shown} {past}")
-        value = int(spec)
-    else:
-        try:
-            value = int(spec, 0)
-        except ValueError:
-            raise ValueError(f"operand {shown!r} is neither an integer nor @file nor '-'") from None
+    if spec.isdecimal() and (past := codes.past_digit_limit(spec)):
+        raise ValueError(f"integer operand {past}")
+    try:
+        value = int(spec, 10 if spec.isdecimal() else 0)
+    except ValueError:
+        cut = spec if len(spec) <= 40 else spec[:40] + "..."
+        raise ValueError(f"operand {cut!r} is neither an integer nor @file nor '-'") from None
     if value < 0:
         raise ValueError("integer operands must be non-negative; use eval for signs")
     return codes.make_from_value(value, 1, width, radix)
 
 
-def _past_digit_limit(text: str) -> str:
-    """Why `text` has more digits than Python converts to an int, or '' if it has not."""
-    limit, digits = codes.int_string_limit(), sum(map(str.isdigit, text))
-    return f"has {digits} digits, past Python's limit of {limit}" if 0 < limit < digits else ""
-
-
 def _int_arg(text: str) -> int:
     """`int` for argparse, which names a text past the digit limit by its size, not its text."""
-    if past := _past_digit_limit(text):
+    if past := codes.past_digit_limit(text):
         raise argparse.ArgumentTypeError(past)
     return int(text)
 
@@ -86,7 +77,7 @@ _int_arg.__name__ = "int"  # argparse's "invalid int value" names the type
 
 def _capped_width(width: int | None, flag: str = "--width") -> int | None:
     if width is not None and not 0 <= width <= MAX_WIDTH:
-        raise ValueError(f"{flag} {codes.shown(width)} is outside 0..{MAX_WIDTH}")
+        raise ValueError(f"{codes.shown(width, flag)} is outside 0..{MAX_WIDTH}")
     return width
 
 
@@ -102,6 +93,13 @@ def _check_matrix(a: codes.MultiRowCode, b: codes.MultiRowCode, acc_width: int =
 def _two_rows(code: codes.MultiRowCode) -> codes.MultiRowCode:
     """A one-row operand padded to two rows; any other is left to the engine's operand rule."""
     return reducer.reduce_to_two(code) if code.rows == 1 else code
+
+
+def _printed(name: str, value) -> str:
+    """`value` as text; one Python cannot print is a usage error naming `name` and its size."""
+    if past := codes.past_digit_limit(value):
+        raise ValueError(f"{name} {past}")
+    return str(value)
 
 
 def _code_result(code: codes.MultiRowCode) -> tuple[int, dict, str]:
@@ -132,8 +130,8 @@ def _cmd_mul(args) -> tuple[int, dict, str]:
     out = multiplier.multiply(a, b, signed=args.signed)
     if not args.signed:
         return _code_result(out)
-    value = multiplier.signed_product_value(out, a.width)
-    return (0, {"product": codes.to_json_dict(out), "value": str(value)},
+    value = _printed("value", multiplier.signed_product_value(out, a.width))
+    return (0, {"product": codes.to_json_dict(out), "value": value},
             codes.to_text(out) + f"value {value}\n")
 
 
@@ -194,10 +192,9 @@ def _cmd_accumulate(args) -> tuple[int, dict, str]:
         acc = accumulator.acc_run(acc, mat[0::2], mat[1::2])
     else:
         acc = accumulator.acc_run(acc, mat)
-    total = accumulator.acc_total(acc)
+    total = _printed("total", accumulator.acc_total(acc))
     steps = mat.shape[0] // (2 if args.pairs else 1)
-    payload = {"width": width, "steps": steps, "overflow_count": acc.overflow_count,
-               "total": str(total)}
+    payload = {"width": width, "steps": steps, "overflow_count": acc.overflow_count, "total": total}
     return 0, payload, f"total {total}\noverflow_count {acc.overflow_count}\n"
 
 
@@ -214,9 +211,9 @@ def _cmd_map(args) -> tuple[int, dict, str]:
             raise ValueError(f"operand {name} given twice")
         operands[name] = _read_operand(value, args.width, 2)
     state = map_unit.map_eval(cfg, **operands)
-    payload = {"total": str(map_unit.map_total(state)), "overflow_count": state.overflow_count}
+    payload = {"total": _printed("total", map_unit.map_total(state)), "overflow_count": state.overflow_count}
     if args.tc:
-        payload["signed_total"] = str(map_unit.map_signed_total(state))
+        payload["signed_total"] = _printed("signed_total", map_unit.map_signed_total(state))
     if args.timing:
         t = map_unit.map_timing(cfg)
         payload["timing"] = {"total": t.total, "source": t.source,
@@ -245,7 +242,7 @@ def _cmd_fuzz(args) -> tuple[int, dict, str]:
         text = os.environ.get(SEED_ENV, "0")
         if not codes._is_decimal(text):
             raise ValueError(f"${SEED_ENV} must be ASCII decimal digits, got {text!r}")
-        if past := _past_digit_limit(text):
+        if past := codes.past_digit_limit(text):
             raise ValueError(f"${SEED_ENV} {past}")
         seed = int(text)
     scope = None if args.scope is None else args.scope.split(",")
@@ -255,10 +252,9 @@ def _cmd_fuzz(args) -> tuple[int, dict, str]:
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
     result = evalexpr.evaluate(args.expression)
-    code = result.code
-    payload = {"value": str(result.value), "pos": codes.to_json_dict(code.pos),
-               "neg": codes.to_json_dict(code.neg)}
-    return 0, payload, f"value {result.value}\n"
+    value, code = _printed("value", result.value), result.code
+    payload = {"value": value, "pos": codes.to_json_dict(code.pos), "neg": codes.to_json_dict(code.neg)}
+    return 0, payload, f"value {value}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _event_field(value):
     """JSON form of an event field json.dumps cannot write: codes as
-    MSB-first row lists (`codes.msb_rows`), Fractions as strings."""
-    return codes.msb_rows(value) if isinstance(value, codes.MultiRowCode) else str(value)
+    MSB-first row lists (`codes.msb_rows`), Fractions as `_printed` strings."""
+    return codes.msb_rows(value) if isinstance(value, codes.MultiRowCode) else _printed("trace field", value)
 
 
 def main(argv=None) -> int:
@@ -360,13 +356,15 @@ def main(argv=None) -> int:
     try:
         with recorder as events:
             status, payload, text = args.func(args)
+        # all output is built before any is written, so a failure writes only its error line
+        out = json.dumps(payload, sort_keys=True) + "\n" if args.json else text
+        lines = "".join(json.dumps({"digits" if k == "code" else k: v for k, v in event.items()},
+                                   default=_event_field) + "\n" for event in events)
     except (ValueError, OSError) as exc:  # usage, format and evaluation errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n" if args.json else text)
-    for event in events:
-        event = {("digits" if key == "code" else key): value for key, value in event.items()}
-        print(json.dumps(event, default=_event_field), file=sys.stderr)
+    sys.stdout.write(out)
+    sys.stderr.write(lines)
     return status
 
 

@@ -58,15 +58,8 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
     if type(value) is not int:
         raise ValueError(f"{name} must be an int")
     if lo is not None and value < lo or hi is not None and value > hi:
-        raise ValueError(_range_message(name, lo, hi))
-
-
-def _range_message(name: str, lo: int, hi: int | None) -> str:
-    if hi is None:
-        return f"{name} must be >= {lo}"
-    # a bound Python may refuse to print (a huge divisor's) is named by its size
-    shown = hi if hi.bit_length() <= 4096 else f"(a {hi.bit_length()}-bit bound)"
-    return f"{name} must be in {lo}..{shown}"
+        bounds = f">= {shown(lo)}" if hi is None else f"in {shown(lo)}..{shown(hi)}"
+        raise ValueError(f"{name} must be {bounds}")
 
 
 def check_operand(code: MultiRowCode, name: str, rows: tuple | None = None, lsb_exp: int | None = None,
@@ -79,26 +72,22 @@ def check_operand(code: MultiRowCode, name: str, rows: tuple | None = None, lsb_
     if rows is not None and code.rows not in rows:
         raise ValueError(f"{name} must be a {' or '.join(f'{r}-row' for r in rows)} code")
     if lsb_exp is not None and code.lsb_exp != lsb_exp:
-        raise ValueError(f"{name} lsb_exp must be {lsb_exp}")
+        raise ValueError(f"{name} lsb_exp must be {shown(lsb_exp)}")
     if code.width < min_width or max_width is not None and code.width > max_width:
-        raise ValueError(_range_message(f"{name} width", min_width, max_width))
+        check_int(f"{name} width", code.width, min_width, max_width)  # raises, naming the range
 
 
 def _check_fields(rows, width, radix, lsb_exp) -> None:
-    # one test when all four are ints; the loop only names the culprit
-    if not type(rows) is type(width) is type(radix) is type(lsb_exp) is int:
-        for name, value in zip(("rows", "width", "radix", "lsb_exp"), (rows, width, radix, lsb_exp)):
-            check_int(name, value)
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
-    if width < 0:
-        raise ValueError("width must be >= 0")
-    if radix < 2:
-        raise ValueError("radix must be >= 2")
+    # one test when all four are ints in range; the loop only names the culprit, a non-int first
+    if (not type(rows) is type(width) is type(radix) is type(lsb_exp) is int
+            or rows < 1 or width < 0 or radix < 2):
+        fields = (("rows", rows, 1), ("width", width, 0), ("radix", radix, 2), ("lsb_exp", lsb_exp, None))
+        for name, value, lo in sorted(fields, key=lambda field: type(field[1]) is int):
+            check_int(name, value, lo)
     # the reduction kernels sum columns in int64; the largest stage
     # weight radix**(m2 - 1) is at most the same worst column sum
     if rows * (radix - 1) > MAX_COLUMN_SUM:
-        raise NumericDomainError(f"{shown(rows)} rows at radix {shown(radix)}: "
+        raise NumericDomainError(f"{shown(rows, 'row count')} at {shown(radix, 'radix')}: "
                                  "column sums can exceed 2**63 - 1")
 
 
@@ -122,7 +111,8 @@ def _as_digit_matrix(values, shape: tuple, radix: int, name: str = "digits") -> 
         arr, kind = exact, "i"
     if arr.shape != shape and (arr.ndim != len(shape) or any(
             type(want) is int and want != got for want, got in zip(shape, arr.shape))):
-        raise ValueError(f"{name} shape {arr.shape} != ({', '.join(map(str, shape))})")
+        want = ", ".join(w if type(w) is str else shown(w) for w in shape)
+        raise ValueError(f"{name} shape {arr.shape} != ({want})")
     # read as unsigned, a negative entry is at least 2**(bits - 1) and every
     # other signed entry is below it, so one max checks both ends
     if kind != "b" and arr.size:
@@ -134,7 +124,7 @@ def _as_digit_matrix(values, shape: tuple, radix: int, name: str = "digits") -> 
 
 def _entry_error(name: str, radix: int) -> ValueError:
     return ValueError(f"{name} entries must be 0 or 1" if name != "digits" else
-                      f"digits out of range for radix {radix}")
+                      f"digits out of range for {shown(radix, 'radix')}")
 
 
 class MultiRowCode:
@@ -197,7 +187,7 @@ class MultiRowCode:
     def __repr__(self) -> str:
         return (
             f"MultiRowCode(rows={self.rows}, width={self.width}, "
-            f"radix={self.radix}, lsb_exp={self.lsb_exp}, value={value_of(self)})"
+            f"radix={self.radix}, lsb_exp={self.lsb_exp}, value={shown(value_of(self))})"
         )
 
 
@@ -341,21 +331,33 @@ def value_of(code: MultiRowCode) -> Fraction:
     return scale_fraction(scaled_value(code), code.radix, code.lsb_exp)
 
 
-def int_string_limit() -> int:
-    """Most decimal digits Python converts between int and str (0 when unlimited)."""
-    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+# int_string_limit(): the most decimal digits Python converts between int and str (0 when unlimited)
+int_string_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _echo(value) -> str:
-    """`value` for an error message: its text, or its size once that is long."""
-    v = Fraction(value)
-    bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-    return f"value {value}" if bits <= 128 else f"a {bits}-bit value"
+def shown(value, noun: str = "") -> str:
+    """A number in text a user reads: "10", or "radix 10" with a `noun`, while its numerator and
+    denominator fit in 128 bits; past that its size, "a 13288-bit value" or "a 13288-bit radix"."""
+    v = Fraction(value)  # int(): a numpy integer's parts keep its type
+    bits = (abs(int(v.numerator)) | int(v.denominator)).bit_length()
+    if bits > 128:
+        return f"a {bits}-bit {noun or 'value'}"
+    return f"{noun} {value}" if noun else str(value)
 
 
-def shown(value) -> str:
-    """`_echo` without its word "value": the number itself, or "a <bits>-bit value"."""
-    return _echo(value).removeprefix("value ")
+def past_digit_limit(value) -> str:
+    """Why Python would not convert `value` between int and decimal text under its limit, else "":
+    text read in is named by its digit count, an int or Fraction to write out by its size.  A
+    number below 2**(3 * limit) < 10**limit costs one bit_length comparison."""
+    limit = int_string_limit()
+    if isinstance(value, str):
+        if 0 < limit < len(value) and (digits := sum(map(str.isdigit, value))) > limit:
+            return f"has {digits} digits, past Python's limit of {limit}"
+        return ""
+    num, den = abs(value.numerator), value.denominator
+    if not limit or (num | den).bit_length() <= 3 * limit or max(num, den) < 10**limit:
+        return ""
+    return f"is {shown(value, 'number')}, more than Python's limit of {limit} digits"
 
 
 def _exact_value(value):
@@ -397,7 +399,8 @@ def make_from_value(
     if den != 1:  # an int at lsb_exp <= 0 needs no division
         n, rem = divmod(n, den)
         if rem:
-            raise GranularityError(f"{_echo(value)} is not a multiple of {radix}**{lsb_exp}")
+            raise GranularityError(f"{shown(value, 'value')} is not a multiple of "
+                                   f"{shown(radix)}**{shown(lsb_exp)}")
     if radix == 2:
         ndigits = n.bit_length()
     else:
@@ -409,7 +412,8 @@ def make_from_value(
         ndigits = len(row)
     width = max(ndigits, 1) if width is None else width
     if ndigits > width:
-        raise WidthOverflowError(f"{_echo(value)} does not fit in width {width} at radix {radix}")
+        raise WidthOverflowError(f"{shown(value, 'value')} does not fit in {shown(width, 'width')} "
+                                 f"at {shown(radix, 'radix')}")
     if radix == 2:
         return made_code((n,) + (0,) * (rows - 1), width, 2, lsb_exp)
     import numpy as np
@@ -434,7 +438,7 @@ def with_lsb_exp(code: MultiRowCode, lsb_exp: int) -> MultiRowCode:
             any(row & ((1 << cut) - 1) for row in code.packed) if binary else code.digits[:, :cut].any()
         ):
             raise GranularityError(
-                f"cannot raise lsb_exp to {lsb_exp}: low columns are not zero"
+                f"cannot raise lsb_exp to {shown(lsb_exp)}: low columns are not zero"
             )
     if binary:
         rows = [row << shift if shift > 0 else row >> -shift for row in code.packed]
@@ -477,7 +481,7 @@ class QuadSignedCode:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"QuadSignedCode(value={quad_value(self)})"
+        return f"QuadSignedCode(value={shown(quad_value(self))})"
 
 
 def quad_value(code: QuadSignedCode) -> Fraction:
@@ -585,10 +589,10 @@ def _parsed_code(rows, width, radix, lsb_exp, msb_first) -> MultiRowCode:
     try:
         _check_fields(rows, width, radix, lsb_exp)
         if not isinstance(msb_first, (list, tuple)) or len(msb_first) != rows:
-            raise CodeFormatError(f"expected a list of {rows} digit rows")
+            raise CodeFormatError(f"expected a list of {shown(rows)} digit rows")
         for i, row in enumerate(msb_first):
             if not isinstance(row, (list, tuple)) or len(row) != width:
-                raise CodeFormatError(f"row {i}: expected {width} digits")
+                raise CodeFormatError(f"row {i}: expected {shown(width)} digits")
             if any(type(d) is not int for d in row):
                 raise CodeFormatError(f"row {i}: digits must be integers")
         if radix != 2:

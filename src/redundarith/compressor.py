@@ -19,7 +19,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .codes import _as_digit_matrix, check_int
+from .codes import _as_digit_matrix, check_int, shown
 
 
 class UntabulatedCostError(LookupError):
@@ -136,7 +136,7 @@ def delay_levels(m: int) -> int:
     for lo, hi, levels in golden_delay_bands():
         if lo <= m <= hi:
             return levels
-    raise ValueError(f"no delay band covers m={m}")
+    raise ValueError(f"no delay band covers m={shown(m)}")
 
 
 def oca_delay(m: int) -> int:
@@ -151,7 +151,7 @@ def oca_cost_lookup(m: int) -> int:
     try:
         return golden_costs()[m]
     except KeyError:
-        raise UntabulatedCostError(f"no tabulated gate count for m={m}") from None
+        raise UntabulatedCostError(f"no tabulated gate count for m={shown(m)}") from None
 
 
 def oca_cost_structural(m: int, cells: str = "square") -> int:

@@ -23,13 +23,12 @@ division r // z.  Both paths are exposed and must agree.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from . import trace
-from .codes import check_int, int_string_limit, shown
+from .codes import check_int, int_string_limit, past_digit_limit, shown
 
 MAX_SCALE_ENTRIES = 1 << 20
 MAX_BANK_BITS = 64 * MAX_SCALE_ENTRIES  # bits of one eager comparator bank (8 MiB)
@@ -88,7 +87,8 @@ def build_scale(z: int, k: int, radix: int = 2, extended: bool = False) -> Scale
     # radix >= 2, so an exponent past the limit's bit count is over the
     # limit at any radix: reject it before computing the power
     if exp >= MAX_SCALE_ENTRIES.bit_length() or radix**exp > MAX_SCALE_ENTRIES:
-        raise ValueError(f"scale would need {radix}**{exp} entries (limit {MAX_SCALE_ENTRIES})")
+        raise ValueError(f"{shown(radix, 'radix')} to the power {shown(exp)} passes the limit "
+                         f"of {MAX_SCALE_ENTRIES} scale entries")
     return ScaleTable(z=z, k=k, radix=radix, size=radix**exp)
 
 
@@ -182,10 +182,12 @@ def check_printable(k: int, iters: int, radix: int = 2) -> None:
     numerator and denominator stay below radix**(k*iters + 1), and Python
     writes no int of more decimal digits than its int-string limit.  A
     radix below 2, or k or iters below 1, is left to `divide` to reject."""
-    limit = int_string_limit()
-    if limit and min(radix - 1, k, iters) > 0 and (k * iters + 1) * math.log10(radix) >= limit:
-        raise ValueError(f"a quotient of {shown(k * iters)} digits at radix {shown(radix)} passes "
-                         f"Python's limit of {limit} digits for printing an integer")
+    limit, n = int_string_limit(), k * iters + 1
+    # radix**n >= 2**(4 * limit) > 10**limit needs no power; below, the power has under 8 * limit bits
+    if limit and min(radix - 1, k, iters) > 0 and (
+            (radix.bit_length() - 1) * n >= 4 * limit or past_digit_limit(radix**n)):
+        raise ValueError(f"{shown(k, 'k')}, {shown(iters, 'iters')} and {shown(radix, 'radix')} make a "
+                         f"quotient past Python's limit of {limit} digits for printing an integer")
 
 
 def quotient_value(digits: list, k: int, radix: int = 2) -> Fraction:

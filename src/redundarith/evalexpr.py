@@ -33,17 +33,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import divider, multiplier, reducer, trace
-from .codes import (
-    MultiRowCode,
-    QuadSignedCode,
-    int_string_limit,
-    made_code,
-    made_quad,
-    quad_from_value,
-    quad_negate,
-    quad_value,
-    with_lsb_exp,
-)
+from .codes import (MultiRowCode, QuadSignedCode, made_code, made_quad, past_digit_limit, quad_from_value,
+                    quad_negate, quad_value, shown, with_lsb_exp)
 
 
 class EvalError(ValueError):
@@ -73,6 +64,8 @@ def tokenize(text: str) -> list:
         pos = match.start(kind)
         if kind == "bad":
             raise EvalError(f"unexpected character {text[pos]!r}", pos)
+        if kind == "num" and (past := past_digit_limit(match[kind])):
+            raise EvalError(f"integer literal {past}", pos)
         tokens.append((kind, match[kind], pos))
         if kind == "end":
             return tokens
@@ -106,15 +99,6 @@ def _unsigned_row(mag: int, lsb_exp: int) -> MultiRowCode:
         return made_code((0,), 1, 2, 0)
     cut = min((mag & -mag).bit_length() - 1, -lsb_exp)  # trailing zero bits
     return made_code((mag >> cut,), (mag >> cut).bit_length(), 2, lsb_exp + cut)
-
-
-def _literal(text: str, pos: int) -> int:
-    """An integer literal's value; one past the int-string limit is an error."""
-    limit = int_string_limit()
-    if 0 < limit < len(text):
-        raise EvalError(f"integer literal has {len(text)} digits, past Python's "
-                        f"limit of {limit}", pos)
-    return int(text)
 
 
 class _Parser:
@@ -170,7 +154,7 @@ class _Parser:
     def _int_arg(self, q: QuadSignedCode, name: str, pos: int) -> int:
         v, rem = divmod(_scaled(q), 1 << -q.pos.lsb_exp)
         if rem or v < 0:
-            raise EvalError(f"{name} requires non-negative integers, got {quad_value(q)}", pos)
+            raise EvalError(f"{name} requires non-negative integers, got {shown(quad_value(q))}", pos)
         return v
 
     def _call(self, name: str, pos: int) -> QuadSignedCode:
@@ -226,17 +210,17 @@ class _Parser:
     def _atom(self) -> QuadSignedCode:
         kind, text, pos = self._next()
         if kind == "num":
-            num, lsb_exp = _literal(text, pos), 0
+            num, lsb_exp = int(text), 0
             if self._take("/"):
                 den_kind, den_text, den_pos = self._next()
                 if den_kind != "num":
                     raise EvalError("expected integer after '/'", den_pos)
-                den = _literal(den_text, den_pos)
+                den = int(den_text)
                 if den == 0:
                     raise EvalError("zero denominator", den_pos)
                 value = Fraction(num, den)
                 if value.denominator & (value.denominator - 1):
-                    raise EvalError(f"{value} is not representable at radix 2", pos)
+                    raise EvalError(f"{shown(value)} is not representable at radix 2", pos)
                 num, lsb_exp = value.numerator, 1 - value.denominator.bit_length()
             zero = made_code((0, 0), max(num.bit_length(), 1), 2, lsb_exp)
             return made_quad(made_code((num, 0), zero.width, 2, lsb_exp), zero)

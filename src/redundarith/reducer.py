@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import _kernels
 from ._kernels import SHAPE_CACHE_SIZE, next_row_count
-from .codes import MultiRowCode, QuadSignedCode, check_int, made_code, made_quad, quad_negate, stack_codes
+from .codes import MultiRowCode, QuadSignedCode, check_int, made_code, made_quad, quad_negate, shown, stack_codes
 from .compressor import FINAL_3TO2_LEVELS, T_CC_REDUCE_TOTAL, oca_delay, tree_depth
 
 
@@ -39,7 +39,7 @@ class StagePlan(_StagePlan):
             raise ValueError("plan must end at 2 rows")
         for a, b in zip(counts, counts[1:]):
             if next_row_count(a, radix) != b:
-                raise ValueError(f"inconsistent plan step {a} -> {b}")
+                raise ValueError(f"inconsistent plan step {shown(a)} -> {shown(b)}")
         return super().__new__(cls, counts, radix)
 
     @classmethod

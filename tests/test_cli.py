@@ -412,13 +412,56 @@ def test_long_integer_argument_is_named_by_its_digit_count(monkeypatch, argv):
     assert len(err) < 300 and "has 5000 digits, past Python's limit of" in err
 
 
+# the same arguments at 4000 digits, inside the int-string limit: argparse
+# converts them and the library's checks name them by their size.  Left
+# out, as 4000 digits is a valid request there: div's z (any divisor), fuzz
+# --seed (any seed) and fuzz --trials (it runs for as long as asked)
+LONG_INT_ARGV_4000 = {key: (argv, "1\n") for key, argv in LONG_INT_ARGV.items()
+                      if key not in ("div-z", "fuzz-seed", "fuzz-trials")} | {
+    "reduce-radix": (("reduce", "-"), "mrc 2 1 N 0\n0\n0\n"),
+    "eval-div-x": (("eval", "div(N, 3, 1, 1)"), ""), "eval-div-k": (("eval", "div(1, 3, N, 1)"), ""),
+    "eval-div-iters": (("eval", "div(1, 3, 1, N)"), ""),
+    "eval-div-negative": (("eval", "div(0-N*N, 3, 1, 1)"), ""),
+    "eval-denominator": (("eval", "1 + 1/N"), ""),
+}
+
+
+@pytest.mark.parametrize("argv, stdin", LONG_INT_ARGV_4000.values(), ids=LONG_INT_ARGV_4000.keys())
+def test_4000_digit_argument_is_named_by_its_size(argv, stdin):
+    status, out, err, exited = call([arg.replace("N", "9" * 4000) for arg in argv],
+                                    stdin.replace("N", "9" * 4000))
+    assert (status, out, exited) == (2, "", False)
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+
+
+def test_result_past_the_digit_limit_is_named_by_its_size():
+    # exactly what Python cannot print is refused: `limit` digits print, `limit + 1` do not
+    limit = codes.int_string_limit()
+    assert call(("eval", "9" * limit)) == (0, f"value {'9' * limit}\n", "", False)
+    for argv, stdin, field, value in ((("eval", "9" * limit + " + 1"), "", "value", 10**limit),
+                                      (("eval", "9" * 4000 + "*" + "9" * 4000), "", "value", (10**4000 - 1) ** 2),
+                                      (("accumulate", "-"), "1" * 20000 + "\n", "total", 2**20000 - 1)):
+        bits = value.bit_length()
+        for flags in ((), ("--json",)):
+            assert call(argv + flags, stdin) == (
+                2, "", f"error: {field} is a {bits}-bit number, more than Python's limit of {limit} digits\n", False)
+
+
+def test_traced_field_past_the_digit_limit_writes_only_the_error():
+    # the events are written after stdout, so they are serialised first
+    status, out, err, exited = call(("eval", "9" * 4000 + "*" + "9" * 4000 + "*0", "--trace"))
+    assert (status, out, exited) == (2, "", False)
+    bits, limit = ((10**4000 - 1) ** 2).bit_length(), codes.int_string_limit()
+    assert err == f"error: trace field is a {bits}-bit number, more than Python's limit of {limit} digits\n"
+
+
 @pytest.mark.parametrize("width,bits", (("9" * 4000, 13288), ("-" + "9" * 4300, 14285)))
 def test_long_width_is_named_by_its_bit_size(capsys, width, bits):
     # within the int-string limit (a sign is no digit), so argparse converts
     # it and the range check names it
     code, out, err = run(capsys, "add", "1", "2", "--width", width)
     assert (code, out) == (2, "")
-    assert err == f"error: --width a {bits}-bit value is outside 0..{cli.MAX_WIDTH}\n"
+    assert err == f"error: a {bits}-bit --width is outside 0..{cli.MAX_WIDTH}\n"
 
 
 @pytest.mark.parametrize("argv", (("add", "1", "2"), ("div", "1", "3", "1", "1")), ids=("add", "div"))
@@ -428,7 +471,7 @@ def test_long_radix_is_named_by_its_bit_size(capsys, argv):
     code, out, err = run(capsys, *argv, "--radix", str(10**4000))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert len(err) < 300 and "radix a 13288-bit value" in err
+    assert len(err) < 300 and "a 13288-bit radix" in err
 
 
 def test_bad_integer_argument_keeps_the_argparse_message():

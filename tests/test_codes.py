@@ -15,22 +15,28 @@ from redundarith.codes import (
     NumericDomainError,
     QuadSignedCode,
     WidthOverflowError,
+    check_int,
     from_text,
     make_from_value,
     pack_columns,
     pack_rows,
+    past_digit_limit,
     quad_from_value,
     quad_negate,
     quad_value,
     scaled_value,
+    shown,
     stack_codes,
     unpack_rows,
     value_of,
     with_lsb_exp,
 )
+from redundarith.compressor import delay_levels
+from redundarith.divider import build_scale, check_printable, divide
+from redundarith.evalexpr import EvalError, evaluate
 from redundarith.multiplier import fused_mac, multiply, signed_product_value
 from redundarith.oracle import exact_scaled_value, exact_value
-from redundarith.reducer import add_two_row, reduce_to_two
+from redundarith.reducer import StagePlan, add_two_row, reduce_to_two
 
 from conftest import random_code
 
@@ -297,6 +303,77 @@ def test_make_from_value_rejects_bad_inputs():
         with pytest.raises(err, match=r"^a \d+-bit value") as info:
             make_from_value(value, 1, 3, 2, -4)
         assert len(str(info.value)) < 100
+
+
+def test_shown_names_a_long_number_by_its_bit_size():
+    # exact up to 128 bits in numerator and denominator, by size beyond
+    top = 2**128 - 1
+    assert [shown(v) for v in (top, -top, Fraction(1, top), 2.5)] == [str(top), str(-top), f"1/{top}", "2.5"]
+    assert shown(2**128) == shown(-(2**128)) == shown(Fraction(3, 2**128)) == "a 129-bit value"
+    assert (shown(10, "radix"), shown(10**4000, "radix")) == ("radix 10", "a 13288-bit radix")
+    # a numpy integer once raised AttributeError here, in place of the width error
+    with pytest.raises(WidthOverflowError, match="^value 50 does not fit in width 3 at radix 2$"):
+        make_from_value(np.int64(50), 1, 3)
+
+
+def test_past_digit_limit_refuses_exactly_what_python_refuses():
+    limit = codes.int_string_limit()
+    # 2**(3 * limit + 1) is past the one-comparison bound, with fewer digits than the limit
+    for value in (10**limit - 1, -(10**limit - 1), Fraction(1, 10**limit - 1), 2 ** (3 * limit + 1)):
+        assert past_digit_limit(value) == ""
+        str(value)
+    for value in (10**limit, -(10**limit), Fraction(10**limit + 1, 3), Fraction(1, 10**limit)):
+        assert past_digit_limit(value) == f"is {shown(value, 'number')}, more than Python's limit of {limit} digits"
+        with pytest.raises(ValueError):
+            str(value)
+    # text read in is counted by its digits, leading zeros too
+    assert past_digit_limit("9" * limit) == past_digit_limit("-" + "9" * limit) == ""
+    for text in ("9" * (limit + 1), "0" * (limit + 1), "-" + "9" * (limit + 1)):
+        assert past_digit_limit(text) == f"has {limit + 1} digits, past Python's limit of {limit}"
+        with pytest.raises(ValueError):
+            int(text)
+
+
+# id: a call with one caller-given number n of 1000 or 4000 digits, which
+# its error must name by its size; divide's iters is left out, as a huge
+# iteration count is a valid request that runs without bound
+LONG_LIBRARY_ARGUMENT = {
+    "divide-radix": lambda n: divide(1, 3, 1, 1, radix=n),
+    "divide-k": lambda n: divide(1, 3, n, 1),
+    "divide-dividend": lambda n: divide(2 * n + 5, n, 1, 1),
+    "build_scale-radix": lambda n: build_scale(3, 1, n),
+    "build_scale-k": lambda n: build_scale(3, n, extended=True),
+    "check_printable-k": lambda n: check_printable(n, 1),
+    "check_printable-iters": lambda n: check_printable(1, n),
+    "check_printable-radix": lambda n: check_printable(1, 4, n),
+    "check_int-lo": lambda n: check_int("x", 0, n),
+    "check_int-hi": lambda n: check_int("x", 2 * n, -n, n),
+    "make_from_value-width": lambda n: make_from_value(n, 1, 3),
+    "make_from_value-grid": lambda n: make_from_value(Fraction(1, n), 1, None, 2, -4),
+    "make_from_value-radix": lambda n: make_from_value(1, 1, 1, n),
+    "make_from_value-rows": lambda n: make_from_value(1, n, 1),
+    "construct-width": lambda n: MultiRowCode(1, n, 2, 0, [[1]]),
+    "with_lsb_exp": lambda n: with_lsb_exp(make_from_value(1, 1, 1), n),
+    "delay_levels-m": lambda n: delay_levels(n),
+    "stage_plan-step": lambda n: StagePlan([n, 2], 2),
+}
+
+
+@pytest.mark.parametrize("digits", (1000, 4000))
+@pytest.mark.parametrize("call", LONG_LIBRARY_ARGUMENT.values(), ids=LONG_LIBRARY_ARGUMENT.keys())
+def test_long_library_argument_is_named_by_its_size(call, digits):
+    with pytest.raises(ValueError) as info:
+        call(10**digits - 1)
+    assert len(str(info.value)) < 300
+
+
+@pytest.mark.parametrize("digits", (1000, 4000))
+@pytest.mark.parametrize("text, pos", (("div(N, 3, 1, 1)", 0), ("div(1, 3, N, 1)", 0), ("div(1, 3, 1, N)", 0),
+                                       ("div(0-N*N, 3, 1, 1)", 4), ("1 + 1/N", 4)))
+def test_long_eval_argument_is_named_by_its_size(text, pos, digits):
+    with pytest.raises(EvalError) as info:
+        evaluate(text.replace("N", "9" * digits))
+    assert info.value.pos == pos and len(str(info.value)) < 300
 
 
 def test_with_lsb_exp_preserves_value():

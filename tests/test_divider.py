@@ -1,16 +1,18 @@
 """Table-driven division: digit selection, identities, worked example."""
 
+import math
 import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from redundarith import trace
+from redundarith import codes, trace
 from redundarith.divider import (
     MAX_BANK_BITS,
     _comparison_width,
     build_scale,
+    check_printable,
     divide,
     quotient_value,
     select_digit,
@@ -131,8 +133,8 @@ def test_divide_rejects_out_of_range():
     for x in (14, -1):  # x must stay below radix*z
         with pytest.raises(ValueError, match=r"^dividend must be in 0\.\.13$"):
             divide(x, 7, 2, 2)
-    # a bound past Python's int-string limit is named by its size
-    with pytest.raises(ValueError, match=r"^dividend must be in 0\.\.\(a 20001-bit bound\)$"):
+    # a bound past 128 bits is named by its size
+    with pytest.raises(ValueError, match=r"^dividend must be in 0\.\.a 20001-bit value$"):
         divide(1 << 20001, 1 << 20000, 1, 1)
     with pytest.raises(ValueError, match="^divisor must be >= 1$"):
         divide(5, 0, 2, 2)
@@ -297,3 +299,29 @@ def test_build_scale_allocates_no_table():
         tracemalloc.stop()
     assert scale.size == 1 << 20
     assert peak < 64 * 1024
+
+
+def test_check_printable_verdicts():
+    # refused once radix**(k*iters + 1) has more than `limit` digits, in
+    # integer arithmetic; where the old float test (k*iters + 1) *
+    # log10(radix) >= limit did not overflow, the verdict is the same
+    limit = codes.int_string_limit()
+    two = (10**limit - 1).bit_length()  # least n with 2**n >= 10**limit
+    cases = (((4, 3, 2), False), ((19, 1, 2), False), ((2, 3, 2), False), ((4, 4, 2), False),
+             ((1, two - 2, 2), False), ((1, two - 1, 2), True), ((1, limit - 2, 10), False),
+             ((1, limit - 1, 10), True), ((2, limit // 2, 10), True), ((3, 1, 10**1000), False),
+             ((4000, 4000, 2), True), ((1, 100000, 2), True), ((1, 1, 10**4000), True),
+             ((0, 5, 2), False), ((1, 0, 2), False), ((1, 1, 1), False))  # the last three: left to divide
+    for (k, iters, radix), refused in cases:
+        if min(radix - 1, k, iters) > 0:
+            assert ((k * iters + 1) * math.log10(radix) >= limit) == refused
+        try:
+            check_printable(k, iters, radix)
+        except ValueError:
+            assert refused, (k, iters, radix)
+        else:
+            assert not refused, (k, iters, radix)
+    # a k or iters too large for a float is refused, not an OverflowError
+    for k, iters in ((10**400, 1), (1, 10**400)):
+        with pytest.raises(ValueError, match=r"make a quotient past Python's limit of \d+ digits"):
+            check_printable(k, iters)
