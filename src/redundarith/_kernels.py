@@ -3,20 +3,25 @@
 Binary rows are Python ints, bit j in column j (`MultiRowCode.packed`).
 One carry-save step, `_carry_save`, folds three rows into a sum row and
 a carry row over whole words.  Every binary reduction, one stage or all
-of them, runs in one loop, `reduce_packed`: a bit-sliced column counter
-built from it.  An accumulator stream of T steps on an n-column grid
-runs it in one of two bodies.  Up to 4n steps, the row loop takes one or
-two carry-save steps per step, on operand rows packed by
-`codes.pack_rows`.  Beyond that, the column body walks the n
-columns once, each column's operand bits over all T steps packed into
-one T-bit int by `codes.pack_columns` (eight steps of eight columns per
-uint64 lane, so only the packed bytes are transposed): no carry moves
-within a step, so a column's sum bits are a prefix xor over time, and
-its carry-save majorities are the carries into the next column.  Each
-column costs a few us whatever T is, which short streams would not win
-back.  `acc_stream` picks the body and
-takes and returns the sum and carry rows as packed ints; `acc_stream1`
-and `acc_stream2` adapt it to int64 rows updated in place.
+of them, runs in `reduce_packed`, and each stage is one call to a
+bit-sliced column counter: `_counter(n)` generates, once per count n of
+nonzero rows, a straight-line function whose body is the carry-save
+chain of every weight written out, `_carry_save`'s three statements per
+step (a test pins the two copies equal).  No counter takes more than
+_COUNTER_ROWS = 128 rows; a taller stage is counted in blocks of 128
+(`_count_blocks`).  The accumulator streams call `_carry_save` itself:
+a stream of T steps on an n-column grid runs in one of two bodies.  Up
+to 4n steps, the row loop takes one or two carry-save steps per step,
+on operand rows packed by `codes.pack_rows`.  Beyond that, the column
+body walks the n columns once, each column's operand bits over all T
+steps packed into one T-bit int by `codes.pack_columns` (eight steps of
+eight columns per uint64 lane, so only the packed bytes are transposed):
+no carry moves within a step, so a column's sum bits are a prefix xor
+over time, and its carry-save majorities are the carries into the next
+column.  Each column costs a few us whatever T is, which short streams
+would not win back.  `acc_stream` picks the body and takes and returns
+the sum and carry rows as packed ints; `acc_stream1` and `acc_stream2`
+adapt it to int64 rows updated in place.
 
 Radix > 2 digit matrices are int64 arrays of shape (rows, width), column
 j holding the digits of weight radix**j, reduced by one numpy stage
@@ -139,33 +144,89 @@ def _carry_save(x: int, y: int, z: int) -> tuple[int, int]:
     return t ^ z, (x & y) | (t & z)
 
 
+# the most rows one generated counter takes, the models' domain
+# (popcount_tree takes m in 1..128), so at most 129 counters are ever
+# compiled; a taller level is counted in blocks of this many rows
+_COUNTER_ROWS = 128
+
+
+@lru_cache(maxsize=None)
+def _counter(n: int):
+    """The column counter of n rows as one straight-line function:
+    counter(r0, ..., r{n-1}) -> planes, plane h shifted h columns.
+
+    Its source is built from the int n alone.  Each weight's rows go
+    through a chain of carry-save steps (`_carry_save`'s three
+    statements, written out) ending in a half adder where the level
+    meets its zero pad row, and the carries of one weight are the next
+    weight's rows.
+    """
+    if not 0 <= n <= _COUNTER_ROWS:
+        raise ValueError(f"a counter takes 0..{_COUNTER_ROWS} rows, not {n}")
+    level = [f"r{i}" for i in range(n)]
+    args, lines, planes = ", ".join(level), [], []
+    while level:
+        x, rest, carries = level[0], level[1:], []
+        for i in range(0, len(rest), 2):
+            c = f"c{len(planes)}_{i // 2}"
+            if i + 1 < len(rest):
+                y, z = rest[i], rest[i + 1]
+                lines.append(f"t = {x} ^ {y}; {c} = {x} & {y} | t & {z}; {x} = t ^ {z}")
+            else:
+                lines.append(f"{c} = {x} & {rest[i]}; {x} ^= {rest[i]}")
+            carries.append(c)
+        planes.append(f"{x} << {len(planes)}" if planes else x)
+        level = carries
+    lines.append(f"return [{', '.join(planes)}]")
+    namespace = {}
+    exec(compile(f"def counter({args}):\n    " + "\n    ".join(lines), f"<counter {n}>", "exec"),
+         namespace)
+    return namespace["counter"]
+
+
+def _count_blocks(level: list) -> list:
+    """The counter's planes for more than _COUNTER_ROWS nonzero rows.
+
+    A weight's rows, while more than _COUNTER_ROWS, are zero-padded to
+    whole blocks for the _COUNTER_ROWS-row counter; fewer go through the
+    counter of their count.  A block's plane 0 stays at its weight, and
+    its higher planes, shifted back, join the rows of their weights.  A
+    weight is done when one row is left, and carries only go up, so
+    weight h is counted after all that reach it.
+    """
+    levels, out = [level], []
+    for h, level in enumerate(levels):
+        while len(level) > 1:
+            if len(level) > _COUNTER_ROWS:
+                level += [0] * (-len(level) % _COUNTER_ROWS)
+            same = []
+            for i in range(0, len(level), _COUNTER_ROWS):
+                block = level[i:i + _COUNTER_ROWS]
+                planes = _counter(len(block))(*block)
+                same.append(planes[0])
+                for j in range(1, len(planes)):
+                    if planes[j]:
+                        levels += [[] for _ in range(h + j + 1 - len(levels))]
+                        levels[h + j].append(planes[j] >> j)
+            level = [row for row in same if row]
+        out.append(level[0] << h if level else 0)
+    return out
+
+
 def reduce_packed(rows, width: int, limit: int | None = None) -> tuple[list, int, int]:
     """Reduce packed binary rows until two remain, or for `limit` stages:
     (rows, width, stages).
 
     Row h of a stage's output is plane h, bit h of every column sum,
-    shifted h columns.  Carry-save steps fold the nonzero rows of each
-    weight into a running sum row two at a time, and only nonzero carries
-    go on to the next weight; zero rows pad the planes to
-    next_row_count(m, 2), which is m.bit_length().
+    shifted h columns.  A stage is one call to the generated counter of
+    its nonzero rows (`_count_blocks` past _COUNTER_ROWS); zero rows pad
+    the planes to next_row_count(m, 2), which is m.bit_length().
     """
     events = trace.sink()
     stages = 0
     while len(rows) > 2 and stages != limit:
-        out = []
         level = [row for row in rows if row]
-        while level:
-            if not len(level) & 1:
-                level.append(0)  # the last pair meets a zero row: a half adder
-            rest = iter(level)
-            total = next(rest)
-            carries = []
-            for row in rest:
-                total, carry = _carry_save(total, row, next(rest))
-                if carry:
-                    carries.append(carry)
-            out.append(total << len(out))
-            level = carries
+        out = _counter(len(level))(*level) if len(level) <= _COUNTER_ROWS else _count_blocks(level)
         out += [0] * (len(rows).bit_length() - len(out))
         out_width = width + len(out) - 1
         if events is not None:

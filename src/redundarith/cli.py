@@ -58,8 +58,7 @@ def _read_operand(spec: str, width: int | None, radix: int) -> codes.MultiRowCod
     try:
         value = int(spec, 10 if spec.isdecimal() else 0)
     except ValueError:
-        cut = spec if len(spec) <= 40 else spec[:40] + "..."
-        raise ValueError(f"operand {cut!r} is neither an integer nor @file nor '-'") from None
+        raise ValueError(f"operand {codes.clipped(spec)!r} is neither an integer nor @file nor '-'") from None
     if value < 0:
         raise ValueError("integer operands must be non-negative; use eval for signs")
     return codes.make_from_value(value, 1, width, radix)
@@ -204,7 +203,7 @@ def _cmd_map(args) -> tuple[int, dict, str]:
     operands = {}
     for item in args.operands:
         if "=" not in item:
-            raise ValueError(f"operand {item!r} must look like name=value")
+            raise ValueError(f"operand {codes.clipped(item)!r} must look like name=value")
         name, _, value = item.partition("=")
         name = name.lower()
         if name in operands:
@@ -241,7 +240,7 @@ def _cmd_fuzz(args) -> tuple[int, dict, str]:
     if seed is None:
         text = os.environ.get(SEED_ENV, "0")
         if not codes._is_decimal(text):
-            raise ValueError(f"${SEED_ENV} must be ASCII decimal digits, got {text!r}")
+            raise ValueError(f"${SEED_ENV} must be ASCII decimal digits, got {codes.clipped(text)!r}")
         if past := codes.past_digit_limit(text):
             raise ValueError(f"${SEED_ENV} {past}")
         seed = int(text)

@@ -360,6 +360,11 @@ def past_digit_limit(value) -> str:
     return f"is {shown(value, 'number')}, more than Python's limit of {limit} digits"
 
 
+def clipped(text: str) -> str:
+    """Text that is not a number, as an error echoes it: past 40 characters, its first 40 and "..."."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _exact_value(value):
     """`value` as an int or Fraction.  Text is not parsed, bool is not a
     number, and what Fraction cannot convert (None, complex, nan) fails."""
@@ -558,10 +563,10 @@ def from_text(text: str) -> MultiRowCode:
         raise CodeFormatError("empty input")
     head = lines[start].split()
     if len(head) != 5 or head[0] != "mrc":
-        raise CodeFormatError(f"bad header: {lines[start]!r}")
+        raise CodeFormatError(f"bad header: {clipped(lines[start])!r}")
     if not all(_is_decimal(x.removeprefix("-")) for x in head[1:]):
-        raise CodeFormatError(f"bad header numbers: {lines[start]!r}")
-    rows, width, radix, lsb_exp = map(int, head[1:])
+        raise CodeFormatError(f"bad header numbers: {clipped(lines[start])!r}")
+    rows, width, radix, lsb_exp = map(_field_int, _HEADER_FIELDS, head[1:])
     body = lines[start + 1 :]
     # a non-blank line past the rows counts as one more row
     body = body[: max(rows, 0)] + [ln for ln in body[max(rows, 0) :] if ln.strip()]
@@ -572,6 +577,24 @@ def from_text(text: str) -> MultiRowCode:
             raise CodeFormatError(f"row {i}: non-numeric digit")
         digits.append([int(p) for p in parts])
     return _parsed_code(rows, width, radix, lsb_exp, digits)
+
+
+_HEADER_FIELDS = ("rows", "width", "radix", "lsb_exp")
+
+
+def _field_int(name: str, text: str) -> int:
+    """A code field's decimal text as an int; past Python's digit limit, a format error naming the field."""
+    if past := past_digit_limit(text):
+        raise CodeFormatError(f"{name} {past}")
+    return int(text)
+
+
+class _LongDigits(str):
+    """A JSON integer past Python's digit limit, kept as its text for `from_json` to name."""
+
+
+def _json_int(text: str):
+    return _LongDigits(text) if past_digit_limit(text) else int(text)
 
 
 def _is_decimal(text: str) -> bool:
@@ -631,7 +654,11 @@ def from_json_dict(obj: dict) -> MultiRowCode:
 
 def from_json(text: str) -> MultiRowCode:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise CodeFormatError(f"bad JSON: {exc}") from exc
+    if isinstance(obj, dict):
+        for name in _HEADER_FIELDS:
+            if type(obj.get(name)) is _LongDigits:
+                _field_int(name, obj[name])  # raises, naming the field
     return from_json_dict(obj)

@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import divider, multiplier, reducer, trace
-from .codes import (MultiRowCode, QuadSignedCode, made_code, made_quad, past_digit_limit, quad_from_value,
-                    quad_negate, quad_value, shown, with_lsb_exp)
+from .codes import (MultiRowCode, QuadSignedCode, clipped, made_code, made_quad, past_digit_limit,
+                    quad_from_value, quad_negate, quad_value, shown, with_lsb_exp)
 
 
 class EvalError(ValueError):
@@ -127,7 +127,7 @@ class _Parser:
     def _expect_op(self, op: str) -> None:
         _, text, pos = self._next()
         if text != op:
-            raise EvalError(f"expected {op!r}, found {text!r}", pos)
+            raise EvalError(f"expected {op!r}, found {clipped(text)!r}", pos)
 
     # engine plumbing -------------------------------------------------
     def _add(self, x, y, sign: str) -> QuadSignedCode:
@@ -181,7 +181,7 @@ class _Parser:
             except ValueError as exc:
                 raise EvalError(str(exc), pos) from None
             return quad_from_value(divider.quotient_value(digits, k), None, 2, -k * iters)
-        raise EvalError(f"unknown function {name!r}", pos)
+        raise EvalError(f"unknown function {clipped(name)!r}", pos)
 
     # grammar ---------------------------------------------------------
     def expr(self) -> QuadSignedCode:
@@ -232,13 +232,13 @@ class _Parser:
             return inner
         if kind == "name":
             return self._call(text, pos)
-        raise EvalError(f"unexpected {text or 'end of input'!r}", pos)
+        raise EvalError(f"unexpected {clipped(text) or 'end of input'!r}", pos)
 
     def parse(self) -> QuadSignedCode:
         out = self.expr()
         kind, text, pos = self.tokens[self.i]
         if kind != "end":
-            raise EvalError(f"unexpected {text!r} after expression", pos)
+            raise EvalError(f"unexpected {clipped(text)!r} after expression", pos)
         return out
 
 

@@ -141,9 +141,14 @@ def fused_mac(f_prev: MultiRowCode, a: MultiRowCode, b: MultiRowCode) -> MultiRo
     """
     check_operand(f_prev, "feedback", (2, 3), a.lsb_exp + b.lsb_exp)
     pp, width = _checked_pp(a, b, False)
-    s, _ = mac_injection_stage(b.width, f_prev.rows)  # the matrix has b.width rows
-    rows, width, _ = _kernels.reduce_packed(pp, width, s)
-    rows, width = reduce_rows([*rows, *f_prev.packed], max(width, f_prev.width))
+    s, planned = mac_injection_stage(b.width, f_prev.rows)  # the matrix has b.width rows
+    rows, width, stages = _kernels.reduce_packed(pp, width, s)
+    rows = [*rows, *f_prev.packed]
+    if len(rows) > 2:  # reduce_rows runs its stage_plan, or raises
+        stages += stage_plan(len(rows), 2).stages
+    if stages != planned:
+        raise RuntimeError(f"fused_mac ran {stages} stages, mac_injection_stage gives {planned}")
+    rows, width = reduce_rows(rows, max(width, f_prev.width))
     return made_code(rows, width, 2, a.lsb_exp + b.lsb_exp)
 
 

@@ -434,6 +434,27 @@ def test_4000_digit_argument_is_named_by_its_size(argv, stdin):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
 
 
+# text that reaches no integer argument: a code's header field past the
+# int-string limit, in the text and the JSON format, and text that is no
+# number (an operand, a header, an eval name), which an error cuts to 40
+# characters
+LONG_TEXT_INPUT = {  # id: (argv, stdin) with N for 5000 nines
+    "reduce-text-lsb_exp": (("reduce", "-"), "mrc 1 1 2 N\n1\n"),
+    "reduce-json-lsb_exp": (("reduce", "-"), '{"rows": 1, "width": 1, "radix": 2, "lsb_exp": N, "digits": [[1]]}'),
+    "reduce-header": (("reduce", "-"), "mrc 1 1 2 xN\n1\n"),
+    "map-operand": (("map", "xN", "--width", "8"), "1\n"),
+    "eval-function": (("eval", "xN(1)"), ""), "eval-trailing": (("eval", "1 xN"), ""),
+}
+
+
+@pytest.mark.parametrize("argv, stdin", LONG_TEXT_INPUT.values(), ids=LONG_TEXT_INPUT.keys())
+def test_long_text_input_is_cut_or_named(argv, stdin):
+    status, out, err, exited = call([arg.replace("N", "9" * 5000) for arg in argv],
+                                    stdin.replace("N", "9" * 5000))
+    assert (status, out, exited) == (2, "", False)
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+
+
 def test_result_past_the_digit_limit_is_named_by_its_size():
     # exactly what Python cannot print is refused: `limit` digits print, `limit + 1` do not
     limit = codes.int_string_limit()

@@ -100,6 +100,25 @@ def test_from_json_rejects_bad_digits():
             from_json(text)
 
 
+@pytest.mark.parametrize("field", ("rows", "width", "radix", "lsb_exp"))
+def test_header_field_past_the_digit_limit_is_named(field):
+    # counted before `int` reads it: a format error naming the field, in
+    # both formats, not Python's own int-string error
+    long = "9" * 5000
+    fields = {"rows": "1", "width": "1", "radix": "2", "lsb_exp": "0", field: long}
+    message = rf"^{field} has 5000 digits, past Python's limit of \d+$"
+    with pytest.raises(CodeFormatError, match=message):
+        from_text("mrc {rows} {width} {radix} {lsb_exp}\n1\n".format(**fields))
+    with pytest.raises(CodeFormatError, match=message):
+        from_json('{"rows": %(rows)s, "width": %(width)s, "radix": %(radix)s, "lsb_exp": %(lsb_exp)s, '
+                  '"digits": [[1]]}' % fields)
+    # a long digit is no int; a long header line is cut at 40 characters
+    with pytest.raises(CodeFormatError, match=r"^row 0: digits must be integers$"):
+        from_json('{"rows": 1, "width": 1, "radix": 2, "lsb_exp": 0, "digits": [[%s]]}' % long)
+    with pytest.raises(CodeFormatError, match=rf"^bad header numbers: 'mrc 1 1 2 x{'9' * 29}\.\.\.'$"):
+        from_text(f"mrc 1 1 2 x{long}\n1\n")
+
+
 @pytest.mark.parametrize("digit, message", [
     (2, "digits out of range for radix 2"),
     (-1, "digits out of range for radix 2"),

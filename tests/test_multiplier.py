@@ -181,6 +181,36 @@ def test_fused_mac_runs_the_stage_total_of_its_injection_stage(rng):
             assert value_of(out) == value_of(f) + value_of(a) * value_of(b)
 
 
+def test_traced_fused_mac_runs_its_model_stage_total():
+    # square products at w = 2..64 with 2- and 3-row feedback: the stages
+    # a traced fused_mac reports equal mac_injection_stage's total
+    rng = random.Random(7)
+    for w in range(2, 65):
+        for f_rows in (2, 3):
+            f = make_from_value(rng.getrandbits(2 * w), f_rows, 2 * w)
+            a, b = make_from_value(rng.getrandbits(w), 1, w), make_from_value(rng.getrandbits(w), 1, w)
+            with trace.record() as events:
+                out = fused_mac(f, a, b)
+            assert len(events) == mac_injection_stage(w, f_rows)[1], (w, f_rows)
+            assert value_of(out) == value_of(f) + value_of(a) * value_of(b)
+
+
+def test_fused_mac_stage_drift_is_caught(monkeypatch):
+    # a product that runs one stage past its injection stage: 63 rows
+    # reduce to 6 and 6 + 2 feedback rows take three more stages, one
+    # more than mac_injection_stage(63, 2) == (0, 3) charges
+    real = _kernels.reduce_packed
+
+    def one_stage_late(rows, width, limit=None):
+        return real(rows, width, None if limit is None else limit + 1)
+
+    monkeypatch.setattr(_kernels, "reduce_packed", one_stage_late)
+    f = make_from_value(5, 2, 16)
+    a, b = make_from_value(3, 1, 8), make_from_value(2**63 - 1, 1, 63)
+    with pytest.raises(RuntimeError, match=r"^fused_mac ran 4 stages, mac_injection_stage gives 3$"):
+        fused_mac(f, a, b)
+
+
 def test_fused_mac_requires_aligned_feedback():
     f = make_from_value(5, 2, 8, 2, lsb_exp=-1)
     with pytest.raises(ValueError, match="^feedback lsb_exp must be 0$"):

@@ -1,5 +1,7 @@
 """Row reduction: stage plans, value preservation, carry-free addition."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,21 +181,83 @@ def test_traced_stage_checks_the_column_sum_bound():
 
 
 def test_traced_binary_check_reads_the_kernel_output(monkeypatch):
-    # a carry-save step whose sum row also takes the carry row writes
-    # column sums past the bound; the check reads the planes it wrote
-    real = _kernels._carry_save
+    # a counter whose every sum plane also takes the carry plane above it
+    # writes column sums past the bound; the check reads the planes it wrote
+    real = _kernels._counter
 
-    def leaky(x, y, z):
-        total, carry = real(x, y, z)
-        return total | carry, carry
+    def leaky_counter(n):
+        count = real(n)
 
-    monkeypatch.setattr(_kernels, "_carry_save", leaky)
+        def leaky(*rows):
+            planes = count(*rows)
+            for h in reversed(range(len(planes) - 1)):
+                planes[h] |= planes[h + 1] >> 1
+            return planes
+
+        return leaky
+
+    monkeypatch.setattr(_kernels, "_counter", leaky_counter)
     for rows, top in ((5, 7), (6, 7), (9, 15)):
         code = codes.made_code([0b1011] * rows, 4)
         reduce_to_two(code)  # untraced, the stage runs no check
         message = rf"^column sum {top} above its bound {rows}\*\(2-1\)$"
         with trace.record(), pytest.raises(RuntimeError, match=message):
             reduce_to_two(code)
+
+
+def _check_packed_against_digit_stages(digits, limit):
+    # reduce_packed against the numpy digit stage on the same bit matrix:
+    # digit for digit, in width and in stage count
+    want, want_stages = digits, 0
+    while want.shape[0] > 2 and want_stages != limit:
+        want = _kernels.reduce_once_digits(want, 2)
+        want_stages += 1
+    got, width, stages = _kernels.reduce_packed(pack_rows(digits), digits.shape[1], limit)
+    assert (stages, len(got), width) == (want_stages, *want.shape)
+    np.testing.assert_array_equal(unpack_rows(got, width), want)
+
+
+def test_counter_matches_the_digit_stage(rng):
+    # every row count up to 300, past the counter's 128-row cap, with zero
+    # rows mixed in and all rows zero, for one stage, two and all of them
+    for m in range(301):
+        digits = rng.integers(0, 2, size=(m, 13), dtype=np.int64)
+        digits[rng.random(m) < 0.3] = 0
+        for bits in (digits, np.zeros_like(digits)):
+            for limit in (1, 2, None):
+                _check_packed_against_digit_stages(bits, limit)
+    # all-ones columns at the cap and at each column sum's top bit
+    for m in (127, 128, 129, 255, 256, 257):
+        for width in (1, 70):
+            for limit in (1, 2, None):
+                _check_packed_against_digit_stages(np.ones((m, width), dtype=np.int64), limit)
+
+
+def test_counter_step_is_the_carry_save_step():
+    # the counter's text writes _carry_save's step out: the two must agree
+    rng = random.Random(5)
+    for _ in range(200):
+        x, y, z = (rng.getrandbits(100) for _ in range(3))
+        total, carry = _kernels._carry_save(x, y, z)
+        assert _kernels._counter(3)(x, y, z) == [total, carry << 1]
+        assert _kernels._counter(2)(x, y) == [x ^ y, (x & y) << 1]  # the half adder
+        assert _kernels._counter(1)(x) == [x]
+    assert _kernels._counter(0)() == []
+
+
+def test_no_counter_is_built_past_the_cap(monkeypatch):
+    real, sizes = _kernels._counter, set()
+    monkeypatch.setattr(_kernels, "_counter", lambda n: sizes.add(n) or real(n))
+    rng = random.Random(6)
+    rows = [rng.getrandbits(64) for _ in range(3000)]
+    digits = unpack_rows(rows, 64)
+    got, width, stages = _kernels.reduce_packed(rows, 64)
+    want, want_stages = _kernels.reduce_to_two_digits(digits, 2)
+    assert stages == want_stages
+    np.testing.assert_array_equal(unpack_rows(got, width), want)
+    assert max(sizes) == _kernels._COUNTER_ROWS
+    with pytest.raises(ValueError, match=r"^a counter takes 0\.\.128 rows, not 129$"):
+        real(129)
 
 
 def _reference_stage(digits, q):
