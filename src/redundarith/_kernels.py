@@ -1,25 +1,28 @@
 """Hot numeric kernels, one implementation each.
 
 Binary rows are Python ints, bit j in column j (`MultiRowCode.packed`).
-One carry-save step, `_carry_save`, folds three rows into a sum row and
-a carry row over whole words.  Every binary reduction, one stage or all
-of them, runs in `reduce_packed`, and each stage is one call to a
-bit-sliced column counter: `_counter(n)` generates, once per count n of
-nonzero rows, a straight-line function whose body is the carry-save
-chain of every weight written out, `_carry_save`'s three statements per
-step (a test pins the two copies equal).  No counter takes more than
-_COUNTER_ROWS = 128 rows; a taller stage is counted in blocks of 128
-(`_count_blocks`).  The accumulator streams call `_carry_save` itself:
-a stream of T steps on an n-column grid runs in one of two bodies.  Up
-to 4n steps, the row loop takes one or two carry-save steps per step,
-on operand rows packed by `codes.pack_rows`.  Beyond that, the column
-body walks the n columns once, each column's operand bits over all T
-steps packed into one T-bit int by `codes.pack_columns` (eight steps of
-eight columns per uint64 lane, so only the packed bytes are transposed):
-no carry moves within a step, so a column's sum bits are a prefix xor
-over time, and its carry-save majorities are the carries into the next
-column.  Each column costs a few us whatever T is, which short streams
-would not win back.  `acc_stream` picks the body and takes and returns
+The binary kernels have one adder: `_counter(n)` generates, once per
+count n of rows, a straight-line bit-sliced column counter whose body
+is the carry-save chain of every weight written out, three statements
+per carry-save step, which folds three rows into a sum row and a carry
+row over whole words.  It returns the planes of the column sums, plane
+h shifted h columns.  Every binary reduction, one stage or all of them,
+runs in `reduce_packed`, and each stage is one call to the counter of
+its nonzero rows.  No counter takes more than _COUNTER_ROWS = 128 rows;
+a taller stage is counted in blocks of 128 whose counts the full adder
+`_counter(3)` sums plane by plane (`_count_blocks`).  The accumulator
+streams take their carry-save step from the same full adder, whose
+carry comes out shifted one column: a stream of T steps on an n-column
+grid runs in one of two bodies.  Up to 4n steps, the row loop takes one
+or two full-adder steps per step, on operand rows packed by
+`codes.pack_rows`.  Beyond that, the column body walks the n columns
+once, each column's operand bits over all T steps packed into one T-bit
+int by `codes.pack_columns` (eight steps of eight columns per uint64
+lane, so only the packed bytes are transposed): no carry moves within a
+step, so a column's sum bits are a prefix xor over time, and its
+majorities, shifted one step, are the carries into the next column.
+Each column costs a few us whatever T is, which short streams would not
+win back.  `acc_stream` picks the body and takes and returns
 the sum and carry rows as packed ints; `acc_stream1` and `acc_stream2`
 adapt it to int64 rows updated in place.
 
@@ -41,6 +44,7 @@ benchmark's row loop over `popcount_tree`'s walk.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 from . import trace
@@ -134,16 +138,6 @@ def reduce_to_two_digits(digits: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     return digits, stages
 
 
-def _carry_save(x: int, y: int, z: int) -> tuple[int, int]:
-    """Sum row and carry row of three bit rows, column by column.
-
-    The carry row stays in the columns it came from; its bits weigh
-    twice those of the sum row.
-    """
-    t = x ^ y
-    return t ^ z, (x & y) | (t & z)
-
-
 # the most rows one generated counter takes, the models' domain
 # (popcount_tree takes m in 1..128), so at most 129 counters are ever
 # compiled; a taller level is counted in blocks of this many rows
@@ -153,13 +147,13 @@ _COUNTER_ROWS = 128
 @lru_cache(maxsize=None)
 def _counter(n: int):
     """The column counter of n rows as one straight-line function:
-    counter(r0, ..., r{n-1}) -> planes, plane h shifted h columns.
+    counter(r0, ..., r{n-1}) -> tuple of planes, plane h shifted h columns.
 
     Its source is built from the int n alone.  Each weight's rows go
-    through a chain of carry-save steps (`_carry_save`'s three
-    statements, written out) ending in a half adder where the level
-    meets its zero pad row, and the carries of one weight are the next
-    weight's rows.
+    through a chain of carry-save steps, written out, ending in a half
+    adder where the level meets its zero pad row, and the carries of one
+    weight are the next weight's rows.  `_counter(3)` is the full adder,
+    (x ^ y ^ z, maj(x, y, z) << 1), the kernels' one carry-save step.
     """
     if not 0 <= n <= _COUNTER_ROWS:
         raise ValueError(f"a counter takes 0..{_COUNTER_ROWS} rows, not {n}")
@@ -177,7 +171,7 @@ def _counter(n: int):
             carries.append(c)
         planes.append(f"{x} << {len(planes)}" if planes else x)
         level = carries
-    lines.append(f"return [{', '.join(planes)}]")
+    lines.append(f"return ({''.join(p + ', ' for p in planes)})")
     namespace = {}
     exec(compile(f"def counter({args}):\n    " + "\n    ".join(lines), f"<counter {n}>", "exec"),
          namespace)
@@ -185,35 +179,23 @@ def _counter(n: int):
 
 
 def _count_blocks(level: list) -> list:
-    """The counter's planes for more than _COUNTER_ROWS nonzero rows.
-
-    A weight's rows, while more than _COUNTER_ROWS, are zero-padded to
-    whole blocks for the _COUNTER_ROWS-row counter; fewer go through the
-    counter of their count.  A block's plane 0 stays at its weight, and
-    its higher planes, shifted back, join the rows of their weights.  A
-    weight is done when one row is left, and carries only go up, so
-    weight h is counted after all that reach it.
-    """
-    levels, out = [level], []
-    for h, level in enumerate(levels):
-        while len(level) > 1:
-            if len(level) > _COUNTER_ROWS:
-                level += [0] * (-len(level) % _COUNTER_ROWS)
-            same = []
-            for i in range(0, len(level), _COUNTER_ROWS):
-                block = level[i:i + _COUNTER_ROWS]
-                planes = _counter(len(block))(*block)
-                same.append(planes[0])
-                for j in range(1, len(planes)):
-                    if planes[j]:
-                        levels += [[] for _ in range(h + j + 1 - len(levels))]
-                        levels[h + j].append(planes[j] >> j)
-            level = [row for row in same if row]
-        out.append(level[0] << h if level else 0)
+    """The counter's planes for more than _COUNTER_ROWS nonzero rows: the
+    counts of blocks of _COUNTER_ROWS rows, summed plane by plane.  Plane
+    h of a count is shifted h columns, so the full adder of two planes h
+    and the carry into weight h gives the sum plane h and, shifted h + 1,
+    the carry into weight h + 1."""
+    add, out = _counter(3), []
+    for i in range(0, len(level), _COUNTER_ROWS):
+        block = level[i:i + _COUNTER_ROWS]
+        planes, carry = [], 0
+        for x, y in zip_longest(out, _counter(len(block))(*block), fillvalue=0):
+            s, carry = add(x, y, carry)
+            planes.append(s)
+        out = planes + [carry] if carry else planes
     return out
 
 
-def reduce_packed(rows, width: int, limit: int | None = None) -> tuple[list, int, int]:
+def reduce_packed(rows, width: int, limit: int | None = None) -> tuple:
     """Reduce packed binary rows until two remain, or for `limit` stages:
     (rows, width, stages).
 
@@ -227,7 +209,7 @@ def reduce_packed(rows, width: int, limit: int | None = None) -> tuple[list, int
     while len(rows) > 2 and stages != limit:
         level = [row for row in rows if row]
         out = _counter(len(level))(*level) if len(level) <= _COUNTER_ROWS else _count_blocks(level)
-        out += [0] * (len(rows).bit_length() - len(out))
+        out += (0,) * (len(rows).bit_length() - len(out))
         out_width = width + len(out) - 1
         if events is not None:
             # the largest column sum, bit-sliced: keep the columns set in each plane from the top
@@ -254,11 +236,12 @@ def row_stream(rows_a, rows_b, sw: int, cw: int, n: int, xor_variant: bool) -> t
 
     rows_b is None for one-row operands.  Every step first moves the top
     slots (weight 2**n) to the counter, by sum or, in the xor variant, by
-    xor.  A one-row step is one carry-save step whose carry row moves up
-    one column (a full adder); a two-row step folds (a, b, c) and then
-    (s, p, g).  A one-row step's top carry goes to the counter at once,
-    so it never stays in the top slot.
+    xor.  A one-row step is one call to the full adder `_counter(3)`,
+    whose carry row comes out one column up; a two-row step folds
+    (a, b, c) and then (s, p, g).  A one-row step's top carry goes to the
+    counter at once, so it never stays in the top slot.
     """
+    add = _counter(3)
     mask = (1 << n) - 1
     overflow = 0
     for a, b in zip(rows_a, rows_a if rows_b is None else rows_b):
@@ -266,10 +249,8 @@ def row_stream(rows_a, rows_b, sw: int, cw: int, n: int, xor_variant: bool) -> t
         sw &= mask
         cw &= mask
         if rows_b is not None:
-            a, g = _carry_save(a, b, cw)
-            cw = g << 1
-        sw, cw = _carry_save(sw, a, cw)
-        cw <<= 1
+            a, cw = add(a, b, cw)
+        sw, cw = add(sw, a, cw)
     if rows_b is None and rows_a:
         overflow += cw >> n
         cw &= mask
@@ -286,12 +267,14 @@ def _column_stream(ops_a, ops_b, sw: int, cw: int, n: int, xor_variant: bool) ->
     Bit t of a column's series is that column at step t.  No carry moves
     within a step, so a column's sum bit at step t is its first bit xor
     the xor of the column's inputs over steps 0 .. t-1: a prefix xor over
-    time, in ceil(log2 T) word-wide steps.  The carry-save majorities of
-    column j are the carries into column j + 1 one step later; a two-row
-    step's layer-1 majorities reach it in the same step.  Column n is the
+    time, in ceil(log2 T) word-wide steps.  The full adder `_counter(3)`
+    returns column j's majorities shifted one bit, one step later: the
+    carries into column j + 1.  A two-row step's layer-1 majorities reach
+    it in the same step, shifted back.  Column n is the
     counter: at every step after the first it receives the top slots the
     previous step left, which are the majorities of column n - 1.
     """
+    add = _counter(3)
     steps = ops_a.shape[0]
     ones = (1 << steps) - 1
     last = steps - 1
@@ -299,33 +282,34 @@ def _column_stream(ops_a, ops_b, sw: int, cw: int, n: int, xor_variant: bool) ->
     cols_b = cols_a if ops_b is None else pack_columns(ops_b)
     overflow = (sw ^ cw) >> n if xor_variant else (sw >> n) + (cw >> n)
     s_end = c_end = 0
-    m = g = 0  # the previous column's majority series (layer 2, layer 1)
+    m = g = 0  # the previous column's majority series (layer 2, layer 1), shifted one step
     for j in range(n):
-        c = (m << 1 & ones) | (cw >> j & 1)  # carries into column j
+        c = (m & ones) | (cw >> j & 1)  # carries into column j
         a = cols_a[j]
         if ops_b is not None:
-            a, g_j = _carry_save(a, cols_b[j], c)
-            c, g = g, g_j
+            a, g_j = add(a, cols_b[j], c)
+            c, g = g >> 1, g_j
         x = a ^ c
         k = 1
         while k < steps:
             x ^= x << k
             k <<= 1
         s = (x << 1 & ones) ^ (ones if sw >> j & 1 else 0)
-        s, m = _carry_save(s, a, c)
+        s, m = add(s, a, c)
         s_end |= (s >> last & 1) << j
-        c_end |= (m >> last & 1) << j + 1
+        c_end |= (m >> steps & 1) << j + 1
     if ops_b is None:
         # the one-row flush: every top carry reaches the counter
         c_end &= (1 << n) - 1
         overflow += m.bit_count()
     else:
-        early = ones >> 1  # top slots of steps 0 .. T-2, counted by the next step
+        # bit t of a shifted series is the top slot step t reads; bit 0 is 0
+        # and bit T, the last step's, stays in the top slot
         if xor_variant:
-            overflow += ((g ^ m) & early).bit_count()
+            overflow += ((g ^ m) & ones).bit_count()
         else:
-            overflow += (g & early).bit_count() + (m & early).bit_count()
-        s_end |= (g >> last & 1) << n
+            overflow += (g & ones).bit_count() + (m & ones).bit_count()
+        s_end |= (g >> steps & 1) << n
     events = trace.sink()
     if events is not None:
         events.append({"op": "stream", "rows": 1 if ops_b is None else 2, "width": n,

@@ -16,7 +16,9 @@ which the tests demonstrate to be lossy when both bits are set.
 `acc_step` and `acc_step2` fold the operand's packed rows into the two
 ints with `_kernels.row_stream`, and `acc_run` hands a whole bit matrix
 to `_kernels.acc_stream`; no call converts the state to bit rows.
-Because no carry moves within a step, a stream of T steps can also run
+Each full-adder layer is one call to `_kernels._counter(3)`, the
+generated counter of three rows, whose carry row comes out one column
+up.  Because no carry moves within a step, a stream of T steps can also run
 column by column: column j's sum bits over time are a prefix xor of its
 inputs, and its carries are column j + 1's inputs one step later.  The
 kernel runs streams of more than 4n steps that way and shorter ones

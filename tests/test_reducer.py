@@ -189,7 +189,7 @@ def test_traced_binary_check_reads_the_kernel_output(monkeypatch):
         count = real(n)
 
         def leaky(*rows):
-            planes = count(*rows)
+            planes = list(count(*rows))
             for h in reversed(range(len(planes) - 1)):
                 planes[h] |= planes[h + 1] >> 1
             return planes
@@ -234,15 +234,15 @@ def test_counter_matches_the_digit_stage(rng):
 
 
 def test_counter_step_is_the_carry_save_step():
-    # the counter's text writes _carry_save's step out: the two must agree
+    # the streams and the block sum call _counter(3) as the carry-save step:
+    # sum and majority, the carry already shifted one column
     rng = random.Random(5)
     for _ in range(200):
         x, y, z = (rng.getrandbits(100) for _ in range(3))
-        total, carry = _kernels._carry_save(x, y, z)
-        assert _kernels._counter(3)(x, y, z) == [total, carry << 1]
-        assert _kernels._counter(2)(x, y) == [x ^ y, (x & y) << 1]  # the half adder
-        assert _kernels._counter(1)(x) == [x]
-    assert _kernels._counter(0)() == []
+        assert _kernels._counter(3)(x, y, z) == (x ^ y ^ z, (x & y | x & z | y & z) << 1)
+        assert _kernels._counter(2)(x, y) == (x ^ y, (x & y) << 1)  # the half adder
+        assert _kernels._counter(1)(x) == (x,)
+    assert _kernels._counter(0)() == ()
 
 
 def test_no_counter_is_built_past_the_cap(monkeypatch):
