@@ -167,23 +167,32 @@ def test_fused_mac_values(rng):
         assert value_of(out) == fv + av * bv
 
 
-def test_traced_fused_mac_runs_its_model_stage_total():
-    # multipliers of 1..64 bits, times an 8-bit multiplicand under 16-bit
-    # feedback and times one of their own width under double-width
-    # feedback, each with 2- and 3-row feedback: the stages a traced
-    # fused_mac reports equal mac_injection_stage's total.  A 1-bit
-    # multiplier stacks 1 + f rows: one stage for f = 2 or 3
+def test_fused_mac_runs_the_stage_total_of_its_injection_stage(rng):
+    # a 1-bit multiplier stacks 1 + f rows: one stage for f = 2 or 3
     assert mac_injection_stage(1, 2) == (0, 1)
+    for wb in range(1, 17):
+        for f_rows in (2, 3):
+            f = make_from_value(int(rng.integers(0, 1 << 16)), f_rows, 16)
+            a = make_from_value(int(rng.integers(0, 1 << 8)), 1, 8)
+            b = make_from_value(int(rng.integers(0, 1 << wb)), 1, wb)
+            with trace.record() as events:
+                out = fused_mac(f, a, b)
+            assert len(events) == mac_injection_stage(wb, f_rows)[1], (wb, f_rows)
+            assert value_of(out) == value_of(f) + value_of(a) * value_of(b)
+
+
+def test_traced_fused_mac_runs_its_model_stage_total():
+    # square products at w = 2..64 with 2- and 3-row feedback: the stages
+    # a traced fused_mac reports equal mac_injection_stage's total
     rng = random.Random(7)
-    for wb in range(1, 65):
-        for wa, wf in ((8, 16), (wb, 2 * wb)):
-            for f_rows in (2, 3):
-                f = make_from_value(rng.getrandbits(wf), f_rows, wf)
-                a, b = make_from_value(rng.getrandbits(wa), 1, wa), make_from_value(rng.getrandbits(wb), 1, wb)
-                with trace.record() as events:
-                    out = fused_mac(f, a, b)
-                assert len(events) == mac_injection_stage(wb, f_rows)[1], (wb, wa, f_rows)
-                assert value_of(out) == value_of(f) + value_of(a) * value_of(b)
+    for w in range(2, 65):
+        for f_rows in (2, 3):
+            f = make_from_value(rng.getrandbits(2 * w), f_rows, 2 * w)
+            a, b = make_from_value(rng.getrandbits(w), 1, w), make_from_value(rng.getrandbits(w), 1, w)
+            with trace.record() as events:
+                out = fused_mac(f, a, b)
+            assert len(events) == mac_injection_stage(w, f_rows)[1], (w, f_rows)
+            assert value_of(out) == value_of(f) + value_of(a) * value_of(b)
 
 
 def test_fused_mac_stage_drift_is_caught(monkeypatch):
